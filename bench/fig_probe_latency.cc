@@ -9,9 +9,9 @@
 // candidate, a usage RPC per remaining node) and drains them together:
 // ~1 round-trip per decision regardless of cluster width.
 //
-// Default sweep: direct mode (in-thread loop vs thread-pool fan-out) and
-// the loopback message transport (blocking RPCs vs batched pending
-// calls). With
+// Default sweep: direct mode (both rows run DirectProbeSet's in-thread
+// loop, so they measure the same path twice) and the loopback message
+// transport (blocking RPCs vs batched pending calls). With
 //   bench_fig_probe_latency --tcp host:port[:endpoint],...
 // it instead measures against node_server daemons over real sockets,
 // where the sequential path pays its round-trips on a real network stack.
@@ -121,9 +121,6 @@ int main(int argc, char** argv) {
       cfg.transport.tcp_nodes = tcp_nodes;
     } else {
       cfg.num_nodes = 8;
-      if (mode == TransportMode::kDirect && batched) {
-        cfg.transport.probe_threads = 4;
-      }
     }
     return cfg;
   };

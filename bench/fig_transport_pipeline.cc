@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
     std::uint64_t wire_msgs = 0;
     std::uint64_t wire_bytes = 0;
   };
-  // One measured backup run; `metrics` attaches the client-side registry
-  // (the overhead A/B below runs the same depth with and without it);
+  // One measured backup run; `metrics` is the caller's registry, null for
+  // the cluster's private one (the overhead A/B below runs both);
   // `reactors` shards the client's TCP transport (0 = auto).
   auto run_depth = [&](std::size_t depth, obs::Registry* metrics,
                        std::uint32_t reactors = 0) -> DepthResult {
@@ -213,10 +213,10 @@ int main(int argc, char** argv) {
               << "x)\n";
   }
 
-  // Metrics-plane overhead gate: the same depth back to back, without and
-  // with the client-side registry attached. The instrumented hot paths
-  // are one branch per site when disabled and a relaxed fetch_add when
-  // enabled, so the two throughputs should agree to low single digits.
+  // Metrics-plane overhead gate: the same depth back to back, recording
+  // into the cluster's private registry and into one the caller passes
+  // in. Every site is the same relaxed fetch_add either way, so the two
+  // throughputs should agree to low single digits.
   {
     const std::size_t overhead_depth = over_tcp ? tcp_depth : 4;
     const DepthResult off = run_depth(overhead_depth, nullptr);

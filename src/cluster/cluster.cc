@@ -40,10 +40,10 @@ struct Cluster::TransportRuntime {
 
   /// Loopback runtime: in-process services over the local nodes.
   TransportRuntime(std::vector<std::unique_ptr<DedupNode>>& nodes,
-                   const TransportConfig& config, obs::Registry* metrics)
+                   const TransportConfig& config, obs::Registry& metrics)
       : timeout(config.rpc_timeout_ms),
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
-    transport = std::make_unique<net::LoopbackTransport>();
+    transport = std::make_unique<net::LoopbackTransport>(&metrics);
     // Two drain lanes per node (writes + probe fast lane) can each occupy
     // a task; sizing for both keeps the fast lane live on small clusters.
     pool = std::make_unique<ThreadPool>(
@@ -55,20 +55,18 @@ struct Cluster::TransportRuntime {
     services.reserve(nodes.size());
     for (auto& n : nodes) {
       services.push_back(std::make_unique<service::NodeService>(
-          *n, *transport, *pool, metrics,
+          *n, *transport, *pool, &metrics,
           "node" + std::to_string(services.size())));
-      if (metrics) {
-        // In-process fleet: every service answers kStatsSnapshot with the
-        // shared registry's view, same as a daemon would (trace counters
-        // folded in at scrape time like a daemon's struct stats).
-        services.back()->set_snapshot_provider([metrics] {
-          obs::MetricsSnapshot snap = metrics->snapshot();
-          obs::fold_trace_stats(snap);
-          return snap;
-        });
-      }
+      // In-process fleet: every service answers kStatsSnapshot with the
+      // cluster registry's view plus the tracer counters, same as a
+      // daemon would.
+      services.back()->set_snapshot_provider([&metrics] {
+        obs::MetricsSnapshot snap = metrics.snapshot();
+        obs::fold_trace_stats(snap);
+        return snap;
+      });
     }
-    rpc = std::make_unique<net::RpcEndpoint>(*transport, metrics);
+    rpc = std::make_unique<net::RpcEndpoint>(*transport, &metrics);
     clients.reserve(nodes.size());
     for (auto& s : services) {
       clients.push_back(std::make_unique<service::NodeClient>(
@@ -78,18 +76,18 @@ struct Cluster::TransportRuntime {
 
   /// TCP runtime: client stubs dialed at a fleet of node_server daemons
   /// described by the node map; no local nodes or services.
-  TransportRuntime(const TransportConfig& config, obs::Registry* metrics)
+  TransportRuntime(const TransportConfig& config, obs::Registry& metrics)
       : timeout(config.rpc_timeout_ms),
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
     net::TcpTransportConfig tcp;
     tcp.endpoint_base = config.tcp_client_endpoint_base;
     tcp.reactors = config.tcp_reactors;
-    tcp.metrics = metrics;
+    tcp.metrics = &metrics;
     for (const auto& node : config.tcp_nodes) {
       tcp.remote_endpoints.emplace(node.endpoint, node.address);
     }
     transport = std::make_unique<net::TcpTransport>(std::move(tcp));
-    rpc = std::make_unique<net::RpcEndpoint>(*transport, metrics);
+    rpc = std::make_unique<net::RpcEndpoint>(*transport, &metrics);
     clients.reserve(config.tcp_nodes.size());
     for (const auto& node : config.tcp_nodes) {
       clients.push_back(std::make_unique<service::NodeClient>(
@@ -182,7 +180,15 @@ double ClusterReport::effective_dedup_ratio() const {
 }
 
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), router_(make_router(config.scheme, config.router)) {
+    : config_(config),
+      metrics_(config.metrics),
+      router_(make_router(config.scheme, config.router)),
+      route_us_(metrics_->histogram("route.decision_us")),
+      route_probe_rounds_(metrics_->counter("route.probe_rounds")),
+      route_probe_msgs_(metrics_->counter("route.probe_messages")),
+      route_decisions_(metrics_->counter(config.transport.batched_probes
+                                             ? "route.decisions_batched"
+                                             : "route.decisions_sequential")) {
   if (config_.num_nodes == 0) {
     throw std::invalid_argument("Cluster: need at least one node");
   }
@@ -194,7 +200,7 @@ Cluster::Cluster(const ClusterConfig& config)
     ctrl::RegistryClientConfig rc;
     rc.registry = *config_.transport.registry;
     rc.rpc_timeout_ms = config_.transport.registry_timeout_ms;
-    rc.metrics = config_.metrics;
+    rc.metrics = metrics_.get();
     registry_client_ = std::make_unique<ctrl::RegistryClient>(rc);
     const service::LeaseEndpointsReply lease =
         registry_client_->lease_endpoints(
@@ -259,11 +265,10 @@ Cluster::Cluster(const ClusterConfig& config)
       // A backend factory swaps the node state store (e.g. FileBackend
       // for durable on-disk containers) without touching dedup behavior:
       // reports must stay bit-identical to the in-memory default.
-      nodes_.push_back(
-          config_.backend_factory
-              ? std::make_unique<DedupNode>(id, config_.node,
-                                            config_.backend_factory(id))
-              : std::make_unique<DedupNode>(id, config_.node));
+      nodes_.push_back(std::make_unique<DedupNode>(
+          id, config_.node,
+          config_.backend_factory ? config_.backend_factory(id) : nullptr,
+          metrics_.get()));
     }
   }
   if (config_.scheme == RoutingScheme::kExtremeBinning &&
@@ -272,20 +277,9 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   if (config_.transport.mode == TransportMode::kLoopback) {
     runtime_ = std::make_unique<TransportRuntime>(nodes_, config_.transport,
-                                                  config_.metrics);
+                                                  *metrics_);
   } else if (config_.transport.mode == TransportMode::kTcp) {
-    runtime_ =
-        std::make_unique<TransportRuntime>(config_.transport, config_.metrics);
-  }
-  if (config_.metrics) {
-    route_us_ = &config_.metrics->histogram("route.decision_us");
-    route_probe_rounds_ = &config_.metrics->counter("route.probe_rounds");
-    route_probe_msgs_ = &config_.metrics->counter("route.probe_messages");
-    // Batched and sequential decisions are separate series so an A/B of
-    // the scatter-gather plane shows up in one merged scrape.
-    route_decisions_ = &config_.metrics->counter(
-        config_.transport.batched_probes ? "route.decisions_batched"
-                                         : "route.decisions_sequential");
+    runtime_ = std::make_unique<TransportRuntime>(config_.transport, *metrics_);
   }
   views_.reserve(config_.num_nodes);
   if (runtime_) {
@@ -295,8 +289,7 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   // The probe plane the routers gather through. Message modes batch the
   // round as concurrent pending calls (one fused probe per candidate);
-  // the sequential fallback and direct mode go through the per-node
-  // views — optionally fanned across a dedicated pool in direct mode.
+  // the sequential fallback and direct mode loop over the per-node views.
   if (runtime_ && config_.transport.batched_probes) {
     std::vector<const service::NodeClient*> stubs;
     stubs.reserve(runtime_->clients.size());
@@ -304,13 +297,7 @@ Cluster::Cluster(const ClusterConfig& config)
     probe_plane_ = std::make_unique<service::ClientProbeSet>(
         std::move(stubs), runtime_->timeout);
   } else {
-    if (!runtime_ && config_.transport.batched_probes &&
-        config_.transport.probe_threads > 0) {
-      probe_pool_ =
-          std::make_unique<ThreadPool>(config_.transport.probe_threads);
-    }
-    probe_plane_ =
-        std::make_unique<DirectProbeSet>(views_, probe_pool_.get());
+    probe_plane_ = std::make_unique<DirectProbeSet>(views_);
   }
 }
 
@@ -330,12 +317,10 @@ NodeId Cluster::route_unit(const std::vector<ChunkRecord>& unit,
     obs::ScopedTimer timer(route_us_);
     target = router_->route(unit, *probe_plane_, ctx);
   }
-  if (route_decisions_) {
-    route_decisions_->inc();
-    if (ctx.pre_routing_messages > 0) {
-      route_probe_rounds_->inc();
-      route_probe_msgs_->inc(ctx.pre_routing_messages);
-    }
+  route_decisions_.inc();
+  if (ctx.pre_routing_messages > 0) {
+    route_probe_rounds_.inc();
+    route_probe_msgs_.inc(ctx.pre_routing_messages);
   }
   return target;
 }
@@ -550,6 +535,13 @@ bool Cluster::registry_healthy() const {
 
 net::NetStats Cluster::net_stats() const {
   return runtime_ ? runtime_->transport->stats() : net::NetStats{};
+}
+
+obs::MetricsSnapshot Cluster::stats_snapshot(NodeId node) const {
+  if (!runtime_) {
+    throw std::logic_error("Cluster: stats_snapshot needs a transport");
+  }
+  return runtime_->clients.at(node)->stats_snapshot();
 }
 
 ClusterReport Cluster::report() const {

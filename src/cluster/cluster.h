@@ -23,7 +23,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "net/tcp/socket.h"
 #include "net/transport.h"
 #include "node/dedup_node.h"
@@ -72,10 +71,6 @@ struct TransportConfig {
   /// fall back to the sequential one-blocking-call-per-node path (kept
   /// for equivalence testing; reports are bit-identical at depth 1).
   bool batched_probes = true;
-  /// Direct mode only: fan the batched probe round across this many
-  /// dedicated threads (0 = run it sequentially in the routing thread).
-  /// Message modes ignore this — their batching is the async RPC round.
-  std::size_t probe_threads = 0;
   /// kTcp only: the node map — one entry per remote node service, in node
   /// id order (cluster node i is tcp_nodes[i]). num_nodes must match
   /// tcp_nodes.size(). See net::parse_tcp_nodes for "host:port[:endpoint]"
@@ -118,11 +113,11 @@ struct ClusterConfig {
   /// published design). Disable to give EB exact per-node dedup (used as
   /// an ablation upper bound).
   bool eb_bin_dedup = true;
-  /// Optional metrics plane (must outlive the cluster). Instruments the
-  /// whole client-side stack — routing decisions (latency histogram,
-  /// batched/sequential counters, probe-message volume), the RPC endpoint
-  /// and, in loopback mode, the in-process node services and transport.
-  /// Null = no instrumentation beyond the existing struct counters.
+  /// Metrics plane (must outlive the cluster). Instruments the whole
+  /// client-side stack — routing decisions (latency histogram,
+  /// batched/sequential counters, probe-message volume), the transport
+  /// and RPC endpoint and, in direct and loopback modes, the local nodes,
+  /// their backends and node services. Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
 
@@ -183,6 +178,11 @@ class Cluster {
   /// Wire-level traffic counters (all zero in direct mode). Distinct from
   /// MessageStats, which counts the paper's fingerprint-lookup metric.
   net::NetStats net_stats() const;
+
+  /// Scrape node `node`'s hosting process over the transport
+  /// (kStatsSnapshot): the daemon-wide view in kTcp mode, this cluster's
+  /// registry in loopback mode. Throws std::logic_error in direct mode.
+  obs::MetricsSnapshot stats_snapshot(NodeId node) const;
 
   /// Registry mode only: the latest fleet view (the lease-time view until
   /// a membership change is pushed). Empty optional under static wiring.
@@ -257,6 +257,8 @@ class Cluster {
       SIGMA_REQUIRES(route_mu_);
 
   ClusterConfig config_;
+  /// Declared before everything that records into it.
+  obs::RegistryRef metrics_;
   std::vector<std::unique_ptr<DedupNode>> nodes_;
   /// Serializes the client-side routing plane: router_'s internal state,
   /// the Fig. 7 message ledger and the EB bin store below. Outermost in
@@ -273,18 +275,18 @@ class Cluster {
   /// Per-node probe views: the nodes themselves in direct mode, RPC
   /// stubs in message mode. Fixed at construction.
   std::vector<const NodeProbe*> views_;
-  /// Direct-mode probe fan-out pool (probe_threads > 0 only).
-  std::unique_ptr<ThreadPool> probe_pool_;
   /// The scatter-gather plane route_unit() hands the router — built over
   /// the client stubs (batched pending calls) in message mode, over
   /// views_ otherwise. Fixed at construction.
   std::unique_ptr<ProbeSet> probe_plane_;
 
-  /// Cached routing instruments; null without config_.metrics.
-  obs::Histogram* route_us_ = nullptr;
-  obs::Counter* route_probe_rounds_ = nullptr;
-  obs::Counter* route_probe_msgs_ = nullptr;
-  obs::Counter* route_decisions_ = nullptr;
+  /// Routing instruments. Batched and sequential decisions are separate
+  /// series, so an A/B of the scatter-gather plane shows up in one
+  /// merged scrape.
+  obs::Histogram& route_us_;
+  obs::Counter& route_probe_rounds_;
+  obs::Counter& route_probe_msgs_;
+  obs::Counter& route_decisions_;
 
   // Extreme Binning bin store: per node, representative-fingerprint ->
   // the bin's chunk fingerprints. Approximate dedup happens against the

@@ -57,7 +57,7 @@ enum class LockRank : int {
   //      cached fleet views. Held across transport sends (ranks 58-60),
   //      never under data-plane locks.
   kRegistryCtrl = 12,
-  kService = 20,     // NodeService::mu_ — stats + drain arming
+  kService = 20,     // NodeService::mu_ — drain arming
 
   // ---- Primitives the service plane arms under its own lock -----------
   kChannel = 30,     // net::Channel inbox state
@@ -70,9 +70,7 @@ enum class LockRank : int {
   kSimilarityShard = 44,
   kFingerprintCache = 46,
   kBloomFilter = 48,
-  kNodeStats = 50,
   kStorageBackend = 52,
-  kStorageStats = 54,
   kDirector = 56,
 
   // ---- Message plane (never held while calling into the layers above).

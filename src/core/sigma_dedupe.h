@@ -37,8 +37,8 @@ struct MiddlewareConfig {
   /// node-service transport (TransportMode::kLoopback), with configurable
   /// super-chunk write pipelining.
   TransportConfig transport;
-  /// Optional metrics plane, forwarded to the cluster (must outlive the
-  /// middleware). Null = no instrumentation.
+  /// Metrics plane, forwarded to the cluster (must outlive the
+  /// middleware). Null = the cluster's private registry.
   obs::Registry* metrics = nullptr;
 };
 

@@ -19,21 +19,19 @@ net::EndpointId random_bootstrap_base() {
 }  // namespace
 
 RegistryClient::RegistryClient(const RegistryClientConfig& config)
-    : config_(config) {
-  if (config_.metrics) {
-    m_heartbeats_ = &config_.metrics->counter("registry_client.heartbeats");
-    m_heartbeat_failures_ =
-        &config_.metrics->counter("registry_client.heartbeat_failures");
-    m_updates_ = &config_.metrics->counter("registry_client.updates");
-    m_reregisters_ =
-        &config_.metrics->counter("registry_client.reregisters");
-  }
+    : config_(config),
+      metrics_(config_.metrics),
+      m_heartbeats_(metrics_->counter("registry_client.heartbeats")),
+      m_heartbeat_failures_(
+          metrics_->counter("registry_client.heartbeat_failures")),
+      m_updates_(metrics_->counter("registry_client.updates")),
+      m_reregisters_(metrics_->counter("registry_client.reregisters")) {
   net::TcpTransportConfig tcp;
   tcp.remote_endpoints[net::kRegistryEndpoint] = config_.registry;
   tcp.endpoint_base = random_bootstrap_base();
   tcp.reactors = config_.reactors;
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
-  rpc_ = std::make_unique<net::RpcEndpoint>(*transport_, config_.metrics);
+  rpc_ = std::make_unique<net::RpcEndpoint>(*transport_, metrics_.get());
   rpc_->set_request_handler(
       [this](const net::Message& m) { return on_request(m); });
 }
@@ -188,10 +186,10 @@ void RegistryClient::heartbeat_loop() {
                       net::MessageType::kRegistryHeartbeat,
                       service::encode_u64(id),
                       std::chrono::milliseconds(config_.rpc_timeout_ms));
-      if (m_heartbeats_) m_heartbeats_->inc();
+      m_heartbeats_.inc();
       note_heartbeat_result(true, {});
     } catch (const net::RpcError& e) {
-      if (m_heartbeat_failures_) m_heartbeat_failures_->inc();
+      m_heartbeat_failures_.inc();
       const std::string what = e.what();
       const bool unknown_lease =
           what.find("unknown lease") != std::string::npos;
@@ -238,7 +236,7 @@ void RegistryClient::heartbeat_loop() {
             lease_id_ = grant.lease_id;
             ttl_ms_ = grant.ttl_ms;
           }
-          if (m_reregisters_) m_reregisters_->inc();
+          m_reregisters_.inc();
           note_heartbeat_result(true, {});
           SIGMA_LOG_INFO << "registry client: re-registered "
                          << advertise.to_string() << " after lease loss";
@@ -285,7 +283,7 @@ Buffer RegistryClient::on_request(const net::Message& m) {
     if (latest_view_.version < view.version) latest_view_ = view;
     callback = on_update_;
   }
-  if (m_updates_) m_updates_->inc();
+  m_updates_.inc();
   if (callback) callback(view);
   return Buffer{};
 }

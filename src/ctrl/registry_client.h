@@ -56,8 +56,9 @@ struct RegistryClientConfig {
   /// tiny; one is plenty).
   std::uint32_t reactors = 1;
 
-  /// Optional metrics plane (must outlive the client): registry_client.*
-  /// heartbeat / failure / update counters.
+  /// Metrics plane (must outlive the client): registry_client.*
+  /// heartbeat / failure / update counters and the stub's rpc.* series.
+  /// Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
 
@@ -117,10 +118,11 @@ class RegistryClient {
   Buffer on_request(const net::Message& m) SIGMA_EXCLUDES(mu_);
 
   RegistryClientConfig config_;
-  obs::Counter* m_heartbeats_ = nullptr;
-  obs::Counter* m_heartbeat_failures_ = nullptr;
-  obs::Counter* m_updates_ = nullptr;
-  obs::Counter* m_reregisters_ = nullptr;
+  obs::RegistryRef metrics_;
+  obs::Counter& m_heartbeats_;
+  obs::Counter& m_heartbeat_failures_;
+  obs::Counter& m_updates_;
+  obs::Counter& m_reregisters_;
 
   std::unique_ptr<net::TcpTransport> transport_;
   std::unique_ptr<net::RpcEndpoint> rpc_;

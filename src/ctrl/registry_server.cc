@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics_wire.h"
+#include "obs/trace.h"
 
 namespace sigma::ctrl {
 namespace {
@@ -84,18 +85,7 @@ std::uint64_t RegistryServer::push_acks() const {
 
 obs::MetricsSnapshot RegistryServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
-  const net::NetStats net = transport_->stats();
-  snap.add_counter("net.messages_sent", net.messages_sent);
-  snap.add_counter("net.bytes_sent", net.bytes_sent);
-  snap.add_counter("net.requests", net.requests);
-  snap.add_counter("net.responses", net.responses);
-  snap.add_counter("net.errors", net.errors);
-  const net::TcpTransportStats tcp = transport_->tcp_stats();
-  snap.add_counter("tcp.connections_accepted", tcp.connections_accepted);
-  snap.add_counter("tcp.frames_received", tcp.frames_received);
-  snap.add_counter("tcp.route_conflicts", tcp.route_conflicts);
-  snap.add_counter("tcp.route_takeovers", tcp.route_takeovers);
-  snap.add_counter("tcp.route_expired", tcp.route_expired);
+  obs::fold_trace_stats(snap);
   return snap;
 }
 

@@ -36,12 +36,11 @@ bool PendingCall::done() const {
 }
 
 RpcEndpoint::RpcEndpoint(Transport& transport, obs::Registry* metrics)
-    : transport_(transport) {
-  if (metrics) {
-    in_flight_ = &metrics->gauge("rpc.in_flight");
-    timeouts_ = &metrics->counter("rpc.timeouts");
-    correlation_misses_ = &metrics->counter("rpc.correlation_misses");
-  }
+    : transport_(transport),
+      metrics_(metrics),
+      in_flight_(metrics_->gauge("rpc.in_flight")),
+      timeouts_(metrics_->counter("rpc.timeouts")),
+      correlation_misses_(metrics_->counter("rpc.correlation_misses")) {
   id_ = transport.register_endpoint(
       [this](Message&& m) { on_message(std::move(m)); });
 }
@@ -56,9 +55,7 @@ RpcEndpoint::~RpcEndpoint() {
     MutexLock lock(mu_);
     orphans.swap(pending_);
   }
-  if (in_flight_ && !orphans.empty()) {
-    in_flight_->sub(static_cast<std::int64_t>(orphans.size()));
-  }
+  in_flight_.sub(static_cast<std::int64_t>(orphans.size()));
   for (auto& [cid, state] : orphans) {
     MutexLock lock(state->mu);
     state->done = true;
@@ -93,7 +90,7 @@ PendingCall RpcEndpoint::call(EndpointId dst, MessageType type, Buffer body) {
     state->correlation_id = m.correlation_id;
     pending_.emplace(m.correlation_id, state);
   }
-  if (in_flight_) in_flight_->add(1);
+  in_flight_.add(1);
   transport_.send(std::move(m));
   return PendingCall(this, std::move(state));
 }
@@ -159,13 +156,13 @@ void RpcEndpoint::on_message(Message&& m) {
     auto it = pending_.find(m.correlation_id);
     if (it == pending_.end()) {
       ++late_responses_;  // abandoned by a timeout, or a stray correlation
-      if (correlation_misses_) correlation_misses_->inc();
+      correlation_misses_.inc();
       return;
     }
     state = it->second;
     pending_.erase(it);
   }
-  if (in_flight_) in_flight_->sub(1);
+  in_flight_.sub(1);
   // The call span closes when the response settles, on whichever thread
   // delivers it (transport loop / loopback sender) — its ring, not the
   // caller's, which is fine: rings are merged per process at scrape.
@@ -197,8 +194,10 @@ void RpcEndpoint::abandon(std::uint64_t correlation_id) {
   }
   // Only a real abandonment is a timeout; when the response raced the
   // expiry, on_message() already settled (and un-gauged) the call.
-  if (erased && timeouts_) timeouts_->inc();
-  if (erased && in_flight_) in_flight_->sub(1);
+  if (erased) {
+    timeouts_.inc();
+    in_flight_.sub(1);
+  }
 }
 
 std::size_t RpcEndpoint::pending_count() const {

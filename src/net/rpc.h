@@ -92,8 +92,9 @@ class RpcEndpoint {
  public:
   /// Binds a fresh endpoint on `transport`. The endpoint must not outlive
   /// the transport (nor `metrics`, when given), and PendingCalls must not
-  /// outlive the endpoint. With a registry the endpoint maintains an
-  /// in-flight gauge plus timeout / correlation-miss counters.
+  /// outlive the endpoint. The endpoint maintains an in-flight gauge plus
+  /// timeout / correlation-miss counters, in `metrics` or, without one,
+  /// in a private registry.
   explicit RpcEndpoint(Transport& transport,
                        obs::Registry* metrics = nullptr);
   ~RpcEndpoint();
@@ -139,10 +140,10 @@ class RpcEndpoint {
   void abandon(std::uint64_t correlation_id) SIGMA_EXCLUDES(mu_);
 
   Transport& transport_;
-  /// Cached instruments; null without a registry.
-  obs::Gauge* in_flight_ = nullptr;
-  obs::Counter* timeouts_ = nullptr;
-  obs::Counter* correlation_misses_ = nullptr;
+  obs::RegistryRef metrics_;
+  obs::Gauge& in_flight_;
+  obs::Counter& timeouts_;
+  obs::Counter& correlation_misses_;
   EndpointId id_ = 0;
   mutable Mutex mu_{LockRank::kRpcEndpoint};
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingCall::State>>

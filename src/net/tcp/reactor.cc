@@ -123,12 +123,18 @@ void consume_sent(std::deque<OutFrame>& queue, std::size_t& offset,
 }
 
 Reactor::Reactor(ReactorHost& host, const TcpTransportConfig& config,
-                 std::size_t index, ReactorInstruments instruments)
+                 std::size_t index, obs::Registry& metrics,
+                 TcpCounters& counters)
     : host_(host),
       config_(config),
       index_(index),
       index_str_(std::to_string(index)),
-      ins_(instruments),
+      counters_(counters),
+      frames_(metrics.counter("transport.reactor" + index_str_ + ".frames")),
+      bytes_received_(metrics.counter("transport.reactor" + index_str_ +
+                                      ".bytes_received")),
+      wakeups_(
+          metrics.counter("transport.reactor" + index_str_ + ".wakeups")),
       use_epoll_(want_epoll(config)) {
 #ifdef __linux__
   const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -173,9 +179,8 @@ void Reactor::join() {
 bool Reactor::on_reactor_thread() { return t_on_reactor_thread; }
 
 void Reactor::wake() {
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  if (ins_.wakeups) ins_.wakeups->inc();
-  if (ins_.r_wakeups) ins_.r_wakeups->inc();
+  counters_.wakeups.inc();
+  wakeups_.inc();
   if (wake_write_.valid()) {
     const char byte = 1;
     (void)!::write(wake_write_.get(), &byte, 1);  // pipe full = loop awake
@@ -201,19 +206,7 @@ void Reactor::drain_wake_fd() {
 void Reactor::push_frame(const ConnPtr& conn, Message&& m,
                          const Message& header, bool track) {
   OutFrame frame = make_out_frame(std::move(m));
-  stats_.bytes_sent += frame.wire_size();
-  ++stats_.messages_sent;
-  switch (header.kind) {
-    case MessageKind::kRequest:
-      ++stats_.requests;
-      break;
-    case MessageKind::kResponse:
-      ++stats_.responses;
-      break;
-    case MessageKind::kError:
-      ++stats_.errors;
-      break;
-  }
+  counters_.net.count_sent(header.kind, frame.wire_size());
   // Track our own requests until their response arrives, so a dead
   // connection fails them instead of leaving the caller to time out.
   if (track) {
@@ -223,10 +216,8 @@ void Reactor::push_frame(const ConnPtr& conn, Message&& m,
   }
   conn->outbox_bytes += frame.wire_size();
   conn->outbox.push_back(std::move(frame));
-  if (ins_.write_queue_bytes) {
-    ins_.write_queue_bytes->set(
-        static_cast<std::int64_t>(conn->outbox_bytes));
-  }
+  counters_.write_queue_bytes.set(
+      static_cast<std::int64_t>(conn->outbox_bytes));
 }
 
 bool Reactor::enqueue(const ConnPtr& conn, Message& m, const Message& header,
@@ -261,9 +252,8 @@ bool Reactor::outbound_exists(
 
 void Reactor::backpressure_wait(const ConnPtr& conn) {
   MutexLock lock(mu_);
-  if (ins_.backpressure_stalls && !stop_ &&
-      conn->outbox_bytes > config_.write_high_watermark) {
-    ins_.backpressure_stalls->inc();
+  if (!stop_ && conn->outbox_bytes > config_.write_high_watermark) {
+    counters_.backpressure_stalls.inc();
   }
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -292,27 +282,10 @@ void Reactor::adopt_inbound(ConnPtr conn) {
   {
     MutexLock lock(mu_);
     if (stop_) return;  // fd closes via RAII
-    ++connections_accepted_;
+    counters_.connections_accepted.inc();
     pending_inbound_.push_back(std::move(conn));
   }
   wake();
-}
-
-NetStats Reactor::net_stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void Reactor::add_tcp_stats(TcpTransportStats& total) const {
-  MutexLock lock(mu_);
-  total.connections_accepted += connections_accepted_;
-  total.connections_established += connections_established_;
-  total.connect_failures += connect_failures_;
-  total.connections_lost += connections_lost_;
-  total.protocol_errors += protocol_errors_;
-  total.frames_received += frames_received_;
-  total.bytes_received += bytes_received_;
-  total.wakeups += wakeups_.load(std::memory_order_relaxed);
 }
 
 // ---- Event loop ------------------------------------------------------------
@@ -581,9 +554,9 @@ void Reactor::loop_accept() {
 }
 
 void Reactor::loop_dial(const ConnPtr& conn) {
-  if (ins_.connects) ins_.connects->inc();
-  if (ins_.reconnects && conn->was_established) {
-    ins_.reconnects->inc();
+  counters_.connects.inc();
+  if (conn->was_established) {
+    counters_.reconnects.inc();
     conn->was_established = false;
   }
   try {
@@ -618,8 +591,8 @@ void Reactor::loop_connect_ready(const ConnPtr& conn) {
 void Reactor::connect_failed(const ConnPtr& conn, const std::string& reason) {
   std::vector<Message> bounces;
   {
+    counters_.connect_failures.inc();
     MutexLock lock(mu_);
-    ++connect_failures_;
     forget_fd(conn);
     conn->fd.reset();
     ++conn->attempts;
@@ -654,7 +627,7 @@ void Reactor::close_conn(const ConnPtr& conn, const std::string& reason) {
   {
     MutexLock lock(mu_);
     if (conn->state == TcpConn::State::kEstablished) {
-      ++connections_lost_;
+      counters_.connections_lost.inc();
     }
     forget_fd(conn);
     conn->fd.reset();
@@ -776,11 +749,8 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       close_conn(conn, std::string("read: ") + std::strerror(errno));
       return;
     }
-    {
-      MutexLock lock(mu_);
-      bytes_received_ += static_cast<std::uint64_t>(n);
-    }
-    if (ins_.r_bytes_rx) ins_.r_bytes_rx->inc(static_cast<std::uint64_t>(n));
+    counters_.bytes_received.inc(static_cast<std::uint64_t>(n));
+    bytes_received_.inc(static_cast<std::uint64_t>(n));
     ByteView data{buf, static_cast<std::size_t>(n)};
 
     // Finish the handshake before framing begins.
@@ -796,11 +766,8 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         (void)decode_hello(
             ByteView{conn->hello_in.data(), conn->hello_in.size()});
       } catch (const FrameError& e) {
-        {
-          MutexLock lock(mu_);
-          ++protocol_errors_;
-        }
-        if (ins_.handshake_failures) ins_.handshake_failures->inc();
+        counters_.protocol_errors.inc();
+        counters_.handshake_failures.inc();
         close_conn(conn, e.what());
         return;
       }
@@ -808,7 +775,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       conn->state = TcpConn::State::kEstablished;
       conn->attempts = 0;
       conn->was_established = true;
-      ++connections_established_;
+      counters_.connections_established.inc();
       // Flushing queued frames + the rest of this read happen below.
     }
 
@@ -819,10 +786,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         if (!conn->fd.valid()) return;  // dispatch closed it
       }
     } catch (const FrameError& e) {
-      {
-        MutexLock lock(mu_);
-        ++protocol_errors_;
-      }
+      counters_.protocol_errors.inc();
       close_conn(conn, e.what());
       return;
     }
@@ -834,36 +798,22 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
   const obs::TraceContext trace_ctx = m.trace;
   const std::uint64_t dispatch_start =
       trace_ctx.sampled ? obs::unix_micros() : 0;
-  {
+  counters_.frames_received.inc();
+  frames_.inc();
+  // Kind counters cover traffic both ways (messages_sent/bytes_sent stay
+  // send-only): a client's `responses` is what its fleet answered.
+  counters_.net.count_kind(m.kind);
+  if (m.kind != MessageKind::kRequest) {
     MutexLock lock(mu_);
-    ++frames_received_;
-    // Kind counters cover traffic both ways (messages_sent/bytes_sent
-    // stay send-only): a client's `responses` is what its fleet answered.
-    switch (m.kind) {
-      case MessageKind::kRequest:
-        ++stats_.requests;
-        break;
-      case MessageKind::kResponse:
-        ++stats_.responses;
-        break;
-      case MessageKind::kError:
-        ++stats_.errors;
-        break;
-    }
-    if (m.kind != MessageKind::kRequest) {
-      // The response's destination is the endpoint that issued the call.
-      auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
-      if (it != conn->awaiting_response.end()) {
-        // Whole-RPC latency: local send() to response frame decoded.
-        if (ins_.rpc_us) {
-          obs::Histogram* h = ins_.rpc_us[static_cast<std::uint8_t>(m.type)];
-          if (h) h->observe_since(it->second.queued_at);
-        }
-        conn->awaiting_response.erase(it);
-      }
+    // The response's destination is the endpoint that issued the call.
+    auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
+    if (it != conn->awaiting_response.end()) {
+      // Whole-RPC latency: local send() to response frame decoded.
+      counters_.rpc_us[static_cast<std::uint8_t>(m.type)]->observe_since(
+          it->second.queued_at);
+      conn->awaiting_response.erase(it);
     }
   }
-  if (ins_.r_frames) ins_.r_frames->inc();
 
   // Learn the return route for the peer's endpoint. The directory is
   // transport-global (an endpoint id is fleet-unique regardless of which
@@ -882,14 +832,14 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
         << " re-registered by a different peer connection while its route "
            "is active — refusing the message (endpoint-id collision; give "
            "each client a distinct endpoint base)";
-    MutexLock lock(mu_);
-    ++stats_.dropped;
+    counters_.net.dropped.inc();
     if (header.kind != MessageKind::kRequest) return;
     Message bounce = Message::error_to(
         header, "transport: endpoint " + std::to_string(header.src) +
                     " already routed to another peer (endpoint-id "
                     "collision)");
-    ++stats_.errors;
+    counters_.net.errors.inc();
+    MutexLock lock(mu_);
     OutFrame frame = make_out_frame(std::move(bounce));
     conn->outbox_bytes += frame.wire_size();
     conn->outbox.push_back(std::move(frame));
@@ -909,12 +859,12 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
 
   // Unknown destination: refuse requests over the wire (the remote
   // caller's RPC fails fast), drop stray responses.
-  MutexLock lock(mu_);
-  ++stats_.dropped;
+  counters_.net.dropped.inc();
   if (header.kind != MessageKind::kRequest) return;
   Message bounce = Message::error_to(
       header, "transport: no endpoint " + std::to_string(header.dst));
-  ++stats_.errors;
+  counters_.net.errors.inc();
+  MutexLock lock(mu_);
   OutFrame frame = make_out_frame(std::move(bounce));
   conn->outbox_bytes += frame.wire_size();
   conn->outbox.push_back(std::move(frame));

@@ -47,7 +47,7 @@
 namespace sigma::net {
 
 struct TcpTransportConfig;
-struct TcpTransportStats;
+struct TcpCounters;
 class Reactor;
 
 /// One frame queued for the wire: the encoded header (fixed header plus
@@ -197,28 +197,14 @@ class ReactorHost {
   virtual void adopt_accepted(SocketFd fd) = 0;
 };
 
-/// Instrument pointers a reactor records into (all optional; shared ones
-/// are shared across reactors, r_* are this reactor's own).
-struct ReactorInstruments {
-  obs::Histogram* const* rpc_us = nullptr;  // [kMaxMessageType + 1]
-  obs::Counter* connects = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* handshake_failures = nullptr;
-  obs::Counter* backpressure_stalls = nullptr;
-  obs::Counter* wakeups = nullptr;  // transport.wakeups (fleet-wide)
-  obs::Gauge* write_queue_bytes = nullptr;
-  obs::Counter* r_frames = nullptr;    // transport.reactor<i>.frames
-  obs::Counter* r_bytes_rx = nullptr;  // transport.reactor<i>.bytes_received
-  obs::Counter* r_wakeups = nullptr;   // transport.reactor<i>.wakeups
-};
-
 class Reactor {
  public:
-  /// `config` and `host` must outlive the reactor. The loop thread is not
+  /// `config`, `host`, `metrics` and `counters` (the transport-wide
+  /// instruments) must outlive the reactor. The loop thread is not
   /// started until start() — construct every shard first, so the accept
   /// handoff can target any of them from the first event on.
   Reactor(ReactorHost& host, const TcpTransportConfig& config,
-          std::size_t index, ReactorInstruments instruments);
+          std::size_t index, obs::Registry& metrics, TcpCounters& counters);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -275,9 +261,6 @@ class Reactor {
   /// Poke the loop (new work queued, stop requested).
   void wake();
 
-  NetStats net_stats() const;
-  void add_tcp_stats(TcpTransportStats& total) const;
-
  private:
   void loop();
   /// One pass over shared state at the top of a loop iteration: adopt
@@ -317,7 +300,11 @@ class Reactor {
   const TcpTransportConfig& config_;
   const std::size_t index_;
   const std::string index_str_;
-  ReactorInstruments ins_;
+  TcpCounters& counters_;
+  // This shard's share of the transport-wide frame/byte/wakeup counts.
+  obs::Counter& frames_;          // transport.reactor<i>.frames
+  obs::Counter& bytes_received_;  // transport.reactor<i>.bytes_received
+  obs::Counter& wakeups_;         // transport.reactor<i>.wakeups
   const bool use_epoll_;
 
   mutable Mutex mu_{LockRank::kTransport};
@@ -332,17 +319,6 @@ class Reactor {
   /// Accepted conns handed over by the accepting reactor, adopted into
   /// inbound_ at the next loop iteration.
   std::vector<ConnPtr> pending_inbound_ SIGMA_GUARDED_BY(mu_);
-
-  NetStats stats_ SIGMA_GUARDED_BY(mu_);
-  std::uint64_t connections_accepted_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connections_established_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connect_failures_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connections_lost_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t protocol_errors_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t frames_received_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t bytes_received_ SIGMA_GUARDED_BY(mu_) = 0;
-
-  std::atomic<std::uint64_t> wakeups_{0};
 
   int listen_fd_ = -1;  // borrowed from the transport (reactor 0 only)
 

@@ -51,24 +51,55 @@ bool env_force_poll() {
 
 }  // namespace
 
-TcpTransport::TcpTransport(TcpTransportConfig config)
-    : config_(std::move(config)), next_id_(config_.endpoint_base) {
-  if (env_force_poll()) config_.force_poll = true;
-  if (config_.metrics) {
-    for (std::uint8_t op = 0; op <= kMaxMessageType; ++op) {
-      rpc_us_[op] = &config_.metrics->histogram(
-          std::string("tcp.rpc_us.") +
-          to_string(static_cast<MessageType>(op)));
-    }
-    m_connects_ = &config_.metrics->counter("tcp.connects");
-    m_reconnects_ = &config_.metrics->counter("tcp.reconnects");
-    m_handshake_failures_ =
-        &config_.metrics->counter("tcp.handshake_failures");
-    m_backpressure_stalls_ =
-        &config_.metrics->counter("tcp.backpressure_stalls");
-    m_wakeups_ = &config_.metrics->counter("transport.wakeups");
-    m_write_queue_bytes_ = &config_.metrics->gauge("tcp.write_queue_bytes");
+TcpCounters::TcpCounters(obs::Registry& metrics)
+    : net(metrics),
+      connections_accepted(metrics.counter("tcp.connections_accepted")),
+      connections_established(
+          metrics.counter("tcp.connections_established")),
+      connect_failures(metrics.counter("tcp.connect_failures")),
+      connections_lost(metrics.counter("tcp.connections_lost")),
+      protocol_errors(metrics.counter("tcp.protocol_errors")),
+      frames_received(metrics.counter("tcp.frames_received")),
+      bytes_received(metrics.counter("tcp.bytes_received")),
+      bounced_requests(metrics.counter("tcp.bounced_requests")),
+      wakeups(metrics.counter("tcp.wakeups")),
+      route_conflicts(metrics.counter("tcp.route_conflicts")),
+      route_takeovers(metrics.counter("tcp.route_takeovers")),
+      route_expired(metrics.counter("tcp.route_expired")),
+      connects(metrics.counter("tcp.connects")),
+      reconnects(metrics.counter("tcp.reconnects")),
+      handshake_failures(metrics.counter("tcp.handshake_failures")),
+      backpressure_stalls(metrics.counter("tcp.backpressure_stalls")),
+      write_queue_bytes(metrics.gauge("tcp.write_queue_bytes")) {
+  for (std::uint8_t op = 0; op <= kMaxMessageType; ++op) {
+    rpc_us[op] = &metrics.histogram(std::string("tcp.rpc_us.") +
+                                    to_string(static_cast<MessageType>(op)));
   }
+}
+
+TcpTransportStats TcpCounters::read() const {
+  TcpTransportStats s;
+  s.connections_accepted = connections_accepted.value();
+  s.connections_established = connections_established.value();
+  s.connect_failures = connect_failures.value();
+  s.connections_lost = connections_lost.value();
+  s.protocol_errors = protocol_errors.value();
+  s.frames_received = frames_received.value();
+  s.bytes_received = bytes_received.value();
+  s.bounced_requests = bounced_requests.value();
+  s.wakeups = wakeups.value();
+  s.route_conflicts = route_conflicts.value();
+  s.route_takeovers = route_takeovers.value();
+  s.route_expired = route_expired.value();
+  return s;
+}
+
+TcpTransport::TcpTransport(TcpTransportConfig config)
+    : config_(std::move(config)),
+      next_id_(config_.endpoint_base),
+      metrics_(config_.metrics),
+      counters_(*metrics_) {
+  if (env_force_poll()) config_.force_poll = true;
   if (config_.listen) {
     listen_fd_ = tcp_listen(*config_.listen);
     listen_port_ = bound_port(listen_fd_.get());
@@ -76,23 +107,9 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
   const std::size_t n = resolve_reactor_count(config_);
   reactors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ReactorInstruments ins;
-    ins.rpc_us = rpc_us_;
-    ins.connects = m_connects_;
-    ins.reconnects = m_reconnects_;
-    ins.handshake_failures = m_handshake_failures_;
-    ins.backpressure_stalls = m_backpressure_stalls_;
-    ins.wakeups = m_wakeups_;
-    ins.write_queue_bytes = m_write_queue_bytes_;
-    if (config_.metrics) {
-      const std::string prefix = "transport.reactor" + std::to_string(i);
-      ins.r_frames = &config_.metrics->counter(prefix + ".frames");
-      ins.r_bytes_rx =
-          &config_.metrics->counter(prefix + ".bytes_received");
-      ins.r_wakeups = &config_.metrics->counter(prefix + ".wakeups");
-    }
     ReactorHost& host = *this;  // private base: convert inside the class
-    reactors_.push_back(std::make_unique<Reactor>(host, config_, i, ins));
+    reactors_.push_back(
+        std::make_unique<Reactor>(host, config_, i, *metrics_, counters_));
   }
   // Every shard exists before any thread starts: the accept handoff may
   // target any of them from the first event on.
@@ -152,11 +169,8 @@ bool TcpTransport::deliver_local(Message&& m) {
 
 void TcpTransport::bounce_request(const Message& header,
                                   const std::string& text) {
-  {
-    MutexLock lock(ep_mu_);
-    ++bounced_requests_;
-    ++local_stats_.errors;
-  }
+  counters_.bounced_requests.inc();
+  counters_.net.errors.inc();
   Message bounce = Message::error_to(header, "transport: " + text);
   (void)deliver_local(std::move(bounce));  // requester gone: silent drop
 }
@@ -190,11 +204,11 @@ ReactorHost::RouteClaim TcpTransport::learn_route(EndpointId src,
       static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
   if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
       stale_cutoff_us) {
-    ++route_takeovers_;
+    counters_.route_takeovers.inc();
     it->second = conn;
     return RouteClaim::kTakeover;
   }
-  ++route_conflicts_;
+  counters_.route_conflicts.inc();
   return RouteClaim::kConflict;
 }
 
@@ -225,7 +239,7 @@ void TcpTransport::sweep_stale_routes() {
   for (auto it = routes_.begin(); it != routes_.end();) {
     if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
         cutoff_us) {
-      ++route_expired_;
+      counters_.route_expired.inc();
       it = routes_.erase(it);
     } else {
       ++it;
@@ -282,27 +296,9 @@ void TcpTransport::send(Message&& m) {
   }
 
   if (local) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.messages_sent;
-      local_stats_.bytes_sent += m.wire_size();
-      switch (m.kind) {
-        case MessageKind::kRequest:
-          ++local_stats_.requests;
-          break;
-        case MessageKind::kResponse:
-          ++local_stats_.responses;
-          break;
-        case MessageKind::kError:
-          ++local_stats_.errors;
-          break;
-      }
-    }
+    counters_.net.count_sent(m.kind, m.wire_size());
     if (!deliver_local(std::move(m))) {
-      {
-        MutexLock lock(ep_mu_);
-        ++local_stats_.dropped;
-      }
+      counters_.net.dropped.inc();
       if (is_request) bounce_request(header, "endpoint unregistered");
     }
     return;
@@ -320,9 +316,7 @@ void TcpTransport::send(Message&& m) {
       // Fail the offending message locally: shipping it would poison the
       // shared connection when the peer rejects the frame. (Both sides
       // of a deployment share one max_body_bytes.)
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-      lock.unlock();
+      counters_.net.dropped.inc();
       if (is_request) {
         bounce_request(header, "message body " + std::to_string(body_size) +
                                    " exceeds limit " +
@@ -342,10 +336,7 @@ void TcpTransport::send(Message&& m) {
 
   const auto pit = config_.remote_endpoints.find(m.dst);
   if (pit == config_.remote_endpoints.end()) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-    }
+    counters_.net.dropped.inc();
     if (is_request) {
       bounce_request(header,
                      "no route to endpoint " + std::to_string(header.dst));
@@ -353,10 +344,7 @@ void TcpTransport::send(Message&& m) {
     return;
   }
   if (body_size > config_.max_body_bytes) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-    }
+    counters_.net.dropped.inc();
     if (is_request) {
       bounce_request(header, "message body " + std::to_string(body_size) +
                                  " exceeds limit " +
@@ -376,10 +364,7 @@ void TcpTransport::send(Message&& m) {
     try {
       dial = resolve_numeric(pit->second);
     } catch (const SocketError& e) {
-      {
-        MutexLock lock(ep_mu_);
-        ++local_stats_.dropped;
-      }
+      counters_.net.dropped.inc();
       if (is_request) {
         bounce_request(header, std::string("resolve failed: ") + e.what());
       }
@@ -397,38 +382,8 @@ void TcpTransport::send(Message&& m) {
   if (!Reactor::on_reactor_thread()) shard.backpressure_wait(conn);
 }
 
-NetStats TcpTransport::stats() const {
-  NetStats total;
-  {
-    MutexLock lock(ep_mu_);
-    total = local_stats_;
-  }
-  for (const auto& r : reactors_) {
-    const NetStats s = r->net_stats();
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.requests += s.requests;
-    total.responses += s.responses;
-    total.errors += s.errors;
-    total.dropped += s.dropped;
-  }
-  return total;
-}
+NetStats TcpTransport::stats() const { return counters_.net.read(); }
 
-TcpTransportStats TcpTransport::tcp_stats() const {
-  TcpTransportStats total;
-  {
-    MutexLock lock(ep_mu_);
-    total.bounced_requests = bounced_requests_;
-  }
-  {
-    MutexLock lock(route_mu_);
-    total.route_conflicts = route_conflicts_;
-    total.route_takeovers = route_takeovers_;
-    total.route_expired = route_expired_;
-  }
-  for (const auto& r : reactors_) r->add_tcp_stats(total);
-  return total;
-}
+TcpTransportStats TcpTransport::tcp_stats() const { return counters_.read(); }
 
 }  // namespace sigma::net

@@ -54,6 +54,7 @@
 // producers instead of ballooning memory.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -129,16 +130,16 @@ struct TcpTransportConfig {
   /// different claimant is a collision and is refused.
   std::uint32_t route_stale_ms = 15000;
 
-  /// Optional metrics plane (must outlive the transport). Adds per-op
-  /// RPC latency histograms (send to response), connect / handshake
-  /// counters, backpressure-stall counts, a write-queue depth gauge with
-  /// high-water tracking, the fleet-wide wakeup counter, and per-shard
+  /// Metrics plane (must outlive the transport): the `net.*` and `tcp.*`
+  /// counters behind stats()/tcp_stats(), per-op RPC latency histograms
+  /// (send to response), backpressure-stall counts, a write-queue depth
+  /// gauge with high-water tracking, and per-shard
   /// transport.reactor<i>.{frames,bytes_received,wakeups} counters. Null
-  /// = zero instrumentation beyond the existing struct counters.
+  /// = the transport records into a private registry.
   obs::Registry* metrics = nullptr;
 };
 
-/// TCP-specific counters on top of NetStats (summed across reactors).
+/// TCP-specific counters on top of NetStats (a view of TcpCounters).
 struct TcpTransportStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_established = 0;
@@ -165,6 +166,37 @@ struct TcpTransportStats {
   /// dialed in to take the route over (a departed client). Without the
   /// sweep these would linger forever and count against lease reuse.
   std::uint64_t route_expired = 0;
+};
+
+/// The registry instruments of one transport, shared by the sharding
+/// layer and every reactor: `net.*` (NetStats), `tcp.*` (TcpTransportStats
+/// plus connect/handshake/backpressure counters), the write-queue gauge
+/// and the per-op RPC latency histograms.
+struct TcpCounters {
+  explicit TcpCounters(obs::Registry& metrics);
+
+  TcpTransportStats read() const;
+
+  NetCounters net;
+  obs::Counter& connections_accepted;
+  obs::Counter& connections_established;
+  obs::Counter& connect_failures;
+  obs::Counter& connections_lost;
+  obs::Counter& protocol_errors;
+  obs::Counter& frames_received;
+  obs::Counter& bytes_received;
+  obs::Counter& bounced_requests;
+  obs::Counter& wakeups;
+  obs::Counter& route_conflicts;
+  obs::Counter& route_takeovers;
+  obs::Counter& route_expired;
+  obs::Counter& connects;
+  obs::Counter& reconnects;
+  obs::Counter& handshake_failures;
+  obs::Counter& backpressure_stalls;
+  obs::Gauge& write_queue_bytes;
+  /// `tcp.rpc_us.<op>`, indexed by MessageType.
+  std::array<obs::Histogram*, kMaxMessageType + 1> rpc_us{};
 };
 
 class TcpTransport final : public Transport, private ReactorHost {
@@ -219,9 +251,6 @@ class TcpTransport final : public Transport, private ReactorHost {
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(ep_mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(ep_mu_);
-  /// Local-delivery traffic (wire traffic is counted per reactor).
-  NetStats local_stats_ SIGMA_GUARDED_BY(ep_mu_);
-  std::uint64_t bounced_requests_ SIGMA_GUARDED_BY(ep_mu_) = 0;
 
   // ---- Learned routes (rank kTransportRoutes, below the shards) ---------
   /// Remote endpoint id -> connection that carried its last message (how
@@ -231,23 +260,14 @@ class TcpTransport final : public Transport, private ReactorHost {
   mutable Mutex route_mu_{LockRank::kTransportRoutes};
   std::unordered_map<EndpointId, ConnPtr> routes_
       SIGMA_GUARDED_BY(route_mu_);
-  std::uint64_t route_conflicts_ SIGMA_GUARDED_BY(route_mu_) = 0;
-  std::uint64_t route_takeovers_ SIGMA_GUARDED_BY(route_mu_) = 0;
-  std::uint64_t route_expired_ SIGMA_GUARDED_BY(route_mu_) = 0;
   /// Next time sweep_stale_routes() actually scans (it is called every
   /// reactor iteration; the scan runs at a quarter of the stale window).
   std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(route_mu_) = 0;
 
-  /// Cached instruments (null without config_.metrics), shared by every
-  /// reactor. RPC latency is measured send() -> response dispatch, per
-  /// op, against the tracking entries in TcpConn::awaiting_response.
-  obs::Histogram* rpc_us_[kMaxMessageType + 1] = {};
-  obs::Counter* m_connects_ = nullptr;
-  obs::Counter* m_reconnects_ = nullptr;
-  obs::Counter* m_handshake_failures_ = nullptr;
-  obs::Counter* m_backpressure_stalls_ = nullptr;
-  obs::Counter* m_wakeups_ = nullptr;
-  obs::Gauge* m_write_queue_bytes_ = nullptr;
+  /// Instruments shared by local delivery and every reactor (declared
+  /// before the reactors, which record into them until joined).
+  obs::RegistryRef metrics_;
+  TcpCounters counters_;
 
   SocketFd listen_fd_;  // owned here, borrowed by reactor 0
   std::uint16_t listen_port_ = 0;

@@ -2,6 +2,45 @@
 
 namespace sigma::net {
 
+NetCounters::NetCounters(obs::Registry& metrics)
+    : messages_sent(metrics.counter("net.messages_sent")),
+      bytes_sent(metrics.counter("net.bytes_sent")),
+      requests(metrics.counter("net.requests")),
+      responses(metrics.counter("net.responses")),
+      errors(metrics.counter("net.errors")),
+      dropped(metrics.counter("net.dropped")) {}
+
+void NetCounters::count_kind(MessageKind kind) {
+  switch (kind) {
+    case MessageKind::kRequest:
+      requests.inc();
+      break;
+    case MessageKind::kResponse:
+      responses.inc();
+      break;
+    case MessageKind::kError:
+      errors.inc();
+      break;
+  }
+}
+
+void NetCounters::count_sent(MessageKind kind, std::size_t wire_bytes) {
+  messages_sent.inc();
+  bytes_sent.inc(wire_bytes);
+  count_kind(kind);
+}
+
+NetStats NetCounters::read() const {
+  NetStats s;
+  s.messages_sent = messages_sent.value();
+  s.bytes_sent = bytes_sent.value();
+  s.requests = requests.value();
+  s.responses = responses.value();
+  s.errors = errors.value();
+  s.dropped = dropped.value();
+  return s;
+}
+
 EndpointId LoopbackTransport::register_endpoint(Handler handler) {
   MutexLock lock(mu_);
   const EndpointId id = next_id_++;
@@ -30,20 +69,8 @@ bool LoopbackTransport::deliver(Message&& m) {
     if (it == endpoints_.end()) return false;
     ep = it->second;
     ++ep->active_deliveries;
-    ++stats_.messages_sent;
-    stats_.bytes_sent += m.wire_size();
-    switch (m.kind) {
-      case MessageKind::kRequest:
-        ++stats_.requests;
-        break;
-      case MessageKind::kResponse:
-        ++stats_.responses;
-        break;
-      case MessageKind::kError:
-        ++stats_.errors;
-        break;
-    }
   }
+  net_.count_sent(m.kind, m.wire_size());
   ep->handler(std::move(m));
   {
     MutexLock lock(mu_);
@@ -65,10 +92,7 @@ void LoopbackTransport::send(Message&& m) {
   header.dst = m.dst;
   if (deliver(std::move(m))) return;
 
-  {
-    MutexLock lock(mu_);
-    ++stats_.dropped;
-  }
+  net_.dropped.inc();
   if (!was_request) return;  // a response to a vanished client: drop
 
   // Bounce a connection-refused-style error back to the requester so its
@@ -79,9 +103,6 @@ void LoopbackTransport::send(Message&& m) {
   (void)deliver(std::move(bounce));
 }
 
-NetStats LoopbackTransport::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
+NetStats LoopbackTransport::stats() const { return net_.read(); }
 
 }  // namespace sigma::net

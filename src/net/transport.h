@@ -18,6 +18,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "net/message.h"
+#include "obs/metrics.h"
 
 namespace sigma::net {
 
@@ -30,6 +31,28 @@ struct NetStats {
   std::uint64_t responses = 0;
   std::uint64_t errors = 0;
   std::uint64_t dropped = 0;
+};
+
+/// The registry counters behind NetStats (`net.*`). One set per
+/// transport, shared by every thread that moves its messages; stats()
+/// reads them back into a NetStats.
+struct NetCounters {
+  explicit NetCounters(obs::Registry& metrics);
+
+  /// Count one message of `kind` by type: requests/responses/errors.
+  void count_kind(MessageKind kind);
+  /// Count one message put on the wire (or handed to a local endpoint):
+  /// messages_sent, bytes_sent and its kind.
+  void count_sent(MessageKind kind, std::size_t wire_bytes);
+
+  NetStats read() const;
+
+  obs::Counter& messages_sent;
+  obs::Counter& bytes_sent;
+  obs::Counter& requests;
+  obs::Counter& responses;
+  obs::Counter& errors;
+  obs::Counter& dropped;
 };
 
 class Transport {
@@ -49,13 +72,17 @@ class Transport {
   /// Deliver one message to `m.dst`.
   virtual void send(Message&& m) = 0;
 
+  /// This transport's `net.*` counters.
   virtual NetStats stats() const = 0;
 };
 
 /// In-process transport: synchronous handler dispatch, full accounting.
 class LoopbackTransport final : public Transport {
  public:
-  LoopbackTransport() = default;
+  /// Counts into `metrics` when given (must outlive the transport),
+  /// otherwise into a private registry.
+  explicit LoopbackTransport(obs::Registry* metrics = nullptr)
+      : metrics_(metrics), net_(*metrics_) {}
 
   EndpointId register_endpoint(Handler handler) override;
   void unregister_endpoint(EndpointId id) override;
@@ -77,7 +104,8 @@ class LoopbackTransport final : public Transport {
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(mu_) = 1;
-  NetStats stats_ SIGMA_GUARDED_BY(mu_);
+  obs::RegistryRef metrics_;
+  NetCounters net_;
 };
 
 }  // namespace sigma::net

@@ -1,21 +1,62 @@
 #include "node/dedup_node.h"
 
+#include <string>
 #include <unordered_map>
 
 namespace sigma {
 
-DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config)
-    : DedupNode(id, config, std::make_unique<MemoryBackend>()) {}
+namespace {
+
+std::string node_label(NodeId id) { return "node" + std::to_string(id); }
+
+/// `<plane>.node<id>.<name>`, e.g. node.node0.unique_chunks.
+obs::Counter& node_counter(obs::Registry& metrics, const char* plane,
+                           NodeId id, const char* name) {
+  return metrics.counter(std::string(plane) + "." + node_label(id) + "." +
+                         name);
+}
+
+}  // namespace
 
 DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
-                     std::unique_ptr<StorageBackend> backend)
+                     obs::Registry* metrics)
+    : DedupNode(id, config, nullptr, metrics) {}
+
+DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
+                     std::unique_ptr<StorageBackend> backend,
+                     obs::Registry* metrics)
     : id_(id),
       config_(config),
-      backend_(std::move(backend)),
+      metrics_(metrics),
+      backend_(backend ? std::move(backend)
+                       : std::make_unique<MemoryBackend>(metrics_.get(),
+                                                         node_label(id))),
       containers_(*backend_, config.container_capacity_bytes),
       similarity_index_(config.similarity_index_locks),
       cache_(config.cache_capacity_containers),
-      bloom_(config.bloom_expected_chunks) {}
+      bloom_(config.bloom_expected_chunks),
+      logical_bytes_(node_counter(*metrics_, "node", id, "logical_bytes")),
+      physical_bytes_(node_counter(*metrics_, "node", id, "physical_bytes")),
+      super_chunks_(node_counter(*metrics_, "node", id, "super_chunks")),
+      duplicate_chunks_(
+          node_counter(*metrics_, "node", id, "duplicate_chunks")),
+      unique_chunks_(node_counter(*metrics_, "node", id, "unique_chunks")),
+      disk_index_lookups_(
+          node_counter(*metrics_, "node", id, "disk_index_lookups")),
+      disk_lookups_avoided_by_bloom_(
+          node_counter(*metrics_, "node", id, "disk_lookups_avoided_by_bloom")),
+      container_prefetches_(
+          node_counter(*metrics_, "node", id, "container_prefetches")),
+      containers_recovered_(
+          node_counter(*metrics_, "recovery", id, "containers_recovered")),
+      containers_skipped_(
+          node_counter(*metrics_, "recovery", id, "containers_skipped")),
+      sidecars_repaired_(
+          node_counter(*metrics_, "recovery", id, "sidecars_repaired")),
+      chunks_recovered_(
+          node_counter(*metrics_, "recovery", id, "chunks_recovered")),
+      bytes_recovered_(
+          node_counter(*metrics_, "recovery", id, "bytes_recovered")) {}
 
 std::size_t DedupNode::resemblance_count(const Handprint& handprint) const {
   return similarity_index_.count_matches(handprint);
@@ -132,18 +173,14 @@ SuperChunkWriteResult DedupNode::write_super_chunk(
     similarity_index_.put(rfp, rfp_location.at(rfp));
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    stats_.logical_bytes += result.duplicate_bytes + result.unique_bytes;
-    stats_.physical_bytes += result.unique_bytes;
-    stats_.super_chunks += 1;
-    stats_.duplicate_chunks += result.duplicate_chunks;
-    stats_.unique_chunks += result.unique_chunks;
-    stats_.disk_index_lookups += result.disk_index_lookups;
-    stats_.disk_lookups_avoided_by_bloom +=
-        result.disk_lookups_avoided_by_bloom;
-    stats_.container_prefetches += result.container_prefetches;
-  }
+  logical_bytes_.inc(result.duplicate_bytes + result.unique_bytes);
+  physical_bytes_.inc(result.unique_bytes);
+  super_chunks_.inc();
+  duplicate_chunks_.inc(result.duplicate_chunks);
+  unique_chunks_.inc(result.unique_chunks);
+  disk_index_lookups_.inc(result.disk_index_lookups);
+  disk_lookups_avoided_by_bloom_.inc(result.disk_lookups_avoided_by_bloom);
+  container_prefetches_.inc(result.container_prefetches);
   return result;
 }
 
@@ -223,10 +260,12 @@ std::size_t DedupNode::rebuild_indexes() {
   if (max_cid) {
     containers_.restore_state(*max_cid + 1, report.bytes_recovered);
   }
-  if (report.bytes_recovered > 0) {
-    MutexLock lock(stats_mu_);
-    stats_.physical_bytes += report.bytes_recovered;
-  }
+  physical_bytes_.inc(report.bytes_recovered);
+  containers_recovered_.inc(report.containers_recovered);
+  containers_skipped_.inc(report.containers_skipped);
+  sidecars_repaired_.inc(report.sidecars_repaired);
+  chunks_recovered_.inc(report.chunks_recovered);
+  bytes_recovered_.inc(report.bytes_recovered);
   recovery_ = report;
   return report.containers_recovered;
 }
@@ -238,8 +277,16 @@ std::optional<Buffer> DedupNode::read_chunk(const Fingerprint& fp) const {
 }
 
 DedupNodeStats DedupNode::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  DedupNodeStats s;
+  s.logical_bytes = logical_bytes_.value();
+  s.physical_bytes = physical_bytes_.value();
+  s.super_chunks = super_chunks_.value();
+  s.duplicate_chunks = duplicate_chunks_.value();
+  s.unique_chunks = unique_chunks_.value();
+  s.disk_index_lookups = disk_index_lookups_.value();
+  s.disk_lookups_avoided_by_bloom = disk_lookups_avoided_by_bloom_.value();
+  s.container_prefetches = container_prefetches_.value();
+  return s;
 }
 
 }  // namespace sigma

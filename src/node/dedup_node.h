@@ -91,7 +91,8 @@ struct RecoveryReport {
   std::uint64_t bytes_recovered = 0;
 };
 
-/// Cumulative node statistics.
+/// Cumulative node statistics: a view of the node's `node.node<id>.*`
+/// registry counters.
 struct DedupNodeStats {
   std::uint64_t logical_bytes = 0;
   std::uint64_t physical_bytes = 0;
@@ -116,12 +117,18 @@ class DedupNode : public NodeProbe {
   /// written; absent in trace-driven (metadata-only) operation.
   using PayloadProvider = std::function<ByteView(std::size_t chunk_index)>;
 
-  /// Creates a node with its own in-memory backend.
-  DedupNode(NodeId id, const DedupNodeConfig& config);
+  /// Creates a node with its own in-memory backend. The node counts into
+  /// `metrics` (must outlive the node) as `node.node<id>.*` and
+  /// `recovery.node<id>.*`, its backend as `store.node<id>.*`; without a
+  /// registry the node owns a private one.
+  explicit DedupNode(NodeId id, const DedupNodeConfig& config,
+                     obs::Registry* metrics = nullptr);
 
-  /// Creates a node over a caller-supplied backend (e.g. FileBackend).
+  /// Creates a node over a caller-supplied backend (e.g. FileBackend),
+  /// which keeps its own instruments.
   DedupNode(NodeId id, const DedupNodeConfig& config,
-            std::unique_ptr<StorageBackend> backend);
+            std::unique_ptr<StorageBackend> backend,
+            obs::Registry* metrics = nullptr);
 
   NodeId id() const { return id_; }
 
@@ -172,7 +179,8 @@ class DedupNode : public NodeProbe {
   /// crash, no silent partial index. Missing or corrupt metadata sidecars
   /// of valid containers are regenerated from the container blob.
   /// Returns the number of containers recovered; the full breakdown is
-  /// available from last_recovery().
+  /// available from last_recovery() and is added to the
+  /// `recovery.node<id>.*` counters when the pass finishes.
   std::size_t rebuild_indexes();
 
   /// Breakdown of the most recent rebuild_indexes() pass.
@@ -198,6 +206,7 @@ class DedupNode : public NodeProbe {
  private:
   NodeId id_;
   DedupNodeConfig config_;
+  obs::RegistryRef metrics_;
   std::unique_ptr<StorageBackend> backend_;
   ContainerStore containers_;
   SimilarityIndex similarity_index_;
@@ -209,8 +218,21 @@ class DedupNode : public NodeProbe {
   // traffic (single-threaded startup) — hence unguarded.
   RecoveryReport recovery_;
 
-  mutable Mutex stats_mu_{LockRank::kNodeStats};
-  DedupNodeStats stats_ SIGMA_GUARDED_BY(stats_mu_);
+  // node.node<id>.* — the counters behind stats().
+  obs::Counter& logical_bytes_;
+  obs::Counter& physical_bytes_;
+  obs::Counter& super_chunks_;
+  obs::Counter& duplicate_chunks_;
+  obs::Counter& unique_chunks_;
+  obs::Counter& disk_index_lookups_;
+  obs::Counter& disk_lookups_avoided_by_bloom_;
+  obs::Counter& container_prefetches_;
+  // recovery.node<id>.* — every rebuild_indexes() pass, summed.
+  obs::Counter& containers_recovered_;
+  obs::Counter& containers_skipped_;
+  obs::Counter& sidecars_repaired_;
+  obs::Counter& chunks_recovered_;
+  obs::Counter& bytes_recovered_;
 };
 
 }  // namespace sigma

@@ -62,8 +62,8 @@ struct ProbeRound {
 };
 
 /// Scatter-gather probe plane over a fleet of nodes. Implementations:
-/// DirectProbeSet (in-process virtual calls, optionally fanned across a
-/// ThreadPool) and service::ClientProbeSet (all RPCs issued as pending
+/// DirectProbeSet (in-process virtual calls in a plain loop) and
+/// service::ClientProbeSet (all RPCs issued as pending
 /// calls up front and drained together — one round-trip per decision over
 /// loopback or TCP).
 class ProbeSet {

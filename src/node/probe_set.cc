@@ -7,32 +7,16 @@ ProbeRound DirectProbeSet::gather(ProbeKind kind,
                                   const std::vector<Fingerprint>& fps) const {
   validate_candidates(candidates);
   ProbeRound round;
-  round.matches.resize(candidates.size(), 0);
-  round.usage.resize(nodes_.size(), 0);
-
-  auto probe_match = [&](std::size_t i) {
-    const NodeProbe& node = *nodes_[candidates[i]];
-    round.matches[i] = kind == ProbeKind::kResemblance
-                           ? node.resemblance_count(fps)
-                           : node.chunk_match_count(fps);
-  };
-  auto probe_usage = [&](std::size_t i) {
-    round.usage[i] = nodes_[i]->stored_bytes();
-  };
-
-  if (pool_ != nullptr && nodes_.size() > 1) {
-    // Fan the whole round across the pool: one task per query, usage
-    // queries first so they interleave with the (heavier) match lookups.
-    pool_->parallel_for(nodes_.size() + candidates.size(), [&](std::size_t i) {
-      if (i < nodes_.size()) {
-        probe_usage(i);
-      } else {
-        probe_match(i - nodes_.size());
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) probe_usage(i);
-    for (std::size_t i = 0; i < candidates.size(); ++i) probe_match(i);
+  round.usage.reserve(nodes_.size());
+  for (const NodeProbe* node : nodes_) {
+    round.usage.push_back(node->stored_bytes());
+  }
+  round.matches.reserve(candidates.size());
+  for (NodeId c : candidates) {
+    const NodeProbe& node = *nodes_[c];
+    round.matches.push_back(kind == ProbeKind::kResemblance
+                                ? node.resemblance_count(fps)
+                                : node.chunk_match_count(fps));
   }
   return round;
 }

@@ -1,26 +1,20 @@
 // In-process implementation of the scatter-gather probe plane: answers a
-// probe round by calling the nodes' NodeProbe virtuals directly. With a
-// ThreadPool the per-node queries fan out across worker threads (useful
-// when the probe views are themselves RPC stubs, or on very wide
-// clusters); without one they run sequentially in the caller's thread —
-// the exact call sequence of the pre-probe-plane routers, kept as the
-// equivalence baseline.
+// probe round by calling the nodes' NodeProbe virtuals in turn, in the
+// caller's thread — the exact call sequence of the pre-probe-plane
+// routers, kept as the equivalence baseline.
 #pragma once
 
 #include <span>
 
-#include "common/thread_pool.h"
 #include "node/node_probe.h"
 
 namespace sigma {
 
 class DirectProbeSet final : public ProbeSet {
  public:
-  /// `nodes` (and `pool`, when given) must outlive the set. The span is
-  /// referenced, not copied.
-  explicit DirectProbeSet(std::span<const NodeProbe* const> nodes,
-                          ThreadPool* pool = nullptr)
-      : nodes_(nodes), pool_(pool) {}
+  /// `nodes` must outlive the set. The span is referenced, not copied.
+  explicit DirectProbeSet(std::span<const NodeProbe* const> nodes)
+      : nodes_(nodes) {}
 
   std::size_t size() const override { return nodes_.size(); }
 
@@ -29,7 +23,6 @@ class DirectProbeSet final : public ProbeSet {
 
  private:
   std::span<const NodeProbe* const> nodes_;
-  ThreadPool* pool_;
 };
 
 }  // namespace sigma

@@ -4,10 +4,10 @@
 // uncontended fetch_add, cheap enough for the transport's per-frame path.
 //
 // Components look their instruments up ONCE (Registry::counter() et al.
-// take a mutex and return a stable reference) and cache the pointer; the
-// hot path is `if (ptr) ptr->inc()`. A component built without a registry
-// pays a single predictable branch per site, which is what the bench
-// overhead gate measures.
+// take a mutex and return a stable reference) and cache it; the hot path
+// is an unconditional `counter.inc()`. Every component always has a
+// registry: the caller's when one is passed, otherwise a private one it
+// owns (RegistryRef), so there is no "metrics off" branch anywhere.
 //
 // Snapshots are plain structs (sorted by name, value-comparable) that
 // merge associatively — scrape every daemon of a fleet, merge, and the
@@ -120,20 +120,17 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// Scoped latency timer: records into a histogram (if any) on destruction.
+/// Scoped latency timer: records into a histogram on destruction.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram* h)
-      : h_(h), start_(h ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{}) {}
-  ~ScopedTimer() {
-    if (h_) h_->observe_since(start_);
-  }
+  explicit ScopedTimer(Histogram& h)
+      : h_(h), start_(std::chrono::steady_clock::now()) {}
+  ~ScopedTimer() { h_.observe_since(start_); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Histogram* h_;
+  Histogram& h_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -165,8 +162,8 @@ struct MetricsSnapshot {
   /// order yields the same fleet view.
   void merge(const MetricsSnapshot& other);
 
-  /// Insert (or add to) one counter — how struct-based legacy stats
-  /// (NetStats, NodeServiceStats, ...) are folded into a scrape.
+  /// Insert (or add to) one counter — how the process-global tracer's
+  /// counters are folded into a scrape (see fold_trace_stats).
   void add_counter(const std::string& name, std::uint64_t value);
   void add_gauge(const std::string& name, std::int64_t value,
                  std::int64_t high_water);
@@ -197,6 +194,24 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ SIGMA_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SIGMA_GUARDED_BY(mu_);
+};
+
+/// A component's registry: the caller's when one is passed, otherwise a
+/// private one this handle owns. Components hold one of these instead of
+/// a nullable pointer, so their instruments always exist.
+class RegistryRef {
+ public:
+  explicit RegistryRef(Registry* shared)
+      : owned_(shared ? nullptr : std::make_unique<Registry>()),
+        registry_(shared ? shared : owned_.get()) {}
+
+  Registry* get() const { return registry_; }
+  Registry& operator*() const { return *registry_; }
+  Registry* operator->() const { return registry_; }
+
+ private:
+  std::unique_ptr<Registry> owned_;
+  Registry* registry_;
 };
 
 }  // namespace sigma::obs

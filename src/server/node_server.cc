@@ -71,19 +71,13 @@ NodeServer::NodeServer(const NodeServerConfig& config) : config_(config) {
   // Recover node state BEFORE any socket exists: until every index is
   // rebuilt from the sealed containers, the daemon is unreachable.
   nodes_.reserve(config_.num_nodes);
-  recoveries_.reserve(config_.num_nodes);
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
-    if (config_.backend == BackendKind::kFile) {
-      nodes_.push_back(std::make_unique<DedupNode>(
-          static_cast<NodeId>(i), config_.node,
-          open_file_backend(config_, i, &registry_)));
-      nodes_.back()->rebuild_indexes();
-      recoveries_.push_back(nodes_.back()->last_recovery());
-    } else {
-      nodes_.push_back(
-          std::make_unique<DedupNode>(static_cast<NodeId>(i), config_.node));
-      recoveries_.push_back({});
-    }
+    const bool durable = config_.backend == BackendKind::kFile;
+    nodes_.push_back(std::make_unique<DedupNode>(
+        static_cast<NodeId>(i), config_.node,
+        durable ? open_file_backend(config_, i, &registry_) : nullptr,
+        &registry_));
+    if (durable) nodes_.back()->rebuild_indexes();
   }
 
   net::TcpTransportConfig tcp;
@@ -106,22 +100,15 @@ NodeServer::NodeServer(const NodeServerConfig& config) : config_(config) {
                 std::max(2u, std::thread::hardware_concurrency()));
   pool_ = std::make_unique<ThreadPool>(threads);
 
+  // Every endpoint of this daemon answers a stats scrape with the same
+  // daemon-wide view (fleet_stats dedupes daemons by address).
   services_.reserve(config_.num_nodes);
   for (auto& node : nodes_) {
     services_.push_back(std::make_unique<service::NodeService>(
         *node, *transport_, *pool_, &registry_,
         "node" + std::to_string(services_.size())));
-  }
-  // Every endpoint of this daemon answers a stats scrape with the same
-  // daemon-wide view (fleet_stats dedupes daemons by address). Providers
-  // go in only after the loop above: a service starts answering the
-  // moment it binds its endpoint, and metrics_snapshot() walks services_
-  // — installing mid-loop would let an early scrape read the vector while
-  // this constructor is still appending to it. (A scrape racing the
-  // install gets an empty snapshot, which fleet_stats treats as "still
-  // starting".)
-  for (auto& service : services_) {
-    service->set_snapshot_provider([this] { return metrics_snapshot(); });
+    services_.back()->set_snapshot_provider(
+        [this] { return metrics_snapshot(); });
   }
 
   // Register with the fleet registry LAST: the daemon is fully servable
@@ -152,77 +139,6 @@ void NodeServer::leave_registry() noexcept {
 obs::MetricsSnapshot NodeServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
   obs::fold_trace_stats(snap);
-
-  const net::NetStats net = transport_->stats();
-  snap.add_counter("net.messages_sent", net.messages_sent);
-  snap.add_counter("net.bytes_sent", net.bytes_sent);
-  snap.add_counter("net.requests", net.requests);
-  snap.add_counter("net.responses", net.responses);
-  snap.add_counter("net.errors", net.errors);
-  snap.add_counter("net.dropped", net.dropped);
-
-  const net::TcpTransportStats tcp = transport_->tcp_stats();
-  snap.add_counter("tcp.connections_accepted", tcp.connections_accepted);
-  snap.add_counter("tcp.connections_established", tcp.connections_established);
-  snap.add_counter("tcp.connect_failures", tcp.connect_failures);
-  snap.add_counter("tcp.connections_lost", tcp.connections_lost);
-  snap.add_counter("tcp.protocol_errors", tcp.protocol_errors);
-  snap.add_counter("tcp.frames_received", tcp.frames_received);
-  snap.add_counter("tcp.bytes_received", tcp.bytes_received);
-  snap.add_counter("tcp.bounced_requests", tcp.bounced_requests);
-  snap.add_counter("tcp.wakeups", tcp.wakeups);
-  snap.add_counter("tcp.route_conflicts", tcp.route_conflicts);
-  snap.add_counter("tcp.route_takeovers", tcp.route_takeovers);
-  snap.add_counter("tcp.route_expired", tcp.route_expired);
-
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const std::string node = "node" + std::to_string(i);
-
-    if (i < services_.size()) {  // flush() retires the services
-      const service::NodeServiceStats svc = services_[i]->stats();
-      snap.add_counter("svc." + node + ".requests_served",
-                       svc.requests_served);
-      snap.add_counter("svc." + node + ".errors_returned",
-                       svc.errors_returned);
-      snap.add_counter("svc." + node + ".drain_runs", svc.drain_runs);
-      snap.add_counter("svc." + node + ".fast_requests_served",
-                       svc.fast_requests_served);
-      snap.add_counter("svc." + node + ".fast_drain_runs",
-                       svc.fast_drain_runs);
-    }
-
-    const DedupNodeStats ns = nodes_.at(i)->stats();
-    snap.add_counter("node." + node + ".logical_bytes", ns.logical_bytes);
-    snap.add_counter("node." + node + ".physical_bytes", ns.physical_bytes);
-    snap.add_counter("node." + node + ".super_chunks", ns.super_chunks);
-    snap.add_counter("node." + node + ".duplicate_chunks",
-                     ns.duplicate_chunks);
-    snap.add_counter("node." + node + ".unique_chunks", ns.unique_chunks);
-    snap.add_counter("node." + node + ".disk_index_lookups",
-                     ns.disk_index_lookups);
-    snap.add_counter("node." + node + ".disk_lookups_avoided_by_bloom",
-                     ns.disk_lookups_avoided_by_bloom);
-    snap.add_counter("node." + node + ".container_prefetches",
-                     ns.container_prefetches);
-
-    const IoStats io = nodes_.at(i)->backend().stats();
-    snap.add_counter("store." + node + ".reads", io.reads);
-    snap.add_counter("store." + node + ".writes", io.writes);
-    snap.add_counter("store." + node + ".bytes_read", io.bytes_read);
-    snap.add_counter("store." + node + ".bytes_written", io.bytes_written);
-
-    const RecoveryReport& rec = recoveries_.at(i);
-    snap.add_counter("recovery." + node + ".containers_recovered",
-                     rec.containers_recovered);
-    snap.add_counter("recovery." + node + ".containers_skipped",
-                     rec.containers_skipped);
-    snap.add_counter("recovery." + node + ".sidecars_repaired",
-                     rec.sidecars_repaired);
-    snap.add_counter("recovery." + node + ".chunks_recovered",
-                     rec.chunks_recovered);
-    snap.add_counter("recovery." + node + ".bytes_recovered",
-                     rec.bytes_recovered);
-  }
   return snap;
 }
 
@@ -230,21 +146,17 @@ void NodeServer::flush() {
   // Leave the fleet before going dark, so subscribed clients see the
   // membership change instead of discovering dead endpoints.
   leave_registry();
-  // Retire (unbind + drain-wait) EVERY service before destroying ANY:
-  // the last in-flight request on one service may be a stats scrape
-  // whose snapshot provider walks all of them. Once the loop finishes no
-  // request can reach a node again — only then is sealing the open
-  // containers the complete final state.
-  for (auto& service : services_) service->retire();
+  // Destroying a service unbinds it and waits out its drain tasks: once
+  // every one is gone no request can reach a node again — only then is
+  // sealing the open containers the complete final state.
   services_.clear();
   for (auto& node : nodes_) node->flush();
 }
 
 NodeServer::~NodeServer() {
-  // Same two-phase teardown as flush(): leave the fleet, quiesce all
-  // services, then let the members destroy in reverse declaration order.
+  // Leave the fleet, then let the members destroy in reverse declaration
+  // order (services unbind before their nodes die).
   leave_registry();
-  for (auto& service : services_) service->retire();
 }
 
 }  // namespace sigma::server

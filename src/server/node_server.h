@@ -101,7 +101,7 @@ class NodeServer {
   /// Startup recovery outcome of node i (all zeros for kMemory — there is
   /// nothing to recover).
   const RecoveryReport& recovery(std::size_t i) const {
-    return recoveries_.at(i);
+    return nodes_.at(i)->last_recovery();
   }
 
   /// SIGTERM-clean shutdown: stop serving (unbind every node service,
@@ -115,14 +115,13 @@ class NodeServer {
   net::NetStats net_stats() const { return transport_->stats(); }
   net::TcpTransportStats tcp_stats() const { return transport_->tcp_stats(); }
 
-  /// The daemon-wide metrics registry (transport, services, backends all
-  /// record into it).
+  /// The daemon-wide metrics registry (transport, services, nodes,
+  /// backends all record into it).
   obs::Registry& metrics() { return registry_; }
 
-  /// Daemon-wide observability readout: the live registry plus every
-  /// legacy struct counter (transport, per-node service / storage /
-  /// dedup / recovery stats) folded in under stable names. This is what
-  /// a kStatsSnapshot request — and SIGUSR1 / shutdown dumps — report.
+  /// Daemon-wide observability readout: the registry plus the process's
+  /// tracer counters. This is what a kStatsSnapshot request — and
+  /// SIGUSR1 / shutdown dumps — report.
   obs::MetricsSnapshot metrics_snapshot() const;
 
   /// The registry stub when config.registry is set (lease id, health);
@@ -138,7 +137,6 @@ class NodeServer {
   void leave_registry() noexcept;
 
   NodeServerConfig config_;
-  std::vector<RecoveryReport> recoveries_;
   /// Declared before everything that records into it: instruments must
   /// outlive the transport loop, services and backends.
   obs::Registry registry_;

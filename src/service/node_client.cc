@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "obs/metrics_wire.h"
 #include "service/wire_protocol.h"
 
 namespace sigma::service {
@@ -105,6 +106,13 @@ net::PendingCall NodeClient::flush_async() const {
 
 void NodeClient::flush() const {
   flush_async().get(timeout_);
+}
+
+obs::MetricsSnapshot NodeClient::stats_snapshot() const {
+  const Buffer response =
+      rpc_.call_sync(service_, MessageType::kStatsSnapshot, {}, timeout_);
+  return obs::decode_metrics_snapshot(
+      ByteView{response.data(), response.size()});
 }
 
 }  // namespace sigma::service

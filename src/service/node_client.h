@@ -18,6 +18,7 @@
 #include "net/rpc.h"
 #include "node/dedup_node.h"
 #include "node/node_probe.h"
+#include "obs/metrics.h"
 
 namespace sigma::service {
 
@@ -71,6 +72,9 @@ class NodeClient : public NodeProbe {
 
   net::PendingCall flush_async() const;
   void flush() const;
+
+  /// The hosting process's metrics snapshot (kStatsSnapshot).
+  obs::MetricsSnapshot stats_snapshot() const;
 
   net::EndpointId service_endpoint() const { return service_; }
 

@@ -17,26 +17,29 @@ using net::MessageType;
 NodeService::NodeService(DedupNode& node, net::Transport& transport,
                          ThreadPool& pool, obs::Registry* metrics,
                          const std::string& label)
-    : node_(node), transport_(transport), pool_(pool) {
+    : node_(node),
+      transport_(transport),
+      pool_(pool),
+      metrics_(metrics),
+      prefix_(label.empty() ? std::string("svc.") : "svc." + label + "."),
+      depth_gauge_(metrics_->gauge(prefix_ + "inbox_depth")),
+      requests_served_(metrics_->counter(prefix_ + "requests_served")),
+      errors_returned_(metrics_->counter(prefix_ + "errors_returned")),
+      drain_runs_(metrics_->counter(prefix_ + "drain_runs")),
+      fast_requests_served_(
+          metrics_->counter(prefix_ + "fast_requests_served")),
+      fast_drain_runs_(metrics_->counter(prefix_ + "fast_drain_runs")) {
   // Instruments are cached before the endpoint exists: a TCP peer can
   // address a fresh endpoint id the moment the listener accepts it.
-  if (metrics) {
-    const std::string prefix =
-        label.empty() ? std::string("svc.") : "svc." + label + ".";
-    depth_gauge_ = &metrics->gauge(prefix + "inbox_depth");
-    for (std::uint8_t op = 0; op <= net::kMaxMessageType; ++op) {
-      op_time_us_[op] = &metrics->histogram(
-          prefix + "op_us." + to_string(static_cast<MessageType>(op)));
-    }
+  for (std::uint8_t op = 0; op <= net::kMaxMessageType; ++op) {
+    op_time_us_[op] = &metrics_->histogram(
+        prefix_ + "op_us." + to_string(static_cast<MessageType>(op)));
   }
   endpoint_ = transport.register_endpoint(
       [this](Message&& m) { enqueue(std::move(m)); });
 }
 
-NodeService::~NodeService() { retire(); }
-
-void NodeService::retire() {
-  if (retired_.exchange(true)) return;
+NodeService::~NodeService() {
   // Stop deliveries (blocks until in-flight enqueues return), then wait
   // for both lanes' drain tasks to run their inboxes dry.
   transport_.unregister_endpoint(endpoint_);
@@ -79,10 +82,8 @@ bool NodeService::is_fast_lane(MessageType type) {
 }
 
 void NodeService::observe_depth() {
-  if (depth_gauge_) {
-    depth_gauge_->set(
-        static_cast<std::int64_t>(inbox_.size() + fast_inbox_.size()));
-  }
+  depth_gauge_.set(
+      static_cast<std::int64_t>(inbox_.size() + fast_inbox_.size()));
 }
 
 void NodeService::enqueue(Message&& m) {
@@ -100,11 +101,8 @@ void NodeService::enqueue(Message&& m) {
 
 void NodeService::drain(bool fast) {
   auto& lane = fast ? fast_inbox_ : inbox_;
-  {
-    MutexLock lock(mu_);
-    ++stats_.drain_runs;
-    if (fast) ++stats_.fast_drain_runs;
-  }
+  drain_runs_.inc();
+  if (fast) fast_drain_runs_.inc();
   while (true) {
     auto m = lane.try_pop();
     if (!m) break;
@@ -120,14 +118,11 @@ void NodeService::drain(bool fast) {
       // thread-local current context.
       obs::SpanScope span(m->trace, "svc.", to_string(m->type));
       obs::ScopedTimer timer(
-          op_time_us_[static_cast<std::uint8_t>(m->type)]);
+          *op_time_us_[static_cast<std::uint8_t>(m->type)]);
       response = handle(*m);
     }
-    {
-      MutexLock lock(mu_);
-      ++stats_.requests_served;
-      if (fast) ++stats_.fast_requests_served;
-    }
+    requests_served_.inc();
+    if (fast) fast_requests_served_.inc();
     transport_.send(std::move(response));
   }
   {
@@ -238,7 +233,7 @@ Message NodeService::handle(const Message& request) {
         }
         return Message::response_to(
             request, obs::encode_metrics_snapshot(
-                         provider ? provider() : obs::MetricsSnapshot{}));
+                         provider ? provider() : metrics_->snapshot()));
       }
       case MessageType::kTraceDump: {
         // Like kStatsSnapshot, the answer covers the whole hosting
@@ -270,15 +265,19 @@ Message NodeService::handle(const Message& request) {
     }
     return Message::error_to(request, "service: unknown operation");
   } catch (const std::exception& e) {
-    MutexLock lock(mu_);
-    ++stats_.errors_returned;
+    errors_returned_.inc();
     return Message::error_to(request, e.what());
   }
 }
 
 NodeServiceStats NodeService::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  NodeServiceStats s;
+  s.requests_served = requests_served_.value();
+  s.errors_returned = errors_returned_.value();
+  s.drain_runs = drain_runs_.value();
+  s.fast_requests_served = fast_requests_served_.value();
+  s.fast_drain_runs = fast_drain_runs_.value();
+  return s;
 }
 
 }  // namespace sigma::service

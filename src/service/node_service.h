@@ -22,7 +22,6 @@
 // non-empty), so a large cluster idles without pinning pool threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -52,27 +51,21 @@ class NodeService {
   /// Answers a kStatsSnapshot request. The hosting process (NodeServer,
   /// Cluster) installs one that covers the whole process — transport,
   /// every node, storage — so scraping any endpoint yields the full
-  /// process view; without one the service answers with just its own
-  /// registry-backed metrics (empty if no registry either).
+  /// process view; without one the service answers with its own
+  /// registry's snapshot.
   using SnapshotProvider = std::function<obs::MetricsSnapshot()>;
 
   /// Binds the node on `transport` and serves it from `pool`. The node,
   /// transport and pool must outlive the service (as must `metrics` when
-  /// given). `label` tags this service's metric names (e.g. "node0"), so
-  /// per-node series survive a fleet-wide merge.
+  /// given; without one the service records into a private registry).
+  /// `label` tags this service's metric names (e.g. "node0"), so per-node
+  /// series survive a fleet-wide merge.
   NodeService(DedupNode& node, net::Transport& transport, ThreadPool& pool,
               obs::Registry* metrics = nullptr, const std::string& label = {});
 
-  /// Unbinds the endpoint and waits for the in-flight drain to finish.
+  /// Stops serving: unbinds the endpoint (blocks until in-flight
+  /// deliveries return) and waits for both lanes to run dry.
   ~NodeService();
-
-  /// Stop serving: unbind the endpoint (blocks until in-flight deliveries
-  /// return) and wait for both lanes to run dry. Idempotent; the
-  /// destructor calls it. A host with several services must retire ALL of
-  /// them before destroying ANY — a still-serving sibling's snapshot
-  /// provider walks every service, so none may be torn down while any
-  /// other can still execute a request.
-  void retire() SIGMA_EXCLUDES(mu_);
 
   NodeService(const NodeService&) = delete;
   NodeService& operator=(const NodeService&) = delete;
@@ -107,21 +100,25 @@ class NodeService {
   net::Transport& transport_;
   ThreadPool& pool_;
 
-  /// Cached instruments (null without a registry): inbox depth across
-  /// both lanes, and per-op service time (decode + execute + encode).
-  obs::Gauge* depth_gauge_ = nullptr;
+  /// Inbox depth across both lanes, per-op service time (decode +
+  /// execute + encode), and the counters behind stats().
+  obs::RegistryRef metrics_;
+  std::string prefix_;  // "svc.<label>."
+  obs::Gauge& depth_gauge_;
   obs::Histogram* op_time_us_[net::kMaxMessageType + 1] = {};
+  obs::Counter& requests_served_;
+  obs::Counter& errors_returned_;
+  obs::Counter& drain_runs_;
+  obs::Counter& fast_requests_served_;
+  obs::Counter& fast_drain_runs_;
 
   net::EndpointId endpoint_ = 0;
 
   /// Serializes DedupNode access across the two lanes. Outermost rank:
-  /// held across handle(), which reaches the service mu_ (error stats),
-  /// every storage lock, and — via the kStatsSnapshot provider — the
-  /// metrics registry and sibling services' stats.
+  /// held across handle(), which reaches the service mu_ (the snapshot
+  /// provider), every storage lock, and — via the kStatsSnapshot
+  /// provider — the metrics registry.
   Mutex node_mu_{LockRank::kNodeSerial};
-
-  /// retire() ran (dtor-path threads only contend on the exchange).
-  std::atomic<bool> retired_{false};
 
   mutable Mutex mu_{LockRank::kService};
   CondVar idle_cv_;
@@ -129,10 +126,8 @@ class NodeService {
   net::Channel<net::Message> fast_inbox_;  // probes, duplicate tests, reads
   bool draining_ SIGMA_GUARDED_BY(mu_) = false;
   bool fast_draining_ SIGMA_GUARDED_BY(mu_) = false;
-  NodeServiceStats stats_ SIGMA_GUARDED_BY(mu_);
   /// Copied out under mu_ and invoked unlocked: the provider reaches the
-  /// registry and sibling services' stats (same kService rank), so it
-  /// must never run while this service's mu_ is held.
+  /// registry, so it must never run while this service's mu_ is held.
   SnapshotProvider snapshot_provider_ SIGMA_GUARDED_BY(mu_);
 };
 

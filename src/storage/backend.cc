@@ -13,6 +13,24 @@
 
 namespace sigma {
 
+StorageBackend::StorageBackend(obs::Registry* metrics,
+                               const std::string& label)
+    : metrics_(metrics),
+      prefix_(label.empty() ? std::string("store.") : "store." + label + "."),
+      reads_(metrics_->counter(prefix_ + "reads")),
+      writes_(metrics_->counter(prefix_ + "writes")),
+      bytes_read_(metrics_->counter(prefix_ + "bytes_read")),
+      bytes_written_(metrics_->counter(prefix_ + "bytes_written")) {}
+
+IoStats StorageBackend::stats() const {
+  IoStats s;
+  s.reads = reads_.value();
+  s.writes = writes_.value();
+  s.bytes_read = bytes_read_.value();
+  s.bytes_written = bytes_written_.value();
+  return s;
+}
+
 void MemoryBackend::put(const std::string& key, ByteView data) {
   {
     MutexLock lock(mu_);
@@ -82,13 +100,11 @@ void fsync_path(const std::filesystem::path& path, bool directory) {
 
 FileBackend::FileBackend(std::filesystem::path dir, bool fsync,
                          obs::Registry* metrics, const std::string& label)
-    : dir_(std::move(dir)), fsync_(fsync) {
-  if (metrics) {
-    const std::string prefix =
-        label.empty() ? std::string("store.") : "store." + label + ".";
-    put_us_ = &metrics->histogram(prefix + "put_us");
-    fsync_us_ = &metrics->histogram(prefix + "fsync_us");
-  }
+    : StorageBackend(metrics, label),
+      dir_(std::move(dir)),
+      fsync_(fsync),
+      put_us_(this->metrics().histogram(prefix() + "put_us")),
+      fsync_us_(this->metrics().histogram(prefix() + "fsync_us")) {
   std::filesystem::create_directories(dir_);
   // A crashed writer can leave *.inprogress temps behind; they were never
   // visible as keys and must not become visible now.
@@ -182,7 +198,7 @@ void FileBackend::put(const std::string& key, ByteView data) {
               .count());
     }
   }
-  if (fsync_ && fsync_us_) fsync_us_->observe(fsync_us);
+  if (fsync_) fsync_us_.observe(fsync_us);
   record_write(data.size());
 }
 

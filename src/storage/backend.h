@@ -22,7 +22,8 @@
 
 namespace sigma {
 
-/// Monotonically updated I/O counters. Plain struct-of-counters snapshot.
+/// I/O counters of one backend: a view of its `store.[<label>.]*`
+/// registry counters.
 struct IoStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -43,31 +44,43 @@ class StorageBackend {
   virtual void remove(const std::string& key) = 0;
   virtual std::vector<std::string> keys() = 0;
 
-  IoStats stats() const SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    return stats_;
-  }
+  IoStats stats() const;
 
  protected:
-  void record_read(std::uint64_t bytes) SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
+  /// Counts into `metrics` (must outlive the backend) under
+  /// `store.[<label>.]`, or into a private registry when null.
+  StorageBackend(obs::Registry* metrics, const std::string& label);
+
+  /// The backend's registry and metric-name prefix, for subclasses'
+  /// own instruments.
+  obs::Registry& metrics() const { return *metrics_; }
+  const std::string& prefix() const { return prefix_; }
+
+  void record_read(std::uint64_t bytes) {
+    reads_.inc();
+    bytes_read_.inc(bytes);
   }
-  void record_write(std::uint64_t bytes) SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    ++stats_.writes;
-    stats_.bytes_written += bytes;
+  void record_write(std::uint64_t bytes) {
+    writes_.inc();
+    bytes_written_.inc(bytes);
   }
 
  private:
-  mutable Mutex stats_mu_{LockRank::kStorageStats};
-  IoStats stats_ SIGMA_GUARDED_BY(stats_mu_);
+  obs::RegistryRef metrics_;
+  std::string prefix_;
+  obs::Counter& reads_;
+  obs::Counter& writes_;
+  obs::Counter& bytes_read_;
+  obs::Counter& bytes_written_;
 };
 
 /// In-memory backend.
 class MemoryBackend final : public StorageBackend {
  public:
+  explicit MemoryBackend(obs::Registry* metrics = nullptr,
+                         const std::string& label = {})
+      : StorageBackend(metrics, label) {}
+
   void put(const std::string& key, ByteView data) override;
   std::optional<Buffer> get(const std::string& key) override;
   bool exists(const std::string& key) override;
@@ -91,10 +104,10 @@ class MemoryBackend final : public StorageBackend {
 /// sealed container survives power loss, not just process death.
 class FileBackend final : public StorageBackend {
  public:
-  /// With a registry (must outlive the backend) each put records its
-  /// whole-call latency (`store.[<label>.]put_us`) and, when fsync is
-  /// enabled, the durability portion — payload fsync plus directory
-  /// fsync — separately (`store.[<label>.]fsync_us`).
+  /// Each put records its whole-call latency (`store.[<label>.]put_us`)
+  /// and, when fsync is enabled, the durability portion — payload fsync
+  /// plus directory fsync — separately (`store.[<label>.]fsync_us`), in
+  /// `metrics` (must outlive the backend) or a private registry.
   explicit FileBackend(std::filesystem::path dir, bool fsync = false,
                        obs::Registry* metrics = nullptr,
                        const std::string& label = {});
@@ -117,9 +130,8 @@ class FileBackend final : public StorageBackend {
 
   std::filesystem::path dir_;
   const bool fsync_;
-  /// Cached instruments; null without a registry.
-  obs::Histogram* put_us_ = nullptr;
-  obs::Histogram* fsync_us_ = nullptr;
+  obs::Histogram& put_us_;
+  obs::Histogram& fsync_us_;
   /// Makes each put's temp file unique, so the slow write+fsync phase
   /// runs outside mu_ without two puts ever sharing a temp path.
   std::atomic<std::uint64_t> tmp_seq_{0};

@@ -3,17 +3,17 @@
 namespace sigma {
 
 void ChunkIndex::insert(const Fingerprint& fp, const ChunkLocation& loc) {
+  inserts_.inc();
   MutexLock lock(mu_);
   map_.try_emplace(fp, loc);
-  ++stats_.inserts;
 }
 
 std::optional<ChunkLocation> ChunkIndex::lookup(const Fingerprint& fp) {
+  lookups_.inc();
   MutexLock lock(mu_);
-  ++stats_.lookups;
   auto it = map_.find(fp);
   if (it == map_.end()) return std::nullopt;
-  ++stats_.hits;
+  hits_.inc();
   return it->second;
 }
 
@@ -35,8 +35,7 @@ std::size_t ChunkIndex::size() const {
 }
 
 ChunkIndexStats ChunkIndex::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  return {lookups_.value(), hits_.value(), inserts_.value()};
 }
 
 std::uint64_t ChunkIndex::estimated_ram_bytes() const {

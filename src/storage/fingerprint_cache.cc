@@ -39,7 +39,7 @@ void FingerprintCache::insert(ContainerId id,
   }
   lru_.push_front(std::move(entry));
   by_container_[id] = lru_.begin();
-  ++stats_.inserts;
+  inserts_.inc();
 }
 
 bool FingerprintCache::contains_container(ContainerId id) const {
@@ -51,18 +51,17 @@ std::optional<ContainerId> FingerprintCache::lookup(const Fingerprint& fp) {
   MutexLock lock(mu_);
   auto it = by_fp_.find(fp);
   if (it == by_fp_.end()) {
-    ++stats_.misses;
+    misses_.inc();
     return std::nullopt;
   }
-  ++stats_.hits;
+  hits_.inc();
   auto entry_it = by_container_.find(it->second);
   if (entry_it != by_container_.end()) touch_locked(entry_it->second);
   return it->second;
 }
 
 CacheStats FingerprintCache::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  return {hits_.value(), misses_.value(), inserts_.value(), evictions_.value()};
 }
 
 std::size_t FingerprintCache::cached_containers() const {
@@ -79,7 +78,7 @@ void FingerprintCache::evict_one_locked() {
   }
   by_container_.erase(victim.id);
   lru_.pop_back();
-  ++stats_.evictions;
+  evictions_.inc();
 }
 
 void FingerprintCache::touch_locked(LruList::iterator it) {

@@ -15,11 +15,12 @@
 #include "common/fingerprint.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "storage/container.h"
 
 namespace sigma {
 
-/// Cache statistics snapshot.
+/// Cache statistics: a view of the cache's counters.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -71,7 +72,12 @@ class FingerprintCache {
       SIGMA_GUARDED_BY(mu_);
   // fp -> container holding it; rebuilt incrementally on insert/evict.
   std::unordered_map<Fingerprint, ContainerId> by_fp_ SIGMA_GUARDED_BY(mu_);
-  CacheStats stats_ SIGMA_GUARDED_BY(mu_);
+  // Not in any scrape, so the instruments live here rather than in a
+  // registry.
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter inserts_;
+  obs::Counter evictions_;
 };
 
 }  // namespace sigma

@@ -13,11 +13,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
+#include "ctrl/registry_server.h"
 #include "net/rpc.h"
 #include "net/tcp/frame.h"
 #include "net/tcp/tcp_transport.h"
@@ -405,6 +409,142 @@ TEST(StatsScrapeTest, TcpFleetScrapeMatchesInProcessRegistries) {
   const MetricsSnapshot second =
       decode_metrics_snapshot(ByteView{again.data(), again.size()});
   EXPECT_NE(second.find_counter("tcp.frames_received"), nullptr);
+}
+
+// --- One registry per process: every scrape carries every series ------------
+
+TEST(StatsScrapeTest, RegistryScrapeCarriesEveryTransportCounterOfANodeScrape) {
+  // Both daemons run the same transport, so both scrapes carry the same
+  // net.* and tcp.* series — the transport registers them itself.
+  ctrl::RegistryServer registry({});
+  server::NodeServerConfig cfg;
+  cfg.listen = {"127.0.0.1", 0};
+  server::NodeServer server(cfg);
+
+  const MetricsSnapshot node = server.metrics_snapshot();
+  const MetricsSnapshot reg = registry.metrics_snapshot();
+  std::size_t checked = 0;
+  for (const auto& c : node.counters) {
+    if (c.name.rfind("net.", 0) != 0 && c.name.rfind("tcp.", 0) != 0) continue;
+    ++checked;
+    EXPECT_NE(reg.find_counter(c.name), nullptr) << c.name;
+  }
+  EXPECT_GE(checked, 18u);  // NetStats + TcpTransportStats at least
+}
+
+TEST(StatsScrapeTest, LoopbackClusterScrapeCarriesTransportServiceNodeStore) {
+  Registry registry;
+  ClusterConfig cfg;
+  cfg.num_nodes = 1;
+  cfg.super_chunk_bytes = 64 * 1024;
+  cfg.transport.mode = TransportMode::kLoopback;
+  cfg.metrics = &registry;
+  Cluster cluster(cfg);
+  cluster.backup_dataset(scrape_trace());
+  cluster.flush();
+
+  const MetricsSnapshot snap = cluster.stats_snapshot(0);
+  for (const char* name : {"net.requests", "svc.node0.requests_served",
+                           "node.node0.unique_chunks",
+                           "store.node0.bytes_written"}) {
+    const std::uint64_t* value = snap.find_counter(name);
+    ASSERT_NE(value, nullptr) << name;
+    EXPECT_GT(*value, 0u) << name;
+  }
+}
+
+/// Replace every `from` in `s` with `to`.
+std::string replace_all(std::string s, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = s.find(from); at != std::string::npos;
+       at = s.find(from, at + to.size())) {
+    s.replace(at, from.size(), to);
+  }
+  return s;
+}
+
+/// Every backticked name in README's Observability catalog table, with
+/// the <n>/<i> placeholders expanded to node0/reactor0.
+std::vector<std::string> readme_catalog_names() {
+  std::ifstream readme(std::string(SIGMA_SOURCE_DIR) + "/README.md");
+  std::vector<std::string> names;
+  bool in_section = false;
+  bool header_seen = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Observability";
+    if (!in_section || line.rfind("| ", 0) != 0) {
+      if (header_seen) break;  // the table has ended
+      continue;
+    }
+    if (!header_seen || line.rfind("| --", 0) == 0) {
+      header_seen = true;
+      continue;
+    }
+    for (std::size_t open = line.find('`'); open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string name = line.substr(open + 1, close - open - 1);
+      names.push_back(
+          replace_all(replace_all(name, "<n>", "node0"), "<i>", "reactor0"));
+      open = line.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+TEST(StatsScrapeTest, ReadmeCatalogNamesExistInAFleetScrape) {
+  // A daemon with a durable backend (store.* latency histograms) serves
+  // one small backup; the client's own registry (route.*, rpc.*) merges
+  // into the daemon's scrape, as fleet_stats users see the two together.
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("sigma-catalog-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    server::NodeServerConfig scfg;
+    scfg.listen = {"127.0.0.1", 0};
+    scfg.backend = server::BackendKind::kFile;
+    scfg.data_dir = dir;
+    scfg.fsync = false;
+    server::NodeServer server(scfg);
+
+    Registry client;
+    ClusterConfig cfg;
+    cfg.num_nodes = 1;
+    cfg.super_chunk_bytes = 64 * 1024;
+    cfg.transport.mode = TransportMode::kTcp;
+    cfg.transport.tcp_nodes = {{{"127.0.0.1", server.port()},
+                                server.endpoint(0)}};
+    cfg.metrics = &client;
+    Cluster cluster(cfg);
+    cluster.backup_dataset(scrape_trace());
+    cluster.flush();
+
+    MetricsSnapshot snap = cluster.stats_snapshot(0);
+    snap.merge(client.snapshot());
+    auto has = [&snap](const std::string& name) {
+      const bool prefix = name.size() > 2 &&
+                          name.compare(name.size() - 2, 2, ".*") == 0;
+      const std::string stem = prefix ? name.substr(0, name.size() - 1) : "";
+      auto match = [&](const std::string& series) {
+        return prefix ? series.rfind(stem, 0) == 0 : series == name;
+      };
+      return std::any_of(snap.counters.begin(), snap.counters.end(),
+                         [&](const auto& c) { return match(c.name); }) ||
+             std::any_of(snap.gauges.begin(), snap.gauges.end(),
+                         [&](const auto& g) { return match(g.name); }) ||
+             std::any_of(snap.histograms.begin(), snap.histograms.end(),
+                         [&](const auto& h) { return match(h.name); });
+    };
+
+    const std::vector<std::string> names = readme_catalog_names();
+    EXPECT_GE(names.size(), 30u) << "README catalog table not found";
+    for (const std::string& name : names) {
+      EXPECT_TRUE(has(name)) << "README names `" << name
+                             << "`, which no scrape carries";
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- Handshake version gate ---------------------------------------------------

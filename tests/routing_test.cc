@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/hash_util.h"
-#include "common/thread_pool.h"
 #include "node/dedup_node.h"
 #include "node/probe_set.h"
 #include "routing/chunk_dht_router.h"
@@ -361,33 +360,6 @@ TEST_F(RoutingFixture, GatherRejectsOutOfRangeCandidate) {
   const std::vector<NodeId> bad{0, static_cast<NodeId>(views_.size())};
   EXPECT_THROW(probes.gather(ProbeKind::kResemblance, bad, {}),
                std::out_of_range);
-}
-
-TEST_F(RoutingFixture, PooledProbeSetRoutesIdenticallyToSequential) {
-  // Fanning the probe round across a thread pool must not move a single
-  // decision or message count for the two probing schemes.
-  ThreadPool pool(4);
-  DirectProbeSet sequential(views_);
-  DirectProbeSet fanned(views_, &pool);
-
-  SigmaRouter sigma{RouterConfig{}};
-  StatefulRouter stateful{RouterConfig{}};
-  for (std::uint64_t s = 0; s < 30; ++s) {
-    const auto unit = make_chunks(s * 777, 64);
-    RouteContext seq_ctx, fan_ctx;
-    const NodeId seq_target = sigma.route(unit, sequential, seq_ctx);
-    EXPECT_EQ(sigma.route(unit, fanned, fan_ctx), seq_target);
-    EXPECT_EQ(seq_ctx.pre_routing_messages, fan_ctx.pre_routing_messages);
-
-    RouteContext sseq_ctx, sfan_ctx;
-    const NodeId stateful_target =
-        stateful.route(unit, sequential, sseq_ctx);
-    EXPECT_EQ(stateful.route(unit, fanned, sfan_ctx), stateful_target);
-    EXPECT_EQ(sseq_ctx.pre_routing_messages, sfan_ctx.pre_routing_messages);
-
-    // Keep node state evolving so later rounds probe non-trivial indexes.
-    write_to(seq_target, s * 777, 64);
-  }
 }
 
 // --- No-node error paths ------------------------------------------------------

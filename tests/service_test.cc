@@ -3,6 +3,8 @@
 // thread pool, and error propagation.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/hash_util.h"
@@ -38,6 +40,46 @@ Buffer payload_for(std::uint64_t id, std::uint32_t size = 4096) {
   return b;
 }
 
+/// Loopback transport that can hold write-lane replies: while held, the
+/// service's write drain blocks sending its first reply (with no node
+/// lock held), so the rest of a write backlog stays queued behind it.
+class GatedTransport final : public net::Transport {
+ public:
+  net::EndpointId register_endpoint(Handler handler) override {
+    return inner_.register_endpoint(std::move(handler));
+  }
+  void unregister_endpoint(net::EndpointId id) override {
+    inner_.unregister_endpoint(id);
+  }
+  void send(net::Message&& m) override {
+    if (m.kind == net::MessageKind::kResponse &&
+        m.type == net::MessageType::kWriteSuperChunk) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    inner_.send(std::move(m));
+  }
+  net::NetStats stats() const override { return inner_.stats(); }
+
+  void hold_write_replies() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void release_write_replies() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  net::LoopbackTransport inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+};
+
 class ServiceFixture : public ::testing::Test {
  protected:
   ServiceFixture()
@@ -46,9 +88,11 @@ class ServiceFixture : public ::testing::Test {
         service_(node_, transport_, pool_),
         rpc_(transport_),
         client_(rpc_, service_.endpoint(), 5000ms) {}
+  // A test that fails while replies are held must still tear down.
+  ~ServiceFixture() override { transport_.release_write_replies(); }
 
   DedupNode node_;
-  net::LoopbackTransport transport_;
+  GatedTransport transport_;
   ThreadPool pool_;
   service::NodeService service_;
   net::RpcEndpoint rpc_;
@@ -303,10 +347,12 @@ TEST_F(ServiceFixture, RequestsAreClassifiedIntoLanes) {
 
 TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
   // Queue a deep write backlog, then issue one probe: the fast lane must
-  // answer it after at most the write in progress — i.e. while a good
-  // part of the backlog is still pending. (In a single FIFO lane the
-  // probe would serialize behind all of it, which is exactly what capped
-  // same-node pipelining.)
+  // answer it while the backlog is still pending. (In a single FIFO lane
+  // the probe would serialize behind all of it, which is exactly what
+  // capped same-node pipelining.) The write lane is held on its first
+  // reply until the probe has been answered, so the overtake does not
+  // depend on how fast the backlog drains.
+  transport_.hold_write_replies();
   constexpr int kWrites = 40;
   std::vector<net::PendingCall> writes;
   writes.reserve(kWrites);
@@ -326,6 +372,7 @@ TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
   for (auto& w : writes) {
     if (!w.done()) ++writes_pending;
   }
+  transport_.release_write_replies();
   net::RpcEndpoint::wait_all(writes, 30000ms);
   // The probe returned while the write backlog was still draining.
   EXPECT_GT(writes_pending, 0u);

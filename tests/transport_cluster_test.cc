@@ -74,28 +74,26 @@ TEST_P(SchemeIdentity, BatchedProbesMatchSequentialProbes) {
   // decision: batched probing (the default) and the sequential
   // one-call-per-node fallback produce bit-identical reports — dedup
   // ratio, per-node usage, Fig. 7 probe-message counts — in direct mode
-  // (thread-pool fan-out vs in-thread loop) and in loopback message mode
-  // (concurrent pending calls vs blocking per-node RPCs).
+  // and in loopback message mode (concurrent pending calls vs blocking
+  // per-node RPCs).
   const RoutingScheme scheme = GetParam();
   const Dataset trace = small_linux_trace();
 
-  auto run = [&](TransportMode mode, bool batched,
-                 std::size_t probe_threads) {
+  auto run = [&](TransportMode mode, bool batched) {
     ClusterConfig cfg = cluster_config(scheme, 4, mode);
     cfg.transport.batched_probes = batched;
-    cfg.transport.probe_threads = probe_threads;
     Cluster cluster(cfg);
     cluster.backup_dataset(trace);
     cluster.flush();
     return cluster.report();
   };
 
-  const ClusterReport direct_seq = run(TransportMode::kDirect, false, 0);
-  const ClusterReport direct_fan = run(TransportMode::kDirect, true, 4);
-  const ClusterReport loop_seq = run(TransportMode::kLoopback, false, 0);
-  const ClusterReport loop_batched = run(TransportMode::kLoopback, true, 0);
+  const ClusterReport direct_seq = run(TransportMode::kDirect, false);
+  const ClusterReport direct_batched = run(TransportMode::kDirect, true);
+  const ClusterReport loop_seq = run(TransportMode::kLoopback, false);
+  const ClusterReport loop_batched = run(TransportMode::kLoopback, true);
 
-  expect_identical_reports(direct_seq, direct_fan);
+  expect_identical_reports(direct_seq, direct_batched);
   expect_identical_reports(direct_seq, loop_seq);
   expect_identical_reports(direct_seq, loop_batched);
 }

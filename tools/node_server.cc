@@ -22,7 +22,7 @@
 // SIGTERM loses nothing and only a hard kill loses unsealed chunks.
 //
 // Observability: SIGUSR1 dumps the daemon-wide metrics snapshot (every
-// counter, gauge and latency histogram, plus the legacy struct stats) to
+// counter, gauge and latency histogram, plus the tracer's counters) to
 // stderr without disturbing service; the same dump is printed once more
 // on clean shutdown. SIGUSR2 writes the trace flight recorder (the
 // per-thread span rings, see obs/trace.h) to the --trace-dump file.
@@ -261,13 +261,10 @@ int main(int argc, char** argv) {
       if (g_shutdown_requested) break;
     }
 
-    // The final readout must precede flush(): flushing unbinds the
-    // services, and the snapshot folds their counters in.
-    const obs::MetricsSnapshot final_snapshot = server.metrics_snapshot();
-
     // Clean shutdown: seal open containers so a file-backed daemon comes
     // back with everything it had accepted.
     server.flush();
+    const obs::MetricsSnapshot final_snapshot = server.metrics_snapshot();
 
     std::uint64_t served = 0;
     for (std::size_t i = 0; i < server.num_nodes(); ++i) {
