@@ -1,20 +1,16 @@
-// Probe plane: per-super-chunk routing-decision latency, sequential
-// per-node probing vs the batched scatter-gather round, for the two
-// probing schemes (Sigma and EMC stateful).
+// Probe plane: mean per-super-chunk routing-decision latency for the two
+// probing schemes (Sigma and EMC stateful), one row per transport.
 //
-// Sequential probing issues one blocking call per node per decision —
-// over a transport that is O(candidates) network round-trips before a
-// single super-chunk can be routed. The batched probe plane puts every
-// probe of the decision in flight at once (one fused match+usage RPC per
-// candidate, a usage RPC per remaining node) and drains them together:
-// ~1 round-trip per decision regardless of cluster width.
+// Every decision is one scatter-gather probe round: in message modes one
+// fused match+usage RPC per candidate and a usage RPC per remaining node,
+// all in flight together and drained at once — ~1 round-trip per
+// decision regardless of cluster width. Direct mode answers the same
+// round from in-process nodes (DirectProbeSet), the floor the transports
+// are measured against.
 //
-// Default sweep: direct mode (both rows run DirectProbeSet's in-thread
-// loop, so they measure the same path twice) and the loopback message
-// transport (blocking RPCs vs batched pending calls). With
+// Default sweep: direct mode and the loopback message transport. With
 //   bench_fig_probe_latency --tcp host:port[:endpoint],...
-// it instead measures against node_server daemons over real sockets,
-// where the sequential path pays its round-trips on a real network stack.
+// it instead measures against node_server daemons over real sockets.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -90,11 +86,11 @@ int main(int argc, char** argv) {
   const bool over_tcp = !tcp_nodes.empty();
 
   bench::print_header(
-      "Probe plane: routing-decision latency, sequential vs batched",
-      over_tcp ? "scatter-gather probes vs one blocking RPC per node, "
-                 "against TCP node_server daemons"
-               : "scatter-gather probes vs one blocking call per node, "
-                 "direct and loopback transports (8 nodes)");
+      "Probe plane: routing-decision latency",
+      over_tcp ? "one scatter-gather probe round per decision, against TCP "
+                 "node_server daemons"
+               : "one scatter-gather probe round per decision, direct and "
+                 "loopback transports (8 nodes)");
 
   LinuxWorkloadConfig wl = LinuxWorkloadConfig::scaled(0.2 * scale);
   wl.versions = 2;
@@ -108,13 +104,12 @@ int main(int argc, char** argv) {
   const std::vector<RoutingScheme> schemes{RoutingScheme::kSigma,
                                            RoutingScheme::kStateful};
 
-  TablePrinter table({"transport", "scheme", "probing", "decisions",
-                      "mean us/decision", "speedup"});
+  TablePrinter table(
+      {"transport", "scheme", "decisions", "mean us/decision"});
 
-  auto make_config = [&](TransportMode mode, bool batched) {
+  auto make_config = [&](TransportMode mode) {
     ClusterConfig cfg;
     cfg.super_chunk_bytes = kSuperChunkBytes;
-    cfg.transport.batched_probes = batched;
     cfg.transport.mode = mode;
     if (over_tcp) {
       cfg.num_nodes = tcp_nodes.size();
@@ -135,30 +130,16 @@ int main(int argc, char** argv) {
 
   auto sweep = [&](TransportMode mode, const std::string& label) {
     for (RoutingScheme scheme : schemes) {
-      double seq_us = 0.0;
-      for (const bool batched : {false, true}) {
-        ClusterConfig cfg = make_config(mode, batched);
-        cfg.scheme = scheme;
-        Cluster cluster(cfg);
-        // Populate node state so probes hit non-trivial indexes. Remote
-        // daemons keep state across clusters: populate once, on the
-        // sequential pass.
-        if (!over_tcp || !batched) cluster.backup_dataset(trace);
-        const Measurement m = measure(cluster, scheme, units);
-        if (!batched) seq_us = m.mean_us;
-        const std::string key = label + "." + to_string(scheme) + "." +
-                                (batched ? "batched" : "sequential");
-        result.metrics[key + ".mean_us"] = m.mean_us;
-        if (batched) {
-          result.metrics[label + "." + to_string(scheme) + ".speedup"] =
-              seq_us / m.mean_us;
-        }
-        table.add_row(
-            {label, to_string(scheme), batched ? "batched" : "sequential",
-             std::to_string(m.decisions), TablePrinter::fmt(m.mean_us, 1),
-             batched ? TablePrinter::fmt(seq_us / m.mean_us, 2) + "x"
-                     : "1.00x"});
-      }
+      ClusterConfig cfg = make_config(mode);
+      cfg.scheme = scheme;
+      Cluster cluster(cfg);
+      // Populate node state so probes hit non-trivial indexes.
+      cluster.backup_dataset(trace);
+      const Measurement m = measure(cluster, scheme, units);
+      result.metrics[label + "." + to_string(scheme) + ".mean_us"] =
+          m.mean_us;
+      table.add_row({label, to_string(scheme), std::to_string(m.decisions),
+                     TablePrinter::fmt(m.mean_us, 1)});
     }
   };
 
@@ -169,11 +150,6 @@ int main(int argc, char** argv) {
     sweep(TransportMode::kLoopback, "loopback");
   }
   table.print(std::cout);
-
-  std::cout << "\n(sequential = one blocking probe per node per decision; "
-               "batched = the probe plane's single scatter-gather round "
-               "— over a transport, ~1 round-trip per decision instead of "
-               "O(nodes))\n";
   bench::emit_bench_json(result);
   return 0;
 }

@@ -20,6 +20,13 @@
 #include "service/wire_protocol.h"
 
 namespace sigma {
+namespace {
+
+/// Endpoint ids a registry-mode cluster leases. One covers the cluster's
+/// single RpcEndpoint; the rest is slack for future per-stream endpoints.
+constexpr std::uint32_t kLeasedClientEndpoints = 16;
+
+}  // namespace
 
 /// Everything the message-passing deployment adds on top of the nodes:
 /// the transport, the shared client endpoint with its node stubs, and the
@@ -185,10 +192,7 @@ Cluster::Cluster(const ClusterConfig& config)
       router_(make_router(config.scheme, config.router)),
       route_us_(metrics_->histogram("route.decision_us")),
       route_probe_rounds_(metrics_->counter("route.probe_rounds")),
-      route_probe_msgs_(metrics_->counter("route.probe_messages")),
-      route_decisions_(metrics_->counter(config.transport.batched_probes
-                                             ? "route.decisions_batched"
-                                             : "route.decisions_sequential")) {
+      route_probe_msgs_(metrics_->counter("route.probe_messages")) {
   if (config_.num_nodes == 0) {
     throw std::invalid_argument("Cluster: need at least one node");
   }
@@ -204,8 +208,7 @@ Cluster::Cluster(const ClusterConfig& config)
     registry_client_ = std::make_unique<ctrl::RegistryClient>(rc);
     const service::LeaseEndpointsReply lease =
         registry_client_->lease_endpoints(
-            std::max<std::uint32_t>(1,
-                                    config_.transport.registry_lease_endpoints),
+            kLeasedClientEndpoints,
             [this](const service::FleetView& v) { on_fleet_update(v); });
     if (lease.view.nodes.empty()) {
       throw std::runtime_error(
@@ -223,8 +226,7 @@ Cluster::Cluster(const ClusterConfig& config)
       has_fleet_view_ = true;
     }
     SIGMA_LOG_INFO << "cluster: leased client endpoints base "
-                   << lease.endpoint_base << " (+"
-                   << config_.transport.registry_lease_endpoints
+                   << lease.endpoint_base << " (+" << kLeasedClientEndpoints
                    << "), fleet view v" << lease.view.version << " with "
                    << config_.num_nodes << " nodes";
   }
@@ -271,8 +273,7 @@ Cluster::Cluster(const ClusterConfig& config)
           metrics_.get()));
     }
   }
-  if (config_.scheme == RoutingScheme::kExtremeBinning &&
-      config_.eb_bin_dedup) {
+  if (config_.scheme == RoutingScheme::kExtremeBinning) {
     eb_state_.resize(config_.num_nodes);
   }
   if (config_.transport.mode == TransportMode::kLoopback) {
@@ -281,22 +282,18 @@ Cluster::Cluster(const ClusterConfig& config)
   } else if (config_.transport.mode == TransportMode::kTcp) {
     runtime_ = std::make_unique<TransportRuntime>(config_.transport, *metrics_);
   }
-  views_.reserve(config_.num_nodes);
-  if (runtime_) {
-    for (const auto& c : runtime_->clients) views_.push_back(c.get());
-  } else {
-    for (const auto& n : nodes_) views_.push_back(n.get());
-  }
-  // The probe plane the routers gather through. Message modes batch the
+  // The probe plane the routers gather through. Message modes issue the
   // round as concurrent pending calls (one fused probe per candidate);
-  // the sequential fallback and direct mode loop over the per-node views.
-  if (runtime_ && config_.transport.batched_probes) {
+  // direct mode loops over the nodes in the caller's thread.
+  if (runtime_) {
     std::vector<const service::NodeClient*> stubs;
     stubs.reserve(runtime_->clients.size());
     for (const auto& c : runtime_->clients) stubs.push_back(c.get());
     probe_plane_ = std::make_unique<service::ClientProbeSet>(
         std::move(stubs), runtime_->timeout);
   } else {
+    views_.reserve(nodes_.size());
+    for (const auto& n : nodes_) views_.push_back(n.get());
     probe_plane_ = std::make_unique<DirectProbeSet>(views_);
   }
 }
@@ -317,7 +314,6 @@ NodeId Cluster::route_unit(const std::vector<ChunkRecord>& unit,
     obs::ScopedTimer timer(route_us_);
     target = router_->route(unit, *probe_plane_, ctx);
   }
-  route_decisions_.inc();
   if (ctx.pre_routing_messages > 0) {
     route_probe_rounds_.inc();
     route_probe_msgs_.inc(ctx.pre_routing_messages);
@@ -347,7 +343,7 @@ void Cluster::backup(const TraceBackup& backup, StreamId stream) {
       backup_super_chunk_stream(backup, stream);
       break;
     case RoutingGranularity::kFile:
-      backup_files_extreme_binning(backup, stream);
+      backup_files_extreme_binning(backup);
       break;
     case RoutingGranularity::kChunk:
       backup_chunk_dht(backup, stream);
@@ -393,8 +389,7 @@ void Cluster::backup_super_chunk_stream(const TraceBackup& backup,
   dispatch(builder.flush());
 }
 
-void Cluster::backup_files_extreme_binning(const TraceBackup& backup,
-                                           StreamId stream) {
+void Cluster::backup_files_extreme_binning(const TraceBackup& backup) {
   for (const auto& file : backup.files) {
     if (file.chunks.empty()) continue;
     obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
@@ -404,21 +399,15 @@ void Cluster::backup_files_extreme_binning(const TraceBackup& backup,
     messages_.after_routing += file.chunks.size();
     logical_bytes_ += file.logical_bytes();
 
-    if (config_.eb_bin_dedup) {
-      // Published Extreme Binning: the file deduplicates only against the
-      // bin keyed by its representative fingerprint.
-      const std::uint64_t rep =
-          compute_handprint(file.chunks, 1).front().prefix64();
-      auto& bin = eb_state_[target].bins[rep];
-      for (const auto& chunk : file.chunks) {
-        if (bin.insert(chunk.fp).second) {
-          eb_state_[target].stored_bytes += chunk.size;
-        }
+    // Published Extreme Binning: the file deduplicates only against the
+    // bin keyed by its representative fingerprint.
+    const std::uint64_t rep =
+        compute_handprint(file.chunks, 1).front().prefix64();
+    auto& bin = eb_state_[target].bins[rep];
+    for (const auto& chunk : file.chunks) {
+      if (bin.insert(chunk.fp).second) {
+        eb_state_[target].stored_bytes += chunk.size;
       }
-    } else {
-      SuperChunk sc;
-      sc.chunks = file.chunks;
-      submit_write(target, stream, sc);
     }
   }
 }
@@ -511,16 +500,16 @@ void Cluster::flush() {
 }
 
 void Cluster::on_fleet_update(const service::FleetView& view) {
-  std::size_t wired = 0;
+  // Runs on a transport thread, possibly while the constructor is still
+  // wiring the node map from the lease reply: touch only view_mu_ state.
   {
     MutexLock lock(view_mu_);
     if (fleet_view_.version < view.version) fleet_view_ = view;
     has_fleet_view_ = true;
   }
-  wired = config_.transport.tcp_nodes.size();
   SIGMA_LOG_WARN << "cluster: fleet view v" << view.version << " now has "
-                 << view.nodes.size() << " nodes (wired for " << wired
-                 << ") — this cluster keeps its node map until restarted";
+                 << view.nodes.size()
+                 << " nodes — this cluster keeps its node map until restarted";
 }
 
 std::optional<service::FleetView> Cluster::fleet_view() const {

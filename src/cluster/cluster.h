@@ -65,12 +65,6 @@ struct TransportConfig {
   std::size_t service_threads = 0;
   /// Per-RPC timeout, milliseconds.
   std::uint32_t rpc_timeout_ms = 30000;
-  /// Scatter-gather probe plane: issue each routing decision's probe
-  /// round as one batch — all RPCs in flight together in message modes
-  /// (~1 round-trip per decision instead of one per node). Disable to
-  /// fall back to the sequential one-blocking-call-per-node path (kept
-  /// for equivalence testing; reports are bit-identical at depth 1).
-  bool batched_probes = true;
   /// kTcp only: the node map — one entry per remote node service, in node
   /// id order (cluster node i is tcp_nodes[i]). num_nodes must match
   /// tcp_nodes.size(). See net::parse_tcp_nodes for "host:port[:endpoint]"
@@ -91,9 +85,6 @@ struct TransportConfig {
   /// serving from the view cached here at construction.
   std::optional<net::TcpAddress> registry;
   std::uint32_t registry_timeout_ms = 5000;
-  /// Endpoint ids to lease. One covers the cluster's single RpcEndpoint;
-  /// the default leaves slack for future per-stream endpoints.
-  std::uint32_t registry_lease_endpoints = 16;
 };
 
 struct ClusterConfig {
@@ -109,15 +100,11 @@ struct ClusterConfig {
   /// std::to_string(i)); }` for durable on-disk containers. Ignored in
   /// kTcp mode, where the daemons own their backends.
   std::function<std::unique_ptr<StorageBackend>(NodeId)> backend_factory;
-  /// Extreme Binning deduplicates a file only against its bin (the
-  /// published design). Disable to give EB exact per-node dedup (used as
-  /// an ablation upper bound).
-  bool eb_bin_dedup = true;
   /// Metrics plane (must outlive the cluster). Instruments the whole
-  /// client-side stack — routing decisions (latency histogram,
-  /// batched/sequential counters, probe-message volume), the transport
-  /// and RPC endpoint and, in direct and loopback modes, the local nodes,
-  /// their backends and node services. Null = a private registry.
+  /// client-side stack — routing decisions (latency histogram, probe
+  /// rounds and probe-message volume), the transport and RPC endpoint
+  /// and, in direct and loopback modes, the local nodes, their backends
+  /// and node services. Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
 
@@ -170,9 +157,8 @@ class Cluster {
   bool transport_backed() const { return runtime_ != nullptr; }
 
   /// The scatter-gather probe plane routing decisions run against: the
-  /// nodes themselves in direct mode, RPC stubs in message mode (batched
-  /// pending calls, or sequential per-node calls when batched_probes is
-  /// off).
+  /// nodes themselves in direct mode, RPC stubs in message mode (one fused
+  /// routing probe per candidate, all in flight together).
   const ProbeSet& probe_set() const { return *probe_plane_; }
 
   /// Wire-level traffic counters (all zero in direct mode). Distinct from
@@ -238,8 +224,7 @@ class Cluster {
  private:
   void backup_super_chunk_stream(const TraceBackup& backup, StreamId stream)
       SIGMA_REQUIRES(route_mu_);
-  void backup_files_extreme_binning(const TraceBackup& backup,
-                                    StreamId stream)
+  void backup_files_extreme_binning(const TraceBackup& backup)
       SIGMA_REQUIRES(route_mu_);
   void backup_chunk_dht(const TraceBackup& backup, StreamId stream)
       SIGMA_REQUIRES(route_mu_);
@@ -272,21 +257,18 @@ class Cluster {
   /// null in direct mode. Defined in cluster.cc.
   struct TransportRuntime;
   std::unique_ptr<TransportRuntime> runtime_;
-  /// Per-node probe views: the nodes themselves in direct mode, RPC
-  /// stubs in message mode. Fixed at construction.
+  /// Direct mode's per-node probe views (the nodes themselves); empty in
+  /// message mode. Fixed at construction.
   std::vector<const NodeProbe*> views_;
-  /// The scatter-gather plane route_unit() hands the router — built over
-  /// the client stubs (batched pending calls) in message mode, over
-  /// views_ otherwise. Fixed at construction.
+  /// The scatter-gather plane route_unit() hands the router — a
+  /// ClientProbeSet over the client stubs in message mode, a
+  /// DirectProbeSet over views_ in direct mode. Fixed at construction.
   std::unique_ptr<ProbeSet> probe_plane_;
 
-  /// Routing instruments. Batched and sequential decisions are separate
-  /// series, so an A/B of the scatter-gather plane shows up in one
-  /// merged scrape.
+  /// Routing instruments (the histogram's count is the decision count).
   obs::Histogram& route_us_;
   obs::Counter& route_probe_rounds_;
   obs::Counter& route_probe_msgs_;
-  obs::Counter& route_decisions_;
 
   // Extreme Binning bin store: per node, representative-fingerprint ->
   // the bin's chunk fingerprints. Approximate dedup happens against the

@@ -4,10 +4,6 @@ namespace sigma::net {
 
 const char* to_string(MessageType type) {
   switch (type) {
-    case MessageType::kResemblanceProbe:
-      return "ResemblanceProbe";
-    case MessageType::kChunkProbe:
-      return "ChunkProbe";
     case MessageType::kDuplicateTest:
       return "DuplicateTest";
     case MessageType::kWriteSuperChunk:

@@ -20,8 +20,6 @@ using EndpointId = std::uint32_t;
 
 /// The wire operations of the node service protocol.
 enum class MessageType : std::uint8_t {
-  kResemblanceProbe,  // handprint -> match count (Algorithm 1 step 2)
-  kChunkProbe,        // sampled fingerprints -> match count (EMC stateful)
   kDuplicateTest,     // chunk fingerprints -> present/absent bitmap
   kWriteSuperChunk,   // chunks (+ unique payloads) -> write result
   kReadChunk,         // fingerprint -> payload (restore path)
@@ -65,7 +63,7 @@ inline constexpr std::uint8_t kMaxMessageKind =
     static_cast<std::uint8_t>(MessageKind::kError);
 
 struct Message {
-  MessageType type = MessageType::kResemblanceProbe;
+  MessageType type = MessageType::kDuplicateTest;
   MessageKind kind = MessageKind::kRequest;
   std::uint64_t correlation_id = 0;
   EndpointId src = 0;

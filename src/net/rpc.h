@@ -70,7 +70,7 @@ class PendingCall {
     bool error SIGMA_GUARDED_BY(mu) = false;
     Buffer body SIGMA_GUARDED_BY(mu);
     std::string error_text SIGMA_GUARDED_BY(mu);
-    MessageType type = MessageType::kResemblanceProbe;  // set before send
+    MessageType type = MessageType::kDuplicateTest;  // set before send
     std::uint64_t correlation_id = 0;                   // set before send
     /// The call's span (child of the caller's current context), stamped
     /// onto the request; the span is recorded when the response settles.

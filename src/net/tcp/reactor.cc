@@ -1,12 +1,9 @@
 #include "net/tcp/reactor.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#endif
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -40,34 +37,30 @@ std::int64_t steady_now_us() {
       .count();
 }
 
-bool want_epoll(const TcpTransportConfig& config) {
-#ifdef __linux__
-  return !config.force_poll;
-#else
-  (void)config;
-  return false;
-#endif
-}
-
-/// The fd events a connection wants, given its state machine position
-/// (POLLIN/POLLOUT bits; the epoll loop translates).
-short desired_events(const TcpConn& conn) {
+/// The epoll events a connection wants, given its state machine position.
+std::uint32_t desired_events(const TcpConn& conn) {
   switch (conn.state) {
     case TcpConn::State::kConnecting:
-      return POLLOUT;
+      return EPOLLOUT;
     case TcpConn::State::kHello:
-      return static_cast<short>(
-          POLLIN |
-          (conn.hello_sent < conn.hello_out.size() ? POLLOUT : 0));
+      return EPOLLIN |
+             (conn.hello_sent < conn.hello_out.size() ? EPOLLOUT : 0u);
     case TcpConn::State::kEstablished:
-      return static_cast<short>(
-          POLLIN | (conn.hello_sent < conn.hello_out.size() ||
-                            !conn.outbox.empty()
-                        ? POLLOUT
-                        : 0));
+      return EPOLLIN | (conn.hello_sent < conn.hello_out.size() ||
+                                !conn.outbox.empty()
+                            ? EPOLLOUT
+                            : 0u);
     default:
       return 0;
   }
+}
+
+/// Add `fd` to `epfd`'s interest set for EPOLLIN.
+void epoll_add_readable(int epfd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  (void)::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev);
 }
 
 }  // namespace
@@ -135,21 +128,15 @@ Reactor::Reactor(ReactorHost& host, const TcpTransportConfig& config,
                                       ".bytes_received")),
       wakeups_(
           metrics.counter("transport.reactor" + index_str_ + ".wakeups")),
-      use_epoll_(want_epoll(config)) {
-#ifdef __linux__
-  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (efd >= 0) wake_read_ = SocketFd(efd);
-#endif
-  if (!wake_read_.valid()) {
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      throw SocketError(std::string("pipe: ") + std::strerror(errno));
-    }
-    wake_read_ = SocketFd(fds[0]);
-    wake_write_ = SocketFd(fds[1]);
-    set_nonblocking(wake_read_.get());
-    set_nonblocking(wake_write_.get());
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (!wake_fd_.valid()) {
+    throw SocketError(std::string("eventfd: ") + std::strerror(errno));
   }
+  epoll_fd_ = SocketFd(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) {
+    throw SocketError(std::string("epoll_create1: ") + std::strerror(errno));
+  }
+  epoll_add_readable(epoll_fd_.get(), wake_fd_.get());
 }
 
 Reactor::~Reactor() {
@@ -181,24 +168,13 @@ bool Reactor::on_reactor_thread() { return t_on_reactor_thread; }
 void Reactor::wake() {
   counters_.wakeups.inc();
   wakeups_.inc();
-  if (wake_write_.valid()) {
-    const char byte = 1;
-    (void)!::write(wake_write_.get(), &byte, 1);  // pipe full = loop awake
-  } else {
-    const std::uint64_t one = 1;
-    (void)!::write(wake_read_.get(), &one, sizeof(one));
-  }
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_.get(), &one, sizeof(one));
 }
 
 void Reactor::drain_wake_fd() {
-  if (wake_write_.valid()) {
-    char buf[256];
-    while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
-    }
-  } else {
-    std::uint64_t v;
-    (void)!::read(wake_read_.get(), &v, sizeof(v));  // resets the counter
-  }
+  std::uint64_t v;
+  (void)!::read(wake_fd_.get(), &v, sizeof(v));  // resets the counter
 }
 
 // ---- Producer API ----------------------------------------------------------
@@ -290,17 +266,6 @@ void Reactor::adopt_inbound(ConnPtr conn) {
 
 // ---- Event loop ------------------------------------------------------------
 
-void Reactor::loop() {
-  t_on_reactor_thread = true;
-#ifdef __linux__
-  if (use_epoll_) {
-    loop_epoll();
-    return;
-  }
-#endif
-  loop_poll();
-}
-
 int Reactor::prepare_iteration(std::vector<ConnPtr>& to_dial,
                                std::vector<ConnPtr>& to_fail) {
   int timeout_ms = 200;
@@ -361,65 +326,9 @@ int Reactor::prepare_iteration(std::vector<ConnPtr>& to_dial,
   return timeout_ms;
 }
 
-void Reactor::loop_poll() {
-  std::vector<pollfd> pfds;
-  std::vector<ConnPtr> polled;  // parallel to pfds entries past the fixed ones
-
-  while (true) {
-    std::vector<ConnPtr> to_dial;
-    std::vector<ConnPtr> to_fail;
-    const int timeout_ms = prepare_iteration(to_dial, to_fail);
-    if (timeout_ms < 0) return;
-
-    for (const auto& conn : to_fail) {
-      close_conn(conn, "write stalled past backpressure timeout");
-    }
-    for (const auto& conn : to_dial) loop_dial(conn);
-
-    // Outside mu_: the route directory ranks below the shard mutex.
-    host_.sweep_stale_routes();
-
-    pfds.clear();
-    polled.clear();
-    pfds.push_back({wake_read_.get(), POLLIN, 0});
-    if (listen_fd_ >= 0) pfds.push_back({listen_fd_, POLLIN, 0});
-    {
-      MutexLock lock(mu_);
-      auto add_conn = [&](const ConnPtr& conn) {
-        if (!conn->fd.valid()) return;
-        const short events = desired_events(*conn);
-        if (events == 0) return;
-        pfds.push_back({conn->fd.get(), events, 0});
-        polled.push_back(conn);
-      };
-      for (auto& [key, conn] : outbound_) add_conn(conn);
-      for (auto& conn : inbound_) add_conn(conn);
-    }
-
-    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (rc < 0) continue;  // EINTR or transient failure: rebuild and retry
-
-    std::size_t idx = 0;
-    if (pfds[idx].revents & POLLIN) drain_wake_fd();
-    ++idx;
-    if (listen_fd_ >= 0) {
-      if (pfds[idx].revents & POLLIN) loop_accept();
-      ++idx;
-    }
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      handle_conn_events(polled[i], pfds[idx + i].revents);
-    }
-  }
-}
-
-#ifdef __linux__
-
 void Reactor::epoll_update(const ConnPtr& conn) {
   if (!conn->fd.valid()) return;
-  const short want = desired_events(*conn);
-  int events = 0;
-  if (want & POLLIN) events |= EPOLLIN;
-  if (want & POLLOUT) events |= EPOLLOUT;
+  const int events = static_cast<int>(desired_events(*conn));
   if (events == conn->epoll_events) return;
   epoll_event ev{};
   ev.events = static_cast<std::uint32_t>(events);
@@ -442,22 +351,9 @@ void Reactor::epoll_update(const ConnPtr& conn) {
   }
 }
 
-void Reactor::loop_epoll() {
-  epoll_fd_ = SocketFd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_fd_.valid()) {
-    SIGMA_LOG_WARN << "tcp: epoll_create1 failed (" << std::strerror(errno)
-                   << "), reactor " << index_ << " falling back to poll()";
-    loop_poll();
-    return;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_read_.get();
-  (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev);
-  if (listen_fd_ >= 0) {
-    ev.data.fd = listen_fd_;
-    (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, listen_fd_, &ev);
-  }
+void Reactor::loop() {
+  t_on_reactor_thread = true;
+  if (listen_fd_ >= 0) epoll_add_readable(epoll_fd_.get(), listen_fd_);
 
   std::array<epoll_event, 256> events;
   while (true) {
@@ -491,7 +387,7 @@ void Reactor::loop_epoll() {
     for (int i = 0; i < rc; ++i) {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
       const std::uint32_t e = events[static_cast<std::size_t>(i)].events;
-      if (fd == wake_read_.get()) {
+      if (fd == wake_fd_.get()) {
         drain_wake_fd();
         continue;
       }
@@ -502,45 +398,34 @@ void Reactor::loop_epoll() {
       const auto it = by_fd_.find(fd);
       if (it == by_fd_.end()) continue;  // closed earlier in this batch
       const ConnPtr conn = it->second;   // copy: a close erases the entry
-      short revents = 0;
-      if (e & EPOLLIN) revents |= POLLIN;
-      if (e & EPOLLOUT) revents |= POLLOUT;
-      if (e & EPOLLERR) revents |= POLLERR;
-      if (e & EPOLLHUP) revents |= POLLHUP;
-      handle_conn_events(conn, revents);
+      handle_conn_events(conn, e);
     }
   }
 }
 
-#endif  // __linux__
-
 void Reactor::forget_fd(const ConnPtr& conn) {
-#ifdef __linux__
-  if (use_epoll_ && conn->epoll_events >= 0 && conn->fd.valid()) {
+  if (conn->epoll_events >= 0 && conn->fd.valid()) {
     (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, conn->fd.get(),
                       nullptr);
     by_fd_.erase(conn->fd.get());
   }
   conn->epoll_events = -1;
-#else
-  (void)conn;
-#endif
 }
 
-void Reactor::handle_conn_events(const ConnPtr& conn, short revents) {
-  if (revents == 0 || !conn->fd.valid()) return;
+void Reactor::handle_conn_events(const ConnPtr& conn, std::uint32_t events) {
+  if (events == 0 || !conn->fd.valid()) return;
   if (conn->state == TcpConn::State::kConnecting) {
-    if (revents & (POLLOUT | POLLERR | POLLHUP)) loop_connect_ready(conn);
+    if (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) loop_connect_ready(conn);
     return;
   }
-  if (revents & (POLLERR | POLLHUP)) {
+  if (events & (EPOLLERR | EPOLLHUP)) {
     // Flush what the peer sent before it hung up, then close.
-    if (revents & POLLIN) loop_readable(conn);
+    if (events & EPOLLIN) loop_readable(conn);
     if (conn->fd.valid()) close_conn(conn, "connection reset");
     return;
   }
-  if (revents & POLLOUT) loop_writable(conn);
-  if ((revents & POLLIN) && conn->fd.valid()) loop_readable(conn);
+  if (events & EPOLLOUT) loop_writable(conn);
+  if ((events & EPOLLIN) && conn->fd.valid()) loop_readable(conn);
 }
 
 void Reactor::loop_accept() {

@@ -1,9 +1,8 @@
 // One shard of the TCP transport's event plane: a Reactor is a single
-// thread owning one epoll instance (Linux; a portable poll() loop is the
-// compile- and runtime-selectable fallback), its own wakeup descriptor
-// (eventfd on Linux, a self-pipe elsewhere), and a private connection
-// table. Connections are partitioned across reactors by peer hash when
-// they are dialed or accepted and never migrate, so each reactor runs the
+// thread owning one epoll instance, its own eventfd wakeup, and a private
+// connection table (Linux only: epoll and eventfd are required).
+// Connections are partitioned across reactors by peer hash when they are
+// dialed or accepted and never migrate, so each reactor runs the
 // original single-threaded frame/handshake/backpressure state machines
 // unchanged — the sharding layer (TcpTransport) only multiplies them.
 //
@@ -203,6 +202,8 @@ class Reactor {
   /// instruments) must outlive the reactor. The loop thread is not
   /// started until start() — construct every shard first, so the accept
   /// handoff can target any of them from the first event on.
+  /// Throws SocketError when the eventfd or the epoll instance cannot be
+  /// created (e.g. the descriptor limit is reached).
   Reactor(ReactorHost& host, const TcpTransportConfig& config,
           std::size_t index, obs::Registry& metrics, TcpCounters& counters);
   ~Reactor();
@@ -265,24 +266,21 @@ class Reactor {
   void loop();
   /// One pass over shared state at the top of a loop iteration: adopt
   /// pending inbound conns, reap dead ones, sweep stale request tracking,
-  /// collect stalled conns and due dials. Returns the poll timeout in ms.
+  /// collect stalled conns and due dials. Returns the epoll_wait timeout
+  /// in ms, or -1 once stop was requested.
   int prepare_iteration(std::vector<ConnPtr>& to_dial,
                         std::vector<ConnPtr>& to_fail);
-  void loop_poll();
-#ifdef __linux__
-  void loop_epoll();
   /// Reconcile one connection's epoll registration with its desired
   /// interest set (loop thread; mu_ held for the interest computation).
   void epoll_update(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
-#endif
   void loop_accept();
   void loop_dial(const ConnPtr& conn);
   void loop_connect_ready(const ConnPtr& conn);
   void loop_readable(const ConnPtr& conn);
   void loop_writable(const ConnPtr& conn);
   void loop_dispatch(const ConnPtr& conn, Message&& m);
-  /// Handle one connection's poll/epoll events (POLLIN/POLLOUT/ERR/HUP).
-  void handle_conn_events(const ConnPtr& conn, short revents);
+  /// Handle one connection's epoll events (EPOLLIN/OUT/ERR/HUP).
+  void handle_conn_events(const ConnPtr& conn, std::uint32_t events);
   /// Tear down a connection: bounce requests awaiting responses, drop the
   /// queue, forget learned routes. Outbound conns return to kIdle (a
   /// later send re-dials); inbound conns are reaped.
@@ -305,7 +303,6 @@ class Reactor {
   obs::Counter& frames_;          // transport.reactor<i>.frames
   obs::Counter& bytes_received_;  // transport.reactor<i>.bytes_received
   obs::Counter& wakeups_;         // transport.reactor<i>.wakeups
-  const bool use_epoll_;
 
   mutable Mutex mu_{LockRank::kTransport};
   CondVar write_cv_;  // backpressured producers wait here
@@ -322,19 +319,13 @@ class Reactor {
 
   int listen_fd_ = -1;  // borrowed from the transport (reactor 0 only)
 
-  // Wakeup: a single eventfd on Linux, a self-pipe pair elsewhere (the
-  // pipe's read end doubles as the polled fd).
-  SocketFd wake_read_;
-  SocketFd wake_write_;  // invalid when wake_read_ is an eventfd
-
-#ifdef __linux__
-  SocketFd epoll_fd_;
+  SocketFd wake_fd_;   // eventfd: producers poke the loop
+  SocketFd epoll_fd_;  // watches wake_fd_, the listener and every conn
   /// Registered fds -> connection, loop-thread-only. New fds are only
   /// registered at the top of an iteration (adopted accepts, fresh
   /// dials), never while an event batch is being processed, so a stale
   /// event can never alias a recycled fd number.
   std::unordered_map<int, ConnPtr> by_fd_;
-#endif
 
   std::thread thread_;
 };

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -42,11 +41,6 @@ std::size_t resolve_reactor_count(const TcpTransportConfig& config) {
     n = std::min<std::uint32_t>(hw == 0 ? 1 : hw, 4);
   }
   return std::clamp<std::uint32_t>(n, 1, 64);
-}
-
-bool env_force_poll() {
-  const char* v = std::getenv("SIGMA_TCP_FORCE_POLL");
-  return v != nullptr && v[0] == '1';
 }
 
 }  // namespace
@@ -99,7 +93,6 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
       next_id_(config_.endpoint_base),
       metrics_(config_.metrics),
       counters_(*metrics_) {
-  if (env_force_poll()) config_.force_poll = true;
   if (config_.listen) {
     listen_fd_ = tcp_listen(*config_.listen);
     listen_port_ = bound_port(listen_fd_.get());

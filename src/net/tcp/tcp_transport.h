@@ -2,12 +2,12 @@
 // processes, same Message semantics as the loopback.
 //
 // The event plane is SHARDED. The transport owns N Reactors (see
-// net/tcp/reactor.h) — each a thread with its own epoll instance (Linux;
-// poll() fallback elsewhere or under force_poll), its own eventfd wakeup
-// and a private connection table. Connections are partitioned by peer
-// hash — outbound by dial address at first send, inbound by peer address
-// at accept — and never migrate between shards, so each reactor runs the
-// original single-loop state machines against a strictly private fd set:
+// net/tcp/reactor.h) — each a thread with its own epoll instance, its own
+// eventfd wakeup and a private connection table. Connections are
+// partitioned by peer hash — outbound by dial address at first send,
+// inbound by peer address at accept — and never migrate between shards,
+// so each reactor runs the original single-loop state machines against a
+// strictly private fd set:
 //
 //            ┌ reactor 0 ── epoll ── conns {a, d, ...}   (+ listener)
 //   send() ──┤ reactor 1 ── epoll ── conns {b, ...}
@@ -88,11 +88,6 @@ struct TcpTransportConfig {
   /// 1. Clamped to 64. Each shard is one thread + one epoll instance;
   /// connections are hash-partitioned across them and never migrate.
   std::uint32_t reactors = 0;
-
-  /// Use the portable poll() loop even where epoll is available (mainly
-  /// for testing the fallback; SIGMA_TCP_FORCE_POLL=1 in the environment
-  /// has the same effect).
-  bool force_poll = false;
 
   /// Largest acceptable frame body. Frames above this are a protocol
   /// error (connection dropped) — bounds memory against corrupt peers.
@@ -202,7 +197,8 @@ struct TcpCounters {
 class TcpTransport final : public Transport, private ReactorHost {
  public:
   /// Binds the listener (when configured) and starts every reactor.
-  /// Throws SocketError if the listen address cannot be bound.
+  /// Throws SocketError if the listen address cannot be bound or a
+  /// reactor's eventfd or epoll instance cannot be created.
   explicit TcpTransport(TcpTransportConfig config);
 
   /// Stops every reactor, closes every connection, unblocks senders.

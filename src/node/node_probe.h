@@ -2,18 +2,16 @@
 // that data-routing schemes query before placing a routing unit (paper
 // Algorithm 1 step 2 and the EMC stateful sampled probe).
 //
-// Routers program against these interfaces instead of concrete nodes so
-// the same routing code runs in both deployment modes: the direct-call
-// simulator (DedupNode implements NodeProbe in-process) and the
-// message-passing service stack (service::NodeClient implements it with
-// RPCs over a Transport). Probe *message* accounting stays in the routing
-// layer (RouteContext), so Fig. 7's metric is identical in both modes.
-//
-// NodeProbe is the per-node query surface; ProbeSet is the scatter-gather
-// probe plane on top of it: one gather() issues every per-node query of a
-// routing decision at once, so a transport-backed implementation can put
-// all probes in flight together (~1 round-trip per decision) instead of
-// paying one blocking round-trip per node.
+// Routers program against ProbeSet instead of concrete nodes so the same
+// routing code runs in both deployment modes. ProbeSet is the
+// scatter-gather probe plane: one gather() issues every per-node query of
+// a routing decision at once. The direct-call simulator answers it from
+// in-process nodes (DirectProbeSet over NodeProbe, which DedupNode
+// implements); the message-passing stack puts one fused kRoutingProbe
+// RPC per candidate in flight together (service::ClientProbeSet), ~1
+// round-trip per decision. Probe *message* accounting stays in the
+// routing layer (RouteContext), so Fig. 7's metric is identical in both
+// modes.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // In-process implementation of the scatter-gather probe plane: answers a
 // probe round by calling the nodes' NodeProbe virtuals in turn, in the
-// caller's thread — the exact call sequence of the pre-probe-plane
-// routers, kept as the equivalence baseline.
+// caller's thread. It is direct mode's probe plane and the reference the
+// message-mode identity tests compare ClientProbeSet against.
 #pragma once
 
 #include <span>

@@ -45,7 +45,7 @@ class Router {
                        const ProbeSet& probes, RouteContext& ctx) = 0;
 
   /// Convenience adapter: route against bare per-node probe views through
-  /// a sequential DirectProbeSet (tests, tools, one-off callers).
+  /// an in-thread DirectProbeSet (tests, tools, one-off callers).
   NodeId route(const std::vector<ChunkRecord>& unit,
                std::span<const NodeProbe* const> nodes, RouteContext& ctx);
 };

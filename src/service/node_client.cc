@@ -13,22 +13,6 @@ NodeClient::NodeClient(net::RpcEndpoint& rpc, net::EndpointId service,
                        std::chrono::milliseconds timeout)
     : rpc_(rpc), service_(service), timeout_(timeout) {}
 
-std::size_t NodeClient::resemblance_count(const Handprint& handprint) const {
-  const Buffer response = rpc_.call_sync(
-      service_, MessageType::kResemblanceProbe,
-      encode_fingerprints(handprint), timeout_);
-  return static_cast<std::size_t>(
-      decode_u64(ByteView{response.data(), response.size()}));
-}
-
-std::size_t NodeClient::chunk_match_count(
-    const std::vector<Fingerprint>& fps) const {
-  const Buffer response = rpc_.call_sync(service_, MessageType::kChunkProbe,
-                                         encode_fingerprints(fps), timeout_);
-  return static_cast<std::size_t>(
-      decode_u64(ByteView{response.data(), response.size()}));
-}
-
 std::uint64_t NodeClient::stored_bytes() const {
   const Buffer response = stored_bytes_async().get(timeout_);
   return decode_u64(ByteView{response.data(), response.size()});

@@ -1,7 +1,7 @@
-// Client-side stub for one remote deduplication node. Implements the
-// NodeProbe interface over RPC — so every routing scheme runs unmodified
-// against remote nodes — plus the write, read and flush operations the
-// cluster and backup client need.
+// Client-side stub for one remote deduplication node: the fused routing
+// probe that ClientProbeSet scatters across the fleet (so every routing
+// scheme runs unmodified against remote nodes), plus the write, read and
+// flush operations the cluster and backup client need.
 //
 // Writes are the pipelining primitive: `write_super_chunk_async` performs
 // the batched duplicate-test (payload mode only, so duplicate bytes never
@@ -22,19 +22,16 @@
 
 namespace sigma::service {
 
-class NodeClient : public NodeProbe {
+class NodeClient {
  public:
   /// `rpc` is the shared client endpoint, `service` the node's transport
   /// address. Both must outlive the stub.
   NodeClient(net::RpcEndpoint& rpc, net::EndpointId service,
              std::chrono::milliseconds timeout);
 
-  // ---- NodeProbe over RPC ----------------------------------------------
+  // ---- Probe plane -------------------------------------------------------
 
-  std::size_t resemblance_count(const Handprint& handprint) const override;
-  std::size_t chunk_match_count(
-      const std::vector<Fingerprint>& fps) const override;
-  std::uint64_t stored_bytes() const override;
+  std::uint64_t stored_bytes() const;
 
   /// Async stored-bytes probe (decode the result with decode_u64) — lets
   /// a fleet-wide usage snapshot cost one round-trip, not one per node.

@@ -56,8 +56,6 @@ NodeService::~NodeService() {
 
 bool NodeService::is_fast_lane(MessageType type) {
   switch (type) {
-    case MessageType::kResemblanceProbe:
-    case MessageType::kChunkProbe:
     case MessageType::kRoutingProbe:
     case MessageType::kDuplicateTest:
     case MessageType::kReadChunk:
@@ -152,16 +150,6 @@ Message NodeService::handle(const Message& request) {
   try {
     const ByteView body{request.body.data(), request.body.size()};
     switch (request.type) {
-      case MessageType::kResemblanceProbe: {
-        const auto handprint = decode_fingerprints(body);
-        return Message::response_to(
-            request, encode_u64(node_.resemblance_count(handprint)));
-      }
-      case MessageType::kChunkProbe: {
-        const auto fps = decode_fingerprints(body);
-        return Message::response_to(
-            request, encode_u64(node_.chunk_match_count(fps)));
-      }
       case MessageType::kRoutingProbe: {
         const auto req = decode_routing_probe_request(body);
         RoutingProbeReply reply;

@@ -1,11 +1,11 @@
-// Transport-backed implementation of the scatter-gather probe plane: a
-// probe round against N nodes is issued as pending RPCs all at once —
-// one fused routing probe (match count + stored bytes) per candidate,
-// one stored-bytes call per remaining node — and drained together. The
-// round completes in roughly one network round-trip regardless of the
-// candidate count, instead of the 2N+ sequential round-trips the
-// per-node NodeProbe path costs; over TCP the transport's in-flight
-// request tracking fails the whole round fast if a daemon dies.
+// Transport-backed implementation of the scatter-gather probe plane, and
+// the only one message modes use: a probe round against N nodes is
+// issued as pending RPCs all at once — one fused routing probe (match
+// count + stored bytes) per candidate, one stored-bytes call per
+// remaining node — and drained together. The round completes in roughly
+// one network round-trip regardless of the candidate count; over TCP the
+// transport's in-flight request tracking fails the whole round fast if a
+// daemon dies.
 #pragma once
 
 #include <chrono>

@@ -317,7 +317,8 @@ TEST(NodeServiceTortureTest, FastLaneProbesOvertakeWriteBacklogSafely) {
         Handprint hp;
         hp.push_back(Fingerprint::from_uint64(
             mix64(static_cast<std::uint64_t>(p) * 7919 + ++q)));
-        (void)client.resemblance_count(hp);
+        (void)client.routing_probe_async(ProbeKind::kResemblance, hp)
+            .get(30s);
         (void)client.stored_bytes();
         probes_answered.fetch_add(1);
       }

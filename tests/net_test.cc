@@ -324,7 +324,7 @@ TEST(RpcTest, EchoRoundTrip) {
   RpcEndpoint rpc(transport);
 
   Buffer body{1, 2, 3, 4};
-  const Buffer reply = rpc.call_sync(echo.id(), MessageType::kChunkProbe,
+  const Buffer reply = rpc.call_sync(echo.id(), MessageType::kDuplicateTest,
                                      Buffer(body), 1000ms);
   EXPECT_EQ(reply, body);
   EXPECT_EQ(rpc.pending_count(), 0u);
@@ -338,7 +338,7 @@ TEST(RpcTest, BatchedAsyncCallsAllComplete) {
   std::vector<PendingCall> calls;
   for (std::uint8_t i = 0; i < 32; ++i) {
     calls.push_back(
-        rpc.call(echo.id(), MessageType::kChunkProbe, Buffer{i}));
+        rpc.call(echo.id(), MessageType::kDuplicateTest, Buffer{i}));
   }
   const auto results = RpcEndpoint::wait_all(calls, 1000ms);
   ASSERT_EQ(results.size(), 32u);
@@ -366,7 +366,7 @@ TEST(RpcTest, CorrelationUnderConcurrentClients) {
         w.u32(static_cast<std::uint32_t>(t * 1000000 + i));
         const Buffer body = w.take();
         const Buffer reply = rpc.call_sync(
-            echo.id(), MessageType::kChunkProbe, Buffer(body), 5000ms);
+            echo.id(), MessageType::kDuplicateTest, Buffer(body), 5000ms);
         if (reply != body) ++mismatches;
       }
     });

@@ -204,19 +204,8 @@ TEST_F(ServiceFixture, FusedRoutingProbeMatchesDirectCalls) {
 }
 
 TEST_F(ServiceFixture, ProbesMatchDirectCalls) {
-  const SuperChunk sc = make_super_chunk(0, 64);
-  node_.write_super_chunk(0, sc);
-
-  const Handprint hp = compute_handprint(sc.chunks, 8);
-  EXPECT_EQ(client_.resemblance_count(hp), node_.resemblance_count(hp));
-  EXPECT_GT(client_.resemblance_count(hp), 0u);
-
-  std::vector<Fingerprint> fps;
-  for (const auto& c : sc.chunks) fps.push_back(c.fp);
-  fps.push_back(rec(777777).fp);  // one absent
-  EXPECT_EQ(client_.chunk_match_count(fps), node_.chunk_match_count(fps));
-  EXPECT_EQ(client_.chunk_match_count(fps), 64u);
-
+  // Match counts over the wire are covered by the fused-probe test above.
+  node_.write_super_chunk(0, make_super_chunk(0, 64));
   EXPECT_EQ(client_.stored_bytes(), node_.stored_bytes());
 }
 
@@ -323,7 +312,7 @@ TEST_F(ServiceFixture, MalformedRequestYieldsErrorNotCrash) {
 
 TEST_F(ServiceFixture, GarbageBodyYieldsErrorNotCrash) {
   EXPECT_THROW(rpc_.call_sync(service_.endpoint(),
-                              net::MessageType::kResemblanceProbe,
+                              net::MessageType::kRoutingProbe,
                               Buffer{0xFF, 0xFF}, 5000ms),
                net::RpcError);
   EXPECT_EQ(client_.stored_bytes(), 0u);
@@ -335,8 +324,10 @@ TEST_F(ServiceFixture, RequestsAreClassifiedIntoLanes) {
   client_.write_super_chunk(0, make_super_chunk(0, 8));  // write lane
   client_.stored_bytes();                                // fast lane
   client_.test_duplicates({rec(1).fp});                  // fast lane
-  client_.resemblance_count(compute_handprint(
-      make_super_chunk(0, 8).chunks, 4));                // fast lane
+  client_
+      .routing_probe_async(ProbeKind::kResemblance,
+                           compute_handprint(make_super_chunk(0, 8).chunks, 4))
+      .get(5000ms);                                      // fast lane
   client_.flush();                                       // write lane
 
   const auto stats = service_.stats();

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -109,11 +108,7 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   // Real sockets must reproduce the direct-call report bit-identically,
   // Fig. 7 probe counts included — at every reactor-shard count: sharding
   // the event plane repartitions connections across threads but must
-  // never reorder, drop or duplicate a frame within one connection. At 1
-  // reactor both probe modes are exercised — batched scatter-gather (the
-  // default: all probe RPCs of a routing decision in flight together) and
-  // the sequential per-node fallback; the sharded counts keep the
-  // default.
+  // never reorder, drop or duplicate a frame within one connection.
   const auto [scheme, reactors] = GetParam();
   const Dataset trace = small_linux_trace();
 
@@ -122,32 +117,25 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   direct.flush();
   const auto d = direct.report();
 
-  const std::vector<bool> probe_modes =
-      reactors == 1 ? std::vector<bool>{true, false}
-                    : std::vector<bool>{true};
-  for (const bool batched : probe_modes) {
-    TcpFleet fleet(2, 2, reactors);  // fresh daemons: node state is remote
-    ClusterConfig cfg = tcp_config(scheme, fleet);
-    cfg.transport.batched_probes = batched;
-    Cluster over_tcp(cfg);
-    over_tcp.backup_dataset(trace);
-    over_tcp.flush();
+  TcpFleet fleet(2, 2, reactors);
+  Cluster over_tcp(tcp_config(scheme, fleet));
+  over_tcp.backup_dataset(trace);
+  over_tcp.flush();
 
-    EXPECT_TRUE(over_tcp.transport_backed());
+  EXPECT_TRUE(over_tcp.transport_backed());
 
-    const auto t = over_tcp.report();
-    EXPECT_EQ(d.logical_bytes, t.logical_bytes);
-    EXPECT_EQ(d.physical_bytes, t.physical_bytes);
-    EXPECT_EQ(d.node_usage, t.node_usage);
-    EXPECT_EQ(d.messages.pre_routing, t.messages.pre_routing);
-    EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
-    EXPECT_DOUBLE_EQ(d.dedup_ratio(), t.dedup_ratio());
+  const auto t = over_tcp.report();
+  EXPECT_EQ(d.logical_bytes, t.logical_bytes);
+  EXPECT_EQ(d.physical_bytes, t.physical_bytes);
+  EXPECT_EQ(d.node_usage, t.node_usage);
+  EXPECT_EQ(d.messages.pre_routing, t.messages.pre_routing);
+  EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
+  EXPECT_DOUBLE_EQ(d.dedup_ratio(), t.dedup_ratio());
 
-    // The traffic really crossed sockets.
-    const auto net = over_tcp.net_stats();
-    EXPECT_GT(net.messages_sent, 0u);
-    EXPECT_GT(net.bytes_sent, 0u);
-  }
+  // The traffic really crossed sockets.
+  const auto net = over_tcp.net_stats();
+  EXPECT_GT(net.messages_sent, 0u);
+  EXPECT_GT(net.bytes_sent, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -238,33 +226,6 @@ TEST(TcpClusterTest, KilledDaemonSurfacesAsErrorNotHang) {
   // Connection refused is bounced after the dial retry budget — well
   // inside the 15 s RPC timeout, nowhere near a hang.
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
-}
-
-TEST(TcpClusterTest, ForcedPollFallbackMatchesDirectReport) {
-  // SIGMA_TCP_FORCE_POLL=1 routes every reactor through the portable
-  // poll() loop instead of epoll. The fallback must be semantically
-  // invisible: same bit-identical report, even sharded.
-  ::setenv("SIGMA_TCP_FORCE_POLL", "1", 1);
-  struct EnvGuard {
-    ~EnvGuard() { ::unsetenv("SIGMA_TCP_FORCE_POLL"); }
-  } guard;
-
-  const Dataset trace = small_linux_trace();
-  Cluster direct(direct_config(RoutingScheme::kSigma, 4));
-  direct.backup_dataset(trace);
-  direct.flush();
-  const auto d = direct.report();
-
-  TcpFleet fleet(2, 2, /*reactors=*/2);
-  Cluster over_tcp(tcp_config(RoutingScheme::kSigma, fleet));
-  over_tcp.backup_dataset(trace);
-  over_tcp.flush();
-
-  const auto t = over_tcp.report();
-  EXPECT_EQ(d.logical_bytes, t.logical_bytes);
-  EXPECT_EQ(d.physical_bytes, t.physical_bytes);
-  EXPECT_EQ(d.node_usage, t.node_usage);
-  EXPECT_GT(over_tcp.net_stats().messages_sent, 0u);
 }
 
 TEST(TcpClusterTest, ManyPeerTortureScrapesAndKills) {

@@ -5,10 +5,13 @@
 // garbage, and large-body reassembly across partial reads.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <thread>
 
 #include "net/rpc.h"
@@ -168,6 +171,42 @@ TEST(TcpAddressTest, ParsesHostPortAndNodeMaps) {
   EXPECT_EQ(nodes[1].endpoint, 105u);  // explicit
 }
 
+// --- Event-plane construction -----------------------------------------------
+
+TEST(TcpTransportTest, EpollCreateFailureThrowsFromConstruction) {
+  // A reactor needs an eventfd and an epoll instance; with no fallback
+  // loop, failing to create either must surface as a SocketError from the
+  // transport's constructor rather than kill a reactor thread. The child
+  // caps RLIMIT_NOFILE so exactly one more descriptor can be opened: the
+  // eventfd gets it and epoll_create1 hits EMFILE.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        TcpTransportConfig cfg;
+        cfg.reactors = 1;
+        // Construct once unconstrained: UBSan's vptr check opens a pipe
+        // the first time it meets a type, which the cap would refuse.
+        { TcpTransport warm_up(cfg); }
+        const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (lowest_free < 0) std::exit(2);
+        ::close(lowest_free);
+        rlimit original{};
+        if (::getrlimit(RLIMIT_NOFILE, &original) != 0) std::exit(3);
+        rlimit capped = original;
+        capped.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+        if (::setrlimit(RLIMIT_NOFILE, &capped) != 0) std::exit(4);
+        try {
+          TcpTransport client(cfg);
+        } catch (const SocketError&) {
+          // Restore the limit so the sanitizers' exit-time work can run.
+          (void)::setrlimit(RLIMIT_NOFILE, &original);
+          std::exit(0);
+        }
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 // --- Two transports over real sockets -----------------------------------------
 
 /// A server transport with an echo endpoint, plus a client transport
@@ -202,7 +241,7 @@ TEST(TcpTransportTest, EchoRoundTripOverSockets) {
   TcpPair pair;
   RpcEndpoint rpc(*pair.client);
   const Buffer body{1, 2, 3, 4, 5};
-  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kChunkProbe,
+  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kDuplicateTest,
                                      Buffer(body), 5000ms);
   EXPECT_EQ(reply, body);
   EXPECT_GT(pair.client->tcp_stats().connections_established, 0u);
@@ -237,7 +276,7 @@ TEST(TcpTransportTest, CorrelationUnderConcurrentClientThreads) {
         w.u64(static_cast<std::uint64_t>(t) * 1000003 + i);
         const Buffer body = w.take();
         const Buffer reply = rpc.call_sync(
-            pair.echo_id, MessageType::kChunkProbe, Buffer(body), 10000ms);
+            pair.echo_id, MessageType::kDuplicateTest, Buffer(body), 10000ms);
         if (reply != body) ++mismatches;
       }
     });

@@ -69,35 +69,6 @@ TEST_P(SchemeIdentity, TransportReportEqualsDirectReport) {
   EXPECT_EQ(direct.net_stats().messages_sent, 0u);
 }
 
-TEST_P(SchemeIdentity, BatchedProbesMatchSequentialProbes) {
-  // The scatter-gather probe plane must not move a single routing
-  // decision: batched probing (the default) and the sequential
-  // one-call-per-node fallback produce bit-identical reports — dedup
-  // ratio, per-node usage, Fig. 7 probe-message counts — in direct mode
-  // and in loopback message mode (concurrent pending calls vs blocking
-  // per-node RPCs).
-  const RoutingScheme scheme = GetParam();
-  const Dataset trace = small_linux_trace();
-
-  auto run = [&](TransportMode mode, bool batched) {
-    ClusterConfig cfg = cluster_config(scheme, 4, mode);
-    cfg.transport.batched_probes = batched;
-    Cluster cluster(cfg);
-    cluster.backup_dataset(trace);
-    cluster.flush();
-    return cluster.report();
-  };
-
-  const ClusterReport direct_seq = run(TransportMode::kDirect, false);
-  const ClusterReport direct_batched = run(TransportMode::kDirect, true);
-  const ClusterReport loop_seq = run(TransportMode::kLoopback, false);
-  const ClusterReport loop_batched = run(TransportMode::kLoopback, true);
-
-  expect_identical_reports(direct_seq, direct_batched);
-  expect_identical_reports(direct_seq, loop_seq);
-  expect_identical_reports(direct_seq, loop_batched);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeIdentity,
                          ::testing::Values(RoutingScheme::kSigma,
                                            RoutingScheme::kStateless,

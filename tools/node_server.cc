@@ -71,7 +71,7 @@ void handle_trace_dump(int) {
   if (!error.empty()) std::cerr << "node_server: " << error << "\n";
   std::cerr << "usage: node_server [--host H] [--port P] [--nodes N]\n"
             << "                   [--first-endpoint E] [--service-threads T]\n"
-            << "                   [--reactors R] [--force-poll]\n"
+            << "                   [--reactors R]\n"
             << "                   [--container-mb MB] [--approximate]\n"
             << "                   [--backend memory|file] [--data-dir DIR]\n"
             << "                   [--no-fsync] [--trace-sample N]\n"
@@ -86,8 +86,6 @@ void handle_trace_dump(int) {
                "node)\n"
             << "  --reactors R         transport event-loop shards (default\n"
             << "                       0 = min(hardware threads, 4))\n"
-            << "  --force-poll         use the portable poll() loop even\n"
-            << "                       where epoll is available\n"
             << "  --container-mb MB    container capacity (default 4)\n"
             << "  --approximate        similarity-index-only dedup (Fig. 5b)\n"
             << "  --backend B          node state storage (default memory);\n"
@@ -152,8 +150,6 @@ int main(int argc, char** argv) {
       config.service_threads = number(1024);
     } else if (arg == "--reactors") {
       config.reactors = static_cast<std::uint32_t>(number(64));
-    } else if (arg == "--force-poll") {
-      ::setenv("SIGMA_TCP_FORCE_POLL", "1", 1);
     } else if (arg == "--container-mb") {
       config.node.container_capacity_bytes = number(1ul << 20) << 20;
     } else if (arg == "--approximate") {
