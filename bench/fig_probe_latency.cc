@@ -1,22 +1,24 @@
 // Probe plane: mean per-super-chunk routing-decision latency for the two
 // probing schemes (Sigma and EMC stateful), one row per transport.
 //
-// Every decision is one scatter-gather probe round: in message modes one
-// fused match+usage RPC per candidate and a usage RPC per remaining node,
-// all in flight together and drained at once — ~1 round-trip per
-// decision regardless of cluster width. Direct mode answers the same
-// round from in-process nodes (DirectProbeSet), the floor the transports
-// are measured against.
+// Every decision is one scatter-gather probe round: over TCP one fused
+// match+usage RPC per candidate and a usage RPC per remaining node, all
+// in flight together and drained at once — ~1 round-trip per decision
+// regardless of cluster width. Direct mode answers the same round from
+// in-process nodes (DirectProbeSet), the floor TCP is measured against.
 //
-// Default sweep: direct mode and the loopback message transport. With
+// Default sweep: direct mode and TCP to a fresh in-process 8-node
+// server::NodeServer per scheme. With
 //   bench_fig_probe_latency --tcp host:port[:endpoint],...
 // it instead measures against node_server daemons over real sockets.
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "net/tcp/socket.h"
+#include "server/node_server.h"
 
 namespace {
 
@@ -83,14 +85,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool over_tcp = !tcp_nodes.empty();
+  const bool external_fleet = !tcp_nodes.empty();
 
   bench::print_header(
       "Probe plane: routing-decision latency",
-      over_tcp ? "one scatter-gather probe round per decision, against TCP "
-                 "node_server daemons"
-               : "one scatter-gather probe round per decision, direct and "
-                 "loopback transports (8 nodes)");
+      external_fleet
+          ? "one scatter-gather probe round per decision, against TCP "
+            "node_server daemons"
+          : "one scatter-gather probe round per decision, direct and over "
+            "TCP to an in-process node server (8 nodes)");
 
   LinuxWorkloadConfig wl = LinuxWorkloadConfig::scaled(0.2 * scale);
   wl.versions = 2;
@@ -107,31 +110,33 @@ int main(int argc, char** argv) {
   TablePrinter table(
       {"transport", "scheme", "decisions", "mean us/decision"});
 
-  auto make_config = [&](TransportMode mode) {
-    ClusterConfig cfg;
-    cfg.super_chunk_bytes = kSuperChunkBytes;
-    cfg.transport.mode = mode;
-    if (over_tcp) {
-      cfg.num_nodes = tcp_nodes.size();
-      cfg.transport.tcp_nodes = tcp_nodes;
-    } else {
-      cfg.num_nodes = 8;
-    }
-    return cfg;
-  };
-
   bench::BenchResult result;
   result.name = "fig_probe_latency";
   result.params["decisions"] = std::to_string(units.size());
   result.params["super_chunk_bytes"] = std::to_string(kSuperChunkBytes);
-  result.params["transport"] = over_tcp ? "tcp" : "local";
+  result.params["transport"] = external_fleet ? "tcp" : "local";
   result.params["nodes"] =
-      std::to_string(over_tcp ? tcp_nodes.size() : std::size_t{8});
+      std::to_string(external_fleet ? tcp_nodes.size() : std::size_t{8});
 
   auto sweep = [&](TransportMode mode, const std::string& label) {
     for (RoutingScheme scheme : schemes) {
-      ClusterConfig cfg = make_config(mode);
+      // Declared before the cluster, so the fleet outlives its client.
+      std::optional<server::NodeServer> fleet;
+      ClusterConfig cfg;
       cfg.scheme = scheme;
+      cfg.super_chunk_bytes = kSuperChunkBytes;
+      cfg.num_nodes = 8;
+      cfg.transport.mode = mode;
+      if (mode == TransportMode::kTcp) {
+        if (!external_fleet) {
+          server::NodeServerConfig server_cfg;
+          server_cfg.num_nodes = cfg.num_nodes;
+          fleet.emplace(server_cfg);
+        }
+        cfg.transport.tcp_nodes =
+            external_fleet ? tcp_nodes : fleet->node_map();
+        cfg.num_nodes = cfg.transport.tcp_nodes.size();
+      }
       Cluster cluster(cfg);
       // Populate node state so probes hit non-trivial indexes.
       cluster.backup_dataset(trace);
@@ -143,12 +148,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (over_tcp) {
-    sweep(TransportMode::kTcp, "tcp");
-  } else {
-    sweep(TransportMode::kDirect, "direct");
-    sweep(TransportMode::kLoopback, "loopback");
-  }
+  if (!external_fleet) sweep(TransportMode::kDirect, "direct");
+  sweep(TransportMode::kTcp, "tcp");
   table.print(std::cout);
   bench::emit_bench_json(result);
   return 0;

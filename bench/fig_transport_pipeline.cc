@@ -1,5 +1,5 @@
-// Transport pipeline: backup throughput of a message-passing cluster as a
-// function of the super-chunk write pipeline depth.
+// Transport pipeline: backup throughput of a cluster whose nodes sit
+// behind TCP as a function of the super-chunk write pipeline depth.
 //
 // At depth 1 the client blocks on every routed super-chunk before probing
 // the next — direct-call semantics (and bit-identical reports). At depth
@@ -8,21 +8,23 @@
 // event loops, which run in parallel across the service thread pool —
 // expect throughput to rise with depth until node-side work is saturated.
 //
-// By default the sweep runs over the in-process LoopbackTransport. With
+// By default every run gets a fresh in-process 8-node server::NodeServer
+// on 127.0.0.1. With
 //   bench_fig_transport_pipeline --tcp host:port[:endpoint],...
-// it runs over TCP against node_server daemons instead. Node state
-// persists in the daemons across runs, so TCP mode measures one depth
+// it runs against external node_server daemons instead. Node state
+// persists in the daemons across runs, so that mode measures one depth
 // (default 4; override with --depth D) against a fresh fleet.
+#include <algorithm>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <algorithm>
 
 #include "bench_util.h"
 #include "common/random.h"
 #include "core/sigma_dedupe.h"
 #include "obs/trace.h"
+#include "server/node_server.h"
 
 namespace {
 
@@ -98,14 +100,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool over_tcp = !tcp_nodes.empty();
+  const bool external_fleet = !tcp_nodes.empty();
 
   bench::print_header(
       "Transport pipeline: backup throughput vs pipeline depth",
-      over_tcp ? "Sigma routing, 256 KB super-chunks, 3 sessions of "
-                 "versioned content over TCP node_server daemons"
-               : "8 nodes, Sigma routing, 256 KB super-chunks, 3 sessions "
-                 "of versioned content over the loopback message transport");
+      external_fleet
+          ? "Sigma routing, 256 KB super-chunks, 3 sessions of versioned "
+            "content over TCP node_server daemons"
+          : "8 nodes, Sigma routing, 256 KB super-chunks, 3 sessions of "
+            "versioned content over TCP to an in-process node server");
 
   TablePrinter table({"pipeline depth", "backup MB/s", "dedup ratio",
                       "wire msgs", "wire MB"});
@@ -121,16 +124,20 @@ int main(int argc, char** argv) {
   // `reactors` shards the client's TCP transport (0 = auto).
   auto run_depth = [&](std::size_t depth, obs::Registry* metrics,
                        std::uint32_t reactors = 0) -> DepthResult {
+    // Declared before the middleware, so the fleet outlives its client.
+    std::optional<server::NodeServer> fleet;
     MiddlewareConfig cfg;
-    if (over_tcp) {
-      cfg.num_nodes = tcp_nodes.size();
-      cfg.transport.mode = TransportMode::kTcp;
+    cfg.transport.mode = TransportMode::kTcp;
+    cfg.transport.tcp_reactors = reactors != 0 ? reactors : tcp_reactors;
+    if (external_fleet) {
       cfg.transport.tcp_nodes = tcp_nodes;
-      cfg.transport.tcp_reactors = reactors != 0 ? reactors : tcp_reactors;
     } else {
-      cfg.num_nodes = 8;
-      cfg.transport.mode = TransportMode::kLoopback;
+      server::NodeServerConfig server_cfg;
+      server_cfg.num_nodes = 8;
+      fleet.emplace(server_cfg);
+      cfg.transport.tcp_nodes = fleet->node_map();
     }
+    cfg.num_nodes = cfg.transport.tcp_nodes.size();
     cfg.routing = RoutingScheme::kSigma;
     cfg.client.super_chunk_bytes = 256 * 1024;
     cfg.transport.pipeline_depth = depth;
@@ -158,16 +165,18 @@ int main(int argc, char** argv) {
 
   bench::BenchResult result;
   result.name = "fig_transport_pipeline";
-  result.params["transport"] = over_tcp ? "tcp" : "loopback";
+  result.params["transport"] = "tcp";
   result.params["nodes"] =
-      std::to_string(over_tcp ? tcp_nodes.size() : std::size_t{8});
+      std::to_string(external_fleet ? tcp_nodes.size() : std::size_t{8});
   result.params["sessions"] = "3";
   result.params["super_chunk_bytes"] = std::to_string(256 * 1024);
-  if (over_tcp) result.params["reactors"] = std::to_string(tcp_reactors);
+  if (external_fleet) {
+    result.params["reactors"] = std::to_string(tcp_reactors);
+  }
 
   const std::vector<std::size_t> depths =
-      over_tcp ? std::vector<std::size_t>{tcp_depth}
-               : std::vector<std::size_t>{1, 2, 4, 8, 16};
+      external_fleet ? std::vector<std::size_t>{tcp_depth}
+                     : std::vector<std::size_t>{1, 2, 4, 8, 16};
   double depth1_mbps = 0.0;
   for (std::size_t depth : depths) {
     const DepthResult r = run_depth(depth, nullptr);
@@ -191,11 +200,12 @@ int main(int argc, char** argv) {
               << TablePrinter::fmt(depth1_mbps, 1) << " MB/s)\n";
   }
 
-  // Multi-reactor A/B (TCP only): the same depth with the client's
-  // transport sharded 1-way vs 4-way. Interleaved best-of-3 per arm, like
-  // the trace gate below, so scheduler noise (CI runners may expose a
-  // single core) cannot flip the comparison; ci.sh gates the speedup.
-  if (over_tcp) {
+  // Multi-reactor A/B (external fleet only): the same depth with the
+  // client's transport sharded 1-way vs 4-way. Interleaved best-of-3 per
+  // arm, like the trace gate below, so scheduler noise (CI runners may
+  // expose a single core) cannot flip the comparison; ci.sh gates the
+  // speedup.
+  if (external_fleet) {
     double r1_mbps = 0.0;
     double r4_mbps = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
@@ -218,7 +228,7 @@ int main(int argc, char** argv) {
   // in. Every site is the same relaxed fetch_add either way, so the two
   // throughputs should agree to low single digits.
   {
-    const std::size_t overhead_depth = over_tcp ? tcp_depth : 4;
+    const std::size_t overhead_depth = external_fleet ? tcp_depth : 4;
     const DepthResult off = run_depth(overhead_depth, nullptr);
     obs::Registry registry;
     const DepthResult on = run_depth(overhead_depth, &registry);
@@ -242,7 +252,7 @@ int main(int argc, char** argv) {
   // Best-of-3 per arm, arms interleaved, to keep scheduler noise out of
   // the gate.
   {
-    const std::size_t overhead_depth = over_tcp ? tcp_depth : 4;
+    const std::size_t overhead_depth = external_fleet ? tcp_depth : 4;
     obs::Tracer& tracer = obs::Tracer::instance();
     const std::uint32_t saved_sample = tracer.sample_every();
     double off_mbps = 0.0;

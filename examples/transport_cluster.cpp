@@ -1,17 +1,18 @@
-// Message-passing deployment: the same middleware as quickstart, but every
+// Networked deployment: the same middleware as quickstart, but every
 // probe, duplicate test, super-chunk write and chunk read travels as a
-// request/response message through the node-service stack —
+// request/response frame over TCP through the node-service stack —
 //
-//   BackupClient -> Cluster -> RpcEndpoint -> Transport -> NodeService
+//   BackupClient -> Cluster -> RpcEndpoint -> TcpTransport -> NodeService
 //   (event loop on the thread pool) -> DedupNode -> container storage
 //
 // — with a 4-deep super-chunk write pipeline.
 //
 //   $ ./transport_cluster
-// runs over the in-process LoopbackTransport. Point it at a fleet of
-// node_server daemons instead and the identical pipeline runs over TCP
-// across OS processes. Endpoint ids are the fleet-wide node addresses,
-// so give each daemon a distinct --first-endpoint range:
+// hosts its own 4-node server::NodeServer on 127.0.0.1 (the core the
+// node_server daemon runs) and backs up to it. Point it at a fleet of
+// node_server daemons instead and the identical pipeline runs across OS
+// processes. Endpoint ids are the fleet-wide node addresses, so give each
+// daemon a distinct --first-endpoint range:
 //
 //   $ node_server --port 7001 --first-endpoint 100 &   # node 0
 //   $ node_server --port 7002 --first-endpoint 101 &   # node 1
@@ -22,12 +23,14 @@
 // host:port:100 and host:port:101.)
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "common/stats.h"
 #include "core/sigma_dedupe.h"
 #include "obs/trace.h"
+#include "server/node_server.h"
 
 int main(int argc, char** argv) {
   using namespace sigma;
@@ -36,8 +39,9 @@ int main(int argc, char** argv) {
   config.num_nodes = 4;
   config.routing = RoutingScheme::kSigma;
   config.client.super_chunk_bytes = 64 * 1024;
-  config.transport.mode = TransportMode::kLoopback;  // message passing on
-  config.transport.pipeline_depth = 4;               // writes in flight
+  config.transport.mode = TransportMode::kTcp;
+  config.transport.rpc_timeout_ms = 10000;
+  config.transport.pipeline_depth = 4;  // writes in flight
   std::size_t watch_updates = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -50,8 +54,6 @@ int main(int argc, char** argv) {
         std::cerr << "transport_cluster: " << e.what() << "\n";
         return 2;
       }
-      config.transport.mode = TransportMode::kTcp;
-      config.transport.rpc_timeout_ms = 10000;
       config.num_nodes = config.transport.tcp_nodes.size();
     } else if (arg == "--registry" && i + 1 < argc) {
       // Fleet discovery: lease a client endpoint range from the registry
@@ -63,8 +65,6 @@ int main(int argc, char** argv) {
         std::cerr << "transport_cluster: " << e.what() << "\n";
         return 2;
       }
-      config.transport.mode = TransportMode::kTcp;
-      config.transport.rpc_timeout_ms = 10000;
     } else if (arg == "--watch-updates" && i + 1 < argc) {
       try {
         watch_updates = net::parse_number(argv[++i], 1024,
@@ -135,6 +135,15 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // No fleet given: host one in-process. Declared before the
+    // middleware, so the server outlives its client.
+    std::optional<server::NodeServer> local_fleet;
+    if (config.transport.tcp_nodes.empty() && !config.transport.registry) {
+      server::NodeServerConfig server_cfg;
+      server_cfg.num_nodes = config.num_nodes;
+      local_fleet.emplace(server_cfg);
+      config.transport.tcp_nodes = local_fleet->node_map();
+    }
     SigmaDedupe dedupe(config);
     std::uint64_t seen_version = 0;
     if (config.transport.registry) {
@@ -146,10 +155,9 @@ int main(int argc, char** argv) {
                 << " base=" << dedupe.cluster().client_endpoint_base()
                 << " version=" << seen_version << std::endl;
     }
-    if (config.transport.mode == TransportMode::kTcp) {
-      std::cout << "running over TCP against " << dedupe.cluster().size()
-                << " remote node service(s)\n\n";
-    }
+    std::cout << "running over TCP against " << dedupe.cluster().size()
+              << (local_fleet ? " in-process" : " remote")
+              << " node service(s)\n\n";
     const auto s1 = dedupe.backup("monday", monday);
     const auto s2 = dedupe.backup("tuesday", tuesday);
     dedupe.flush();

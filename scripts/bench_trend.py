@@ -12,11 +12,12 @@ so the repo's performance over time is data in the repo, not terminal
 scrollback. The ledger then gates: for every throughput metric (a name
 ending in "mbps", "per_sec" or "per_s" — higher is better), the new value
 is compared against the best previously recorded value from a comparable
-run (same bench, same host key, same "scale" param). A drop of more than
---threshold percent (default 20) fails the run.
+run (same bench, same host key, same "scale" and "transport" params). A
+drop of more than --threshold percent (default 20) fails the run.
 
-Comparisons never cross host keys or scales — a laptop ledger entry can't
-fail a CI runner, and a scale-1.0 record can't fail a scale-0.05 smoke.
+Comparisons never cross host keys, scales or transports — a laptop ledger
+entry can't fail a CI runner, a scale-1.0 record can't fail a scale-0.05
+smoke, and an in-process transport's record can't fail a TCP run.
 New entries are appended BEFORE gating (a regressed run is still part of
 the trajectory; appending it never lowers the recorded best, which is a
 max over history).
@@ -79,10 +80,12 @@ def load_bench(path):
     return doc
 
 
-def comparable(entry, bench, host, scale):
+def comparable(entry, bench, host, params):
+    recorded = entry.get("params") or {}
     return (entry.get("bench") == bench
             and entry.get("host") == host
-            and (entry.get("params") or {}).get("scale") == scale)
+            and recorded.get("scale") == params.get("scale")
+            and recorded.get("transport") == params.get("transport"))
 
 
 def main(argv):
@@ -162,6 +165,7 @@ def main(argv):
         params = doc.get("params") or {}
         metrics = doc["metrics"]
         scale = params.get("scale")
+        transport = params.get("transport")
 
         entry = {"sha": sha, "when": when, "host": host, "bench": bench,
                  "params": params, "metrics": metrics}
@@ -180,7 +184,7 @@ def main(argv):
             best = None
             best_sha = None
             for old in history:
-                if not comparable(old, bench, host, scale):
+                if not comparable(old, bench, host, params):
                     continue
                 old_value = (old.get("metrics") or {}).get(name)
                 if not isinstance(old_value, (int, float)) \
@@ -194,19 +198,21 @@ def main(argv):
                 # A silently-skipped gate looks exactly like a passing one
                 # in CI logs — say out loud that this metric had nothing
                 # comparable to regress against (new bench, new host key,
-                # or a changed scale) and that this run seeds the ledger.
+                # a changed scale or transport) and that this run seeds
+                # the ledger.
                 print("bench_trend: NOTICE: %s %s has no comparable best "
-                      "(host %s, scale %s) — regression gate skipped, "
-                      "this run seeds the ledger"
-                      % (bench, name, host, scale), file=sys.stderr)
+                      "(host %s, scale %s, transport %s) — regression "
+                      "gate skipped, this run seeds the ledger"
+                      % (bench, name, host, scale, transport),
+                      file=sys.stderr)
                 continue
             drop_pct = (best - value) / best * 100.0
             if drop_pct > threshold:
                 failures.append(
                     "%s %s: %.4g is %.1f%% below recorded best %.4g "
-                    "(sha %s, host %s, scale %s)"
+                    "(sha %s, host %s, scale %s, transport %s)"
                     % (bench, name, value, drop_pct, best,
-                       (best_sha or "?")[:12], host, scale))
+                       (best_sha or "?")[:12], host, scale, transport))
 
     os.makedirs(os.path.dirname(trend_path), exist_ok=True)
     with open(trend_path, "a", encoding="utf-8") as f:

@@ -8,14 +8,12 @@
 
 #include "common/logging.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "ctrl/registry_client.h"
 #include "net/rpc.h"
 #include "net/tcp/tcp_transport.h"
 #include "node/probe_set.h"
 #include "obs/trace.h"
 #include "service/node_client.h"
-#include "service/node_service.h"
 #include "service/probe_set.h"
 #include "service/wire_protocol.h"
 
@@ -28,61 +26,19 @@ constexpr std::uint32_t kLeasedClientEndpoints = 16;
 
 }  // namespace
 
-/// Everything the message-passing deployment adds on top of the nodes:
-/// the transport, the shared client endpoint with its node stubs, and the
-/// super-chunk write pipeline. In loopback mode it also hosts the per-node
-/// service event loops; in TCP mode the services live in node_server
-/// daemons and only the client side exists here. Declaration order is
-/// teardown order in reverse: the pool joins before the transport dies,
-/// services unbind before the pool joins.
+/// Everything the TCP deployment adds on the client side: the transport,
+/// the shared client endpoint with its stubs dialed at the node map, and
+/// the super-chunk write pipeline. The node services live in
+/// server::NodeServer daemons. Declaration order is teardown order in
+/// reverse: the stubs and endpoint go before the transport.
 struct Cluster::TransportRuntime {
   std::unique_ptr<net::Transport> transport;
-  std::unique_ptr<ThreadPool> pool;                             // loopback
-  std::vector<std::unique_ptr<service::NodeService>> services;  // loopback
   std::unique_ptr<net::RpcEndpoint> rpc;
   std::vector<std::unique_ptr<service::NodeClient>> clients;
   std::chrono::milliseconds timeout;
   std::size_t pipeline_depth;
   std::deque<net::PendingCall> in_flight;
 
-  /// Loopback runtime: in-process services over the local nodes.
-  TransportRuntime(std::vector<std::unique_ptr<DedupNode>>& nodes,
-                   const TransportConfig& config, obs::Registry& metrics)
-      : timeout(config.rpc_timeout_ms),
-        pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
-    transport = std::make_unique<net::LoopbackTransport>(&metrics);
-    // Two drain lanes per node (writes + probe fast lane) can each occupy
-    // a task; sizing for both keeps the fast lane live on small clusters.
-    pool = std::make_unique<ThreadPool>(
-        config.service_threads > 0
-            ? config.service_threads
-            : std::min<std::size_t>(
-                  2 * nodes.size(),
-                  std::max(2u, std::thread::hardware_concurrency())));
-    services.reserve(nodes.size());
-    for (auto& n : nodes) {
-      services.push_back(std::make_unique<service::NodeService>(
-          *n, *transport, *pool, &metrics,
-          "node" + std::to_string(services.size())));
-      // In-process fleet: every service answers kStatsSnapshot with the
-      // cluster registry's view plus the tracer counters, same as a
-      // daemon would.
-      services.back()->set_snapshot_provider([&metrics] {
-        obs::MetricsSnapshot snap = metrics.snapshot();
-        obs::fold_trace_stats(snap);
-        return snap;
-      });
-    }
-    rpc = std::make_unique<net::RpcEndpoint>(*transport, &metrics);
-    clients.reserve(nodes.size());
-    for (auto& s : services) {
-      clients.push_back(std::make_unique<service::NodeClient>(
-          *rpc, s->endpoint(), timeout));
-    }
-  }
-
-  /// TCP runtime: client stubs dialed at a fleet of node_server daemons
-  /// described by the node map; no local nodes or services.
   TransportRuntime(const TransportConfig& config, obs::Registry& metrics)
       : timeout(config.rpc_timeout_ms),
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
@@ -102,15 +58,7 @@ struct Cluster::TransportRuntime {
     }
   }
 
-  ~TransportRuntime() {
-    // Client stubs and the endpoint go first (no new requests), then the
-    // services run their inboxes dry, then the pool joins.
-    drain_quietly();
-    clients.clear();
-    rpc.reset();
-    services.clear();
-    pool.reset();
-  }
+  ~TransportRuntime() { drain_quietly(); }
 
   /// Block until fewer than `limit` writes are outstanding. Entries are
   /// removed from the pipeline before their results are inspected, so a
@@ -260,6 +208,7 @@ Cluster::Cluster(const ClusterConfig& config)
             ") — daemon service ids must stay below every client base");
       }
     }
+    runtime_ = std::make_unique<TransportRuntime>(config_.transport, *metrics_);
   } else {
     nodes_.reserve(config_.num_nodes);
     for (std::size_t i = 0; i < config_.num_nodes; ++i) {
@@ -276,15 +225,9 @@ Cluster::Cluster(const ClusterConfig& config)
   if (config_.scheme == RoutingScheme::kExtremeBinning) {
     eb_state_.resize(config_.num_nodes);
   }
-  if (config_.transport.mode == TransportMode::kLoopback) {
-    runtime_ = std::make_unique<TransportRuntime>(nodes_, config_.transport,
-                                                  *metrics_);
-  } else if (config_.transport.mode == TransportMode::kTcp) {
-    runtime_ = std::make_unique<TransportRuntime>(config_.transport, *metrics_);
-  }
-  // The probe plane the routers gather through. Message modes issue the
-  // round as concurrent pending calls (one fused probe per candidate);
-  // direct mode loops over the nodes in the caller's thread.
+  // The probe plane the routers gather through. kTcp issues the round as
+  // concurrent pending calls (one fused probe per candidate); direct mode
+  // loops over the nodes in the caller's thread.
   if (runtime_) {
     std::vector<const service::NodeClient*> stubs;
     stubs.reserve(runtime_->clients.size());
@@ -534,7 +477,7 @@ obs::MetricsSnapshot Cluster::stats_snapshot(NodeId node) const {
 }
 
 ClusterReport Cluster::report() const {
-  // In message mode, settle the write pipeline so usage counters reflect
+  // In kTcp mode, settle the write pipeline so usage counters reflect
   // every accepted super-chunk — the report is then identical to the
   // direct-call mode's at pipeline depth 1.
   MutexLock lock(route_mu_);
@@ -548,7 +491,7 @@ ClusterReport Cluster::report() const {
   // or — in TCP mode — batched stored-bytes RPCs to the node daemons
   // (one fleet round-trip, not one per node).
   std::vector<std::uint64_t> remote_usage;
-  if (!eb_bins && nodes_.empty() && runtime_) {
+  if (!eb_bins && runtime_) {
     std::vector<net::PendingCall> calls;
     calls.reserve(runtime_->clients.size());
     for (const auto& c : runtime_->clients) {
@@ -562,9 +505,9 @@ ClusterReport Cluster::report() const {
     }
   }
   for (std::size_t i = 0; i < size(); ++i) {
-    const std::uint64_t usage = eb_bins          ? eb_state_[i].stored_bytes
-                                : nodes_.empty() ? remote_usage[i]
-                                                 : nodes_[i]->stored_bytes();
+    const std::uint64_t usage = eb_bins    ? eb_state_[i].stored_bytes
+                                : runtime_ ? remote_usage[i]
+                                           : nodes_[i]->stored_bytes();
     report.node_usage.push_back(usage);
     report.physical_bytes += usage;
   }

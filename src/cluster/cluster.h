@@ -39,30 +39,23 @@ namespace sigma {
 
 /// How clients reach the deduplication nodes.
 enum class TransportMode {
-  /// In-process method calls (the trace-driven simulator's mode).
+  /// In-process method calls on cluster-owned nodes (the trace-driven
+  /// simulator's mode, and the identity reference for kTcp).
   kDirect,
-  /// Message passing: each node runs behind a NodeService event loop on a
-  /// thread pool; probes, duplicate tests, writes and reads travel as
-  /// request/response messages over a LoopbackTransport.
-  kLoopback,
   /// Real sockets: the nodes live in node_server daemons (other
-  /// processes, possibly other hosts); every operation travels as a
-  /// length-prefixed frame over TCP. The fleet is described by
-  /// TransportConfig::tcp_nodes.
+  /// processes, other hosts, or an in-process server::NodeServer); every
+  /// operation travels as a length-prefixed frame over TCP. The fleet is
+  /// described by TransportConfig::tcp_nodes.
   kTcp,
 };
 
 struct TransportConfig {
   TransportMode mode = TransportMode::kDirect;
-  /// Max super-chunk writes in flight per cluster (message mode). Routing
+  /// Max super-chunk writes in flight per cluster (kTcp). Routing
   /// waits until fewer than this many writes are outstanding, so depth 1
   /// reproduces direct-call semantics (and reports) exactly, while larger
   /// depths overlap client-side routing with node-side deduplication.
   std::size_t pipeline_depth = 1;
-  /// Node-service event-loop threads; 0 = two per node (one per drain
-  /// lane, so probes overtake write backlogs), capped at the hardware
-  /// concurrency. (Loopback mode; TCP daemons size their own.)
-  std::size_t service_threads = 0;
   /// Per-RPC timeout, milliseconds.
   std::uint32_t rpc_timeout_ms = 30000;
   /// kTcp only: the node map — one entry per remote node service, in node
@@ -94,17 +87,17 @@ struct ClusterConfig {
   RouterConfig router;
   DedupNodeConfig node;
   TransportConfig transport;
-  /// Storage backend for locally hosted nodes (direct and loopback
-  /// modes); null = in-memory. Called once per node at construction —
-  /// e.g. `[&](NodeId i) { return std::make_unique<FileBackend>(dir /
-  /// std::to_string(i)); }` for durable on-disk containers. Ignored in
-  /// kTcp mode, where the daemons own their backends.
+  /// Storage backend for the direct-mode nodes; null = in-memory. Called
+  /// once per node at construction — e.g. `[&](NodeId i) { return
+  /// std::make_unique<FileBackend>(dir / std::to_string(i)); }` for
+  /// durable on-disk containers. Ignored in kTcp mode, where the daemons
+  /// own their backends.
   std::function<std::unique_ptr<StorageBackend>(NodeId)> backend_factory;
   /// Metrics plane (must outlive the cluster). Instruments the whole
   /// client-side stack — routing decisions (latency histogram, probe
-  /// rounds and probe-message volume), the transport and RPC endpoint
-  /// and, in direct and loopback modes, the local nodes, their backends
-  /// and node services. Null = a private registry.
+  /// rounds and probe-message volume) and, in kTcp mode, the transport
+  /// and RPC endpoint; in direct mode, the local nodes and their
+  /// backends. Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
 
@@ -146,18 +139,15 @@ class Cluster {
   ~Cluster();
 
   std::size_t size() const { return config_.num_nodes; }
-  /// Local node access — direct and loopback modes only (in kTcp mode the
-  /// nodes live in other processes; throws std::out_of_range).
+  /// Local node access — direct mode only (in kTcp mode the nodes live
+  /// behind sockets; throws std::out_of_range).
   DedupNode& node(std::size_t i) { return *nodes_.at(i); }
   const DedupNode& node(std::size_t i) const { return *nodes_.at(i); }
   Router& router() { return *router_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// True when requests flow over the message transport.
-  bool transport_backed() const { return runtime_ != nullptr; }
-
   /// The scatter-gather probe plane routing decisions run against: the
-  /// nodes themselves in direct mode, RPC stubs in message mode (one fused
+  /// nodes themselves in direct mode, RPC stubs in kTcp mode (one fused
   /// routing probe per candidate, all in flight together).
   const ProbeSet& probe_set() const { return *probe_plane_; }
 
@@ -165,9 +155,9 @@ class Cluster {
   /// MessageStats, which counts the paper's fingerprint-lookup metric.
   net::NetStats net_stats() const;
 
-  /// Scrape node `node`'s hosting process over the transport
-  /// (kStatsSnapshot): the daemon-wide view in kTcp mode, this cluster's
-  /// registry in loopback mode. Throws std::logic_error in direct mode.
+  /// Scrape node `node`'s hosting daemon over the transport
+  /// (kStatsSnapshot): the daemon-wide view. Throws std::logic_error in
+  /// direct mode.
   obs::MetricsSnapshot stats_snapshot(NodeId node) const;
 
   /// Registry mode only: the latest fleet view (the lease-time view until
@@ -212,7 +202,7 @@ class Cluster {
       SIGMA_EXCLUDES(route_mu_);
 
   /// Fetch one stored chunk from a node (restore path). Goes over the
-  /// transport in message mode.
+  /// transport in kTcp mode.
   std::optional<Buffer> read_chunk(NodeId node, const Fingerprint& fp) const
       SIGMA_EXCLUDES(route_mu_);
 
@@ -229,7 +219,7 @@ class Cluster {
   void backup_chunk_dht(const TraceBackup& backup, StreamId stream)
       SIGMA_REQUIRES(route_mu_);
 
-  /// Route one unit. In message mode this first waits until the write
+  /// Route one unit. In kTcp mode this first waits until the write
   /// pipeline has a free slot, so at depth 1 every probe observes all
   /// previous writes applied — bit-identical to direct mode.
   NodeId route_unit(const std::vector<ChunkRecord>& unit, RouteContext& ctx)
@@ -244,6 +234,7 @@ class Cluster {
   ClusterConfig config_;
   /// Declared before everything that records into it.
   obs::RegistryRef metrics_;
+  /// Direct mode's nodes; empty in kTcp mode.
   std::vector<std::unique_ptr<DedupNode>> nodes_;
   /// Serializes the client-side routing plane: router_'s internal state,
   /// the Fig. 7 message ledger and the EB bin store below. Outermost in
@@ -253,15 +244,15 @@ class Cluster {
   mutable Mutex route_mu_{LockRank::kClientRoute};
   std::unique_ptr<Router> router_;
 
-  /// Transport-mode machinery (services, client stubs, write pipeline);
-  /// null in direct mode. Defined in cluster.cc.
+  /// kTcp machinery (transport, client stubs, write pipeline); null in
+  /// direct mode. Defined in cluster.cc.
   struct TransportRuntime;
   std::unique_ptr<TransportRuntime> runtime_;
   /// Direct mode's per-node probe views (the nodes themselves); empty in
-  /// message mode. Fixed at construction.
+  /// kTcp mode. Fixed at construction.
   std::vector<const NodeProbe*> views_;
   /// The scatter-gather plane route_unit() hands the router — a
-  /// ClientProbeSet over the client stubs in message mode, a
+  /// ClientProbeSet over the client stubs in kTcp mode, a
   /// DirectProbeSet over views_ in direct mode. Fixed at construction.
   std::unique_ptr<ProbeSet> probe_plane_;
 

@@ -33,9 +33,9 @@ struct MiddlewareConfig {
   BackupClientConfig client;
   RouterConfig router;
   DedupNodeConfig node;
-  /// Direct in-process calls (default) or message passing through the
-  /// node-service transport (TransportMode::kLoopback), with configurable
-  /// super-chunk write pipelining.
+  /// Direct in-process calls (default) or node daemons over TCP
+  /// (TransportMode::kTcp), with configurable super-chunk write
+  /// pipelining.
   TransportConfig transport;
   /// Metrics plane, forwarded to the cluster (must outlive the
   /// middleware). Null = the cluster's private registry.

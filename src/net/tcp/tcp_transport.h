@@ -1,5 +1,5 @@
 // TCP implementation of net::Transport: real sockets between OS
-// processes, same Message semantics as the loopback.
+// processes, same Message semantics as the LoopbackTransport test fake.
 //
 // The event plane is SHARDED. The transport owns N Reactors (see
 // net/tcp/reactor.h) — each a thread with its own epoll instance, its own
@@ -27,12 +27,12 @@
 //     |          v  backoff up to connect_attempts, then fail
 //     +------ kBackoff
 //
-// Failure semantics mirror the loopback's connection-refusal bounce: when
-// a request cannot be delivered — no route, connect attempts exhausted,
-// or the connection drops while the request is queued or awaiting its
-// response — the transport synthesizes an error response to the local
-// requester, so an RpcEndpoint call fails fast instead of burning its
-// full timeout. (Each connection tracks locally-originated requests by
+// Failure semantics mirror LoopbackTransport's connection-refusal bounce:
+// when a request cannot be delivered — no route, connect attempts
+// exhausted, or the connection drops while the request is queued or
+// awaiting its response — the transport synthesizes an error response to
+// the local requester, so an RpcEndpoint call fails fast instead of
+// burning its full timeout. (Each connection tracks locally-originated requests by
 // correlation id until their response arrives.)
 //
 // Addressing: local endpoints get sequential ids from endpoint_base —

@@ -1,13 +1,15 @@
 // Message transport between endpoints. The interface is socket-shaped —
 // register an endpoint (a bound address with a delivery handler), send
-// addressed messages, observe traffic counters — so a TCP implementation
-// can slot in without touching the service or cluster layers.
+// addressed messages, observe traffic counters — so the service and RPC
+// layers run unchanged over net::TcpTransport, the one transport a
+// deployment uses.
 //
-// LoopbackTransport is the in-process implementation: delivery invokes the
-// destination's handler on the sender's thread (the handler is expected to
-// enqueue, not to do heavy work). Requests addressed to unknown endpoints
-// bounce back to the sender as error responses, mirroring a connection
-// refusal; responses to unknown endpoints are dropped and counted.
+// LoopbackTransport is the in-process fake the service, RPC and
+// concurrency tests run on: delivery invokes the destination's handler on
+// the sender's thread (the handler is expected to enqueue, not to do
+// heavy work). Requests addressed to unknown endpoints bounce back to the
+// sender as error responses, mirroring a connection refusal; responses to
+// unknown endpoints are dropped and counted.
 #pragma once
 
 #include <cstdint>
@@ -76,14 +78,9 @@ class Transport {
   virtual NetStats stats() const = 0;
 };
 
-/// In-process transport: synchronous handler dispatch, full accounting.
+/// In-process test fake: synchronous handler dispatch, full accounting.
 class LoopbackTransport final : public Transport {
  public:
-  /// Counts into `metrics` when given (must outlive the transport),
-  /// otherwise into a private registry.
-  explicit LoopbackTransport(obs::Registry* metrics = nullptr)
-      : metrics_(metrics), net_(*metrics_) {}
-
   EndpointId register_endpoint(Handler handler) override;
   void unregister_endpoint(EndpointId id) override;
   void send(Message&& m) override;
@@ -104,8 +101,8 @@ class LoopbackTransport final : public Transport {
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(mu_) = 1;
-  obs::RegistryRef metrics_;
-  NetCounters net_;
+  obs::Registry metrics_;  // counted privately; read through stats()
+  NetCounters net_{metrics_};
 };
 
 }  // namespace sigma::net

@@ -66,7 +66,7 @@ std::size_t DedupNode::chunk_match_count(
     const std::vector<Fingerprint>& fps) const {
   std::size_t count = 0;
   for (const auto& fp : fps) {
-    if (chunk_index_.peek(fp)) ++count;
+    if (chunk_index_.lookup(fp)) ++count;
   }
   return count;
 }
@@ -79,7 +79,7 @@ std::vector<bool> DedupNode::test_duplicates(
     const std::vector<Fingerprint>& fps) const {
   std::vector<bool> present(fps.size(), false);
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    present[i] = chunk_index_.peek(fps[i]).has_value();
+    present[i] = chunk_index_.lookup(fps[i]).has_value();
   }
   return present;
 }
@@ -271,7 +271,7 @@ std::size_t DedupNode::rebuild_indexes() {
 }
 
 std::optional<Buffer> DedupNode::read_chunk(const Fingerprint& fp) const {
-  auto loc = chunk_index_.peek(fp);
+  auto loc = chunk_index_.lookup(fp);
   if (!loc) return std::nullopt;
   return containers_.read_chunk(*loc);
 }

@@ -63,7 +63,7 @@ struct ProbeRound {
 /// DirectProbeSet (in-process virtual calls in a plain loop) and
 /// service::ClientProbeSet (all RPCs issued as pending
 /// calls up front and drained together — one round-trip per decision over
-/// loopback or TCP).
+/// TCP).
 class ProbeSet {
  public:
   virtual ~ProbeSet() = default;

@@ -1,7 +1,7 @@
 // In-process implementation of the scatter-gather probe plane: answers a
 // probe round by calling the nodes' NodeProbe virtuals in turn, in the
 // caller's thread. It is direct mode's probe plane and the reference the
-// message-mode identity tests compare ClientProbeSet against.
+// TCP identity tests compare ClientProbeSet against.
 #pragma once
 
 #include <span>

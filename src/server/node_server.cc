@@ -136,6 +136,15 @@ void NodeServer::leave_registry() noexcept {
   }
 }
 
+std::vector<net::TcpNodeAddress> NodeServer::node_map() const {
+  std::vector<net::TcpNodeAddress> map;
+  map.reserve(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    map.push_back({config_.listen, endpoint(i)});
+  }
+  return map;
+}
+
 obs::MetricsSnapshot NodeServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
   obs::fold_trace_stats(snap);

@@ -92,6 +92,9 @@ class NodeServer {
   net::EndpointId endpoint(std::size_t i) const {
     return config_.first_endpoint + static_cast<net::EndpointId>(i);
   }
+  /// The TransportConfig::tcp_nodes entries that reach this server's
+  /// nodes: {listen host, port()} at endpoint(i), in node order.
+  std::vector<net::TcpNodeAddress> node_map() const;
 
   DedupNode& node(std::size_t i) { return *nodes_.at(i); }
   const service::NodeService& service(std::size_t i) const {

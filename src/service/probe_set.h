@@ -1,5 +1,5 @@
 // Transport-backed implementation of the scatter-gather probe plane, and
-// the only one message modes use: a probe round against N nodes is
+// the only one TCP mode uses: a probe round against N nodes is
 // issued as pending RPCs all at once — one fused routing probe (match
 // count + stored bytes) per candidate, one stored-bytes call per
 // remaining node — and drained together. The round completes in roughly

@@ -188,6 +188,22 @@ TEST(DedupNodeTest, DiskIndexBackstopCatchesColdDuplicates) {
   EXPECT_GT(r.disk_index_lookups, 0u);
 }
 
+TEST(DedupNodeTest, ProbesAndReadsDoNotCountDiskIndexLookups) {
+  // node.<n>.disk_index_lookups counts only the write path's backstop
+  // lookups; probes and restores model RAM-resident access.
+  DedupNode node(0, small_config());
+  const SuperChunk sc = make_sc(0, 16);
+  node.write_super_chunk(0, sc);
+  const std::uint64_t before = node.stats().disk_index_lookups;
+  std::vector<Fingerprint> fps;
+  for (const auto& chunk : sc.chunks) fps.push_back(chunk.fp);
+  fps.push_back(rec(999).fp);
+  EXPECT_EQ(node.chunk_match_count(fps), 16u);
+  EXPECT_FALSE(node.test_duplicates(fps).back());
+  EXPECT_FALSE(node.read_chunk(rec(999).fp).has_value());
+  EXPECT_EQ(node.stats().disk_index_lookups, before);
+}
+
 TEST(DedupNodeTest, MultiStreamWritesIsolateOpenContainers) {
   DedupNode node(0, small_config());
   node.write_super_chunk(0, make_sc(0, 8));

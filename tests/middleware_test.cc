@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "core/sigma_dedupe.h"
+#include "server/node_server.h"
 
 namespace sigma {
 namespace {
@@ -96,28 +97,13 @@ TEST(MiddlewareTest, AllConfigurableKnobsAccepted) {
   EXPECT_EQ(dedupe.config().num_nodes, 5u);
 }
 
-// --- Transport-backed middleware ---------------------------------------------
-
-TEST(MiddlewareTransportTest, BackupRestoreOverMessagePassing) {
-  MiddlewareConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.transport.mode = TransportMode::kLoopback;
-  SigmaDedupe dedupe(cfg);
-  std::vector<ContentFile> files{
-      {"etc/passwd", random_data(30000, 1)},
-      {"var/log/syslog", random_data(90000, 2)},
-  };
-  const auto summary = dedupe.backup("monday", files);
-  EXPECT_EQ(summary.logical_bytes, 120000u);
-  EXPECT_EQ(dedupe.restore("monday", "etc/passwd"), files[0].data);
-  EXPECT_EQ(dedupe.restore("monday", "var/log/syslog"), files[1].data);
-  EXPECT_GT(dedupe.cluster().net_stats().messages_sent, 0u);
-}
+// --- Middleware over TCP ---------------------------------------------------
 
 TEST(MiddlewareTransportTest, TransportMatchesDirectExactly) {
-  // The acceptance seam: the same sessions through the direct-call path
-  // and the message-passing path must yield identical dedup ratios, node
-  // usage and message counts — and identical restores.
+  // The payload-path acceptance seam: the same sessions through the
+  // direct-call path and over TCP to a 4-node in-process daemon must yield
+  // identical dedup ratios, node usage and message counts — and identical
+  // restores.
   auto make_sessions = [] {
     std::vector<std::vector<ContentFile>> sessions;
     sessions.push_back({{"a.bin", random_data(400000, 11)},
@@ -135,8 +121,12 @@ TEST(MiddlewareTransportTest, TransportMatchesDirectExactly) {
   direct_cfg.num_nodes = 4;
   SigmaDedupe direct(direct_cfg);
 
+  server::NodeServerConfig server_cfg;
+  server_cfg.num_nodes = 4;
+  server::NodeServer server(server_cfg);
   MiddlewareConfig transport_cfg = direct_cfg;
-  transport_cfg.transport.mode = TransportMode::kLoopback;
+  transport_cfg.transport.mode = TransportMode::kTcp;
+  transport_cfg.transport.tcp_nodes = server.node_map();
   SigmaDedupe transported(transport_cfg);
 
   const auto sessions = make_sessions();
@@ -160,20 +150,6 @@ TEST(MiddlewareTransportTest, TransportMatchesDirectExactly) {
   EXPECT_DOUBLE_EQ(dr.dedup_ratio(), tr.dedup_ratio());
 
   EXPECT_EQ(direct.restore("day1", "a.bin"), transported.restore("day1", "a.bin"));
-}
-
-TEST(MiddlewareTransportTest, PipelinedBackupRestoresCorrectly) {
-  MiddlewareConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.transport.mode = TransportMode::kLoopback;
-  cfg.transport.pipeline_depth = 4;
-  cfg.client.super_chunk_bytes = 32 * 1024;  // many units in flight
-  SigmaDedupe dedupe(cfg);
-  const auto data = random_data(600000, 21);
-  dedupe.backup("s", {{"big.bin", data}});
-  EXPECT_EQ(dedupe.restore("s", "big.bin"), data);
-  const auto s2 = dedupe.backup("s2", {{"copy.bin", data}});
-  EXPECT_EQ(s2.transferred_bytes, 0u);  // source dedup intact at depth 4
 }
 
 TEST(MiddlewareTest, MultipleStreamsSupported) {

@@ -332,9 +332,8 @@ TEST(StatsScrapeTest, TcpFleetScrapeMatchesInProcessRegistries) {
   cfg.transport.mode = TransportMode::kTcp;
   cfg.transport.rpc_timeout_ms = 20000;
   for (const auto& server : servers) {
-    for (std::size_t i = 0; i < server->num_nodes(); ++i) {
-      cfg.transport.tcp_nodes.push_back(
-          {{"127.0.0.1", server->port()}, server->endpoint(i)});
+    for (const auto& node : server->node_map()) {
+      cfg.transport.tcp_nodes.push_back(node);
     }
   }
   Cluster cluster(cfg);
@@ -432,13 +431,13 @@ TEST(StatsScrapeTest, RegistryScrapeCarriesEveryTransportCounterOfANodeScrape) {
   EXPECT_GE(checked, 18u);  // NetStats + TcpTransportStats at least
 }
 
-TEST(StatsScrapeTest, LoopbackClusterScrapeCarriesTransportServiceNodeStore) {
-  Registry registry;
+TEST(StatsScrapeTest, NodeServerScrapeCarriesTransportServiceNodeStore) {
+  server::NodeServer server(server::NodeServerConfig{});
   ClusterConfig cfg;
   cfg.num_nodes = 1;
   cfg.super_chunk_bytes = 64 * 1024;
-  cfg.transport.mode = TransportMode::kLoopback;
-  cfg.metrics = &registry;
+  cfg.transport.mode = TransportMode::kTcp;
+  cfg.transport.tcp_nodes = server.node_map();
   Cluster cluster(cfg);
   cluster.backup_dataset(scrape_trace());
   cluster.flush();
@@ -513,8 +512,7 @@ TEST(StatsScrapeTest, ReadmeCatalogNamesExistInAFleetScrape) {
     cfg.num_nodes = 1;
     cfg.super_chunk_bytes = 64 * 1024;
     cfg.transport.mode = TransportMode::kTcp;
-    cfg.transport.tcp_nodes = {{{"127.0.0.1", server.port()},
-                                server.endpoint(0)}};
+    cfg.transport.tcp_nodes = server.node_map();
     cfg.metrics = &client;
     Cluster cluster(cfg);
     cluster.backup_dataset(scrape_trace());

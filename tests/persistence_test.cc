@@ -91,10 +91,7 @@ class PersistentFleet {
     t.pipeline_depth = pipeline_depth;
     t.rpc_timeout_ms = 20000;
     for (const auto& server : servers_) {
-      for (std::size_t i = 0; i < server->num_nodes(); ++i) {
-        t.tcp_nodes.push_back(
-            {{"127.0.0.1", server->port()}, server->endpoint(i)});
-      }
+      for (const auto& node : server->node_map()) t.tcp_nodes.push_back(node);
     }
     return t;
   }

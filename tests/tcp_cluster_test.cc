@@ -2,9 +2,10 @@
 // behind real sockets (in-process NodeServer harnesses — the same core
 // the node_server daemon runs) must produce exactly the report a
 // direct-call cluster produces, for every routing scheme, at pipeline
-// depth 1 — mirroring the loopback identity assertion. Plus the failure
-// path: a killed node daemon surfaces as an RPC/connection error within
-// bounded time, never a hang.
+// depth 1, whether the nodes are spread over several daemons or hosted
+// by one; and stay correct (restores, totals) at deeper pipelines. Plus
+// the failure path: a killed node daemon surfaces as an RPC/connection
+// error within bounded time, never a hang.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,10 +54,7 @@ class TcpFleet {
     t.rpc_timeout_ms = 20000;
     t.tcp_reactors = reactors_;
     for (const auto& server : servers_) {
-      for (std::size_t i = 0; i < server->num_nodes(); ++i) {
-        t.tcp_nodes.push_back(
-            {{"127.0.0.1", server->port()}, server->endpoint(i)});
-      }
+      for (const auto& node : server->node_map()) t.tcp_nodes.push_back(node);
     }
     return t;
   }
@@ -100,16 +98,11 @@ Dataset small_linux_trace() {
   return materialize_dataset("linux-small", gen.content(), *chunker);
 }
 
-class TcpSchemeIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<RoutingScheme, std::uint32_t>> {};
-
-TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
-  // Real sockets must reproduce the direct-call report bit-identically,
-  // Fig. 7 probe counts included — at every reactor-shard count: sharding
-  // the event plane repartitions connections across threads but must
-  // never reorder, drop or duplicate a frame within one connection.
-  const auto [scheme, reactors] = GetParam();
+/// Backs the trace up through a direct cluster and through `fleet` over
+/// TCP; the two reports must be bit-identical, Fig. 7 probe counts
+/// included.
+void expect_tcp_report_equals_direct(RoutingScheme scheme,
+                                     const TcpFleet& fleet) {
   const Dataset trace = small_linux_trace();
 
   Cluster direct(direct_config(scheme, 4));
@@ -117,12 +110,9 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   direct.flush();
   const auto d = direct.report();
 
-  TcpFleet fleet(2, 2, reactors);
   Cluster over_tcp(tcp_config(scheme, fleet));
   over_tcp.backup_dataset(trace);
   over_tcp.flush();
-
-  EXPECT_TRUE(over_tcp.transport_backed());
 
   const auto t = over_tcp.report();
   EXPECT_EQ(d.logical_bytes, t.logical_bytes);
@@ -132,10 +122,24 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
   EXPECT_DOUBLE_EQ(d.dedup_ratio(), t.dedup_ratio());
 
-  // The traffic really crossed sockets.
+  // The traffic really crossed sockets, and direct mode sent nothing.
   const auto net = over_tcp.net_stats();
   EXPECT_GT(net.messages_sent, 0u);
   EXPECT_GT(net.bytes_sent, 0u);
+  EXPECT_EQ(direct.net_stats().messages_sent, 0u);
+}
+
+class TcpSchemeIdentity
+    : public ::testing::TestWithParam<
+          std::tuple<RoutingScheme, std::uint32_t>> {};
+
+TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
+  // Two daemons x two nodes, at every reactor-shard count: sharding the
+  // event plane repartitions connections across threads but must never
+  // reorder, drop or duplicate a frame within one connection.
+  const auto [scheme, reactors] = GetParam();
+  TcpFleet fleet(2, 2, reactors);
+  expect_tcp_report_equals_direct(scheme, fleet);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,6 +150,23 @@ INSTANTIATE_TEST_SUITE_P(
                                          RoutingScheme::kExtremeBinning,
                                          RoutingScheme::kChunkDht),
                        ::testing::Values(1u, 2u, 4u)));
+
+class SchemeIdentity : public ::testing::TestWithParam<RoutingScheme> {};
+
+TEST_P(SchemeIdentity, TransportReportEqualsDirectReport) {
+  // One daemon hosting all four nodes: one listener, one service pool
+  // shared by every node's drain lanes, one client connection carrying
+  // all four nodes' probes and writes.
+  TcpFleet fleet(1, 4);
+  expect_tcp_report_equals_direct(GetParam(), fleet);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
 
 TEST(TcpClusterTest, BackupRestoreRoundTripsOverSockets) {
   // Full payload path through the facade: chunking, fingerprinting,

@@ -3,9 +3,9 @@
 // span-dump wire codec and file format (hostile counts and lengths, the
 // metrics_wire corpus style), the per-thread seqlock span ring (wrap
 // semantics, concurrent emit+scrape torture), sampling arithmetic, and
-// two end-to-end parent/child chains — loopback and over TCP through the
-// kTraceDump scrape — proving a routing decision's span is the ancestor
-// of the service-side op span across the wire.
+// an end-to-end parent/child chain over TCP through the kTraceDump
+// scrape, proving a routing decision's span is the ancestor of the
+// service-side op span across the wire.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -406,7 +406,7 @@ TEST(TracerSamplingTest, EveryNthRootDecisionIsSampled) {
   EXPECT_FALSE(tracer.child_of(TraceContext{}).sampled);
 }
 
-// --- End-to-end: loopback parent/child chain ---------------------------------
+// --- End-to-end: TCP + kTraceDump scrape -------------------------------------
 
 Dataset tracing_dataset(double scale) {
   LinuxWorkloadConfig cfg = LinuxWorkloadConfig::scaled(scale);
@@ -431,51 +431,6 @@ std::optional<SpanRecord> chain_root(
   return std::nullopt;
 }
 
-TEST(TraceE2ETest, LoopbackBackupLinksServiceSpansToRoutingRoot) {
-  SampleRateGuard guard;
-  Tracer::instance().set_sample_every(1);
-
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.scheme = RoutingScheme::kSigma;
-  cfg.super_chunk_bytes = 64 * 1024;
-  cfg.transport.mode = TransportMode::kLoopback;
-  Cluster cluster(cfg);
-  cluster.backup_dataset(tracing_dataset(0.02));
-  (void)cluster.report();  // settles the write pipeline
-
-  const std::vector<SpanRecord> spans = Tracer::instance().collect();
-  std::optional<SpanRecord> svc_write;
-  for (const SpanRecord& rec : spans) {
-    if (span_name(rec) == "svc.WriteSuperChunk") svc_write = rec;
-  }
-  ASSERT_TRUE(svc_write.has_value()) << "no service-side write span";
-
-  // Index only this trace's spans: other tests share the rings.
-  std::unordered_map<std::uint64_t, SpanRecord> by_id;
-  for (const SpanRecord& rec : spans) {
-    if (rec.trace_hi == svc_write->trace_hi &&
-        rec.trace_lo == svc_write->trace_lo) {
-      by_id.emplace(rec.span_id, rec);
-    }
-  }
-
-  // svc.WriteSuperChunk <- rpc.WriteSuperChunk <- ... <- sc.place root.
-  const auto parent = by_id.find(svc_write->parent_span_id);
-  ASSERT_NE(parent, by_id.end()) << "service span's parent not recorded";
-  EXPECT_EQ(span_name(parent->second), "rpc.WriteSuperChunk");
-  const auto root = chain_root(*svc_write, by_id);
-  ASSERT_TRUE(root.has_value()) << "broken parent chain";
-  EXPECT_EQ(span_name(*root), "sc.place");
-
-  // The tracer's own accounting saw this activity.
-  const TraceStats stats = Tracer::instance().stats();
-  EXPECT_GT(stats.traces_sampled, 0u);
-  EXPECT_GT(stats.spans_emitted, 0u);
-}
-
-// --- End-to-end: TCP + kTraceDump scrape -------------------------------------
-
 TEST(TraceE2ETest, TcpScrapeJoinsClientAndServiceSpans) {
   SampleRateGuard guard;
   Tracer::instance().set_sample_every(1);
@@ -491,10 +446,7 @@ TEST(TraceE2ETest, TcpScrapeJoinsClientAndServiceSpans) {
   cfg.super_chunk_bytes = 64 * 1024;
   cfg.transport.mode = TransportMode::kTcp;
   cfg.transport.rpc_timeout_ms = 20000;
-  for (std::size_t i = 0; i < server.num_nodes(); ++i) {
-    cfg.transport.tcp_nodes.push_back(
-        {{"127.0.0.1", server.port()}, server.endpoint(i)});
-  }
+  cfg.transport.tcp_nodes = server.node_map();
   Cluster cluster(cfg);
   cluster.backup_dataset(tracing_dataset(0.02));
   (void)cluster.report();
@@ -524,17 +476,28 @@ TEST(TraceE2ETest, TcpScrapeJoinsClientAndServiceSpans) {
   ASSERT_TRUE(svc_write.has_value()) << "scrape carried no write span";
   ASSERT_NE(svc_write->parent_span_id, 0u);
 
-  bool parent_is_client_rpc = false;
+  // Index only this trace's spans: other tests share the rings.
+  std::unordered_map<std::uint64_t, SpanRecord> by_id;
   for (const SpanRecord& rec : Tracer::instance().collect()) {
-    if (rec.span_id == svc_write->parent_span_id &&
-        rec.trace_hi == svc_write->trace_hi &&
+    if (rec.trace_hi == svc_write->trace_hi &&
         rec.trace_lo == svc_write->trace_lo) {
-      EXPECT_EQ(span_name(rec), "rpc.WriteSuperChunk");
-      parent_is_client_rpc = true;
+      by_id.emplace(rec.span_id, rec);
     }
   }
-  EXPECT_TRUE(parent_is_client_rpc)
+
+  // svc.WriteSuperChunk <- rpc.WriteSuperChunk <- ... <- sc.place root.
+  const auto parent = by_id.find(svc_write->parent_span_id);
+  ASSERT_NE(parent, by_id.end())
       << "service span not linked to the client's rpc span";
+  EXPECT_EQ(span_name(parent->second), "rpc.WriteSuperChunk");
+  const auto root = chain_root(*svc_write, by_id);
+  ASSERT_TRUE(root.has_value()) << "broken parent chain";
+  EXPECT_EQ(span_name(*root), "sc.place");
+
+  // The tracer's own accounting saw this activity.
+  const TraceStats stats = Tracer::instance().stats();
+  EXPECT_GT(stats.traces_sampled, 0u);
+  EXPECT_GT(stats.spans_emitted, 0u);
 }
 
 // --- Chrome trace-event rendering --------------------------------------------
