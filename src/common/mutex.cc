@@ -29,8 +29,8 @@ std::atomic<bool> g_checking{initial_checking_enabled()};
 // ---- per-thread held-lock stack --------------------------------------------
 
 constexpr int kMaxFrames = 24;
-// Deepest real chain today is 3 (node_mu_ -> store -> backend, or
-// node_mu_ -> mu_ -> pool); 16 leaves generous headroom.
+// Deepest real chain today is 3 (direct mode: route_mu_ -> store ->
+// backend); 16 leaves generous headroom.
 constexpr int kMaxHeld = 16;
 
 struct HeldLock {

@@ -8,13 +8,16 @@
 // the rank of every ranked mutex it already holds. The enum below is the
 // global acquisition order, derived from the call graph:
 //
-//   NodeService::node_mu_  ->  NodeService::mu_   (handle() error path)
-//   NodeService::mu_       ->  Channel, ThreadPool (arm drain under mu_)
-//   node_mu_               ->  every storage lock  (DedupNode internals)
+//   Cluster::route_mu_     ->  storage, Transport  (direct-mode node access,
+//                                                   write dispatch)
 //   ContainerStore::mu_    ->  StorageBackend      (seal writes the blob)
-//   node_mu_               ->  Transport, Registry (kStatsSnapshot scrape)
 //   Registry               ->  trace ring registry (scrape folds tracer)
 //   anything               ->  logging             (log lines everywhere)
+//
+// A NodeService thread holds no lock while it executes a request (its
+// mu_ guards only the queues and the snapshot provider, and is released
+// before the node runs), so on the node side the storage locks, the
+// transport and the metrics registry are each entered with nothing held.
 //
 // When checking is enabled (debug builds, -DSIGMA_LOCK_RANKS=ON builds,
 // or SIGMA_LOCK_RANKS=1 in the environment) an out-of-order acquire
@@ -51,19 +54,20 @@ enum class LockRank : int {
   //      direct mode, node storage access) ------------------------------
   kClientRoute = 5,  // Cluster::route_mu_ — router state + lookup ledger
 
-  // ---- Service plane (outermost node-side: held across node execution) -
-  kNodeSerial = 10,  // NodeService::node_mu_ — serializes DedupNode access
   // ---- Control plane (fleet registry, src/ctrl/): lease tables and
   //      cached fleet views. Held across transport sends (ranks 58-60),
   //      never under data-plane locks.
   kRegistryCtrl = 12,
-  kService = 20,     // NodeService::mu_ — drain arming
+  // ---- Service plane: held only to queue or pop a request, or to copy
+  //      the snapshot provider — never while the node executes ---------
+  kService = 20,     // NodeService::mu_ — request queues + provider
 
-  // ---- Primitives the service plane arms under its own lock -----------
-  kChannel = 30,     // net::Channel inbox state
+  // ---- Queue primitives ------------------------------------------------
+  kChannel = 30,     // net::Channel inbox state (RegistryServer)
   kThreadPool = 32,  // ThreadPool queue
 
-  // ---- Storage plane (under node_mu_, never under each other except
+  // ---- Storage plane (taken by a node thread holding nothing, or under
+  //      route_mu_ in direct mode; never under each other except
   //      ContainerStore -> backend) -------------------------------------
   kContainerStore = 40,
   kChunkIndex = 42,

@@ -1,7 +1,6 @@
-// Multi-producer single-consumer blocking channel. The inbox of every
-// NodeService event loop: transport delivery threads push, the service's
-// drain task pops. FIFO per producer and globally FIFO with respect to
-// push completion order.
+// Multi-producer single-consumer blocking channel. RegistryServer's inbox:
+// transport delivery threads push, its one worker thread pops. FIFO per
+// producer and globally FIFO with respect to push completion order.
 #pragma once
 
 #include <chrono>
@@ -59,15 +58,6 @@ class Channel {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() SIGMA_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Close the channel: future pushes fail, pops drain what remains.
   void close() SIGMA_EXCLUDES(mu_) {
     {
@@ -80,11 +70,6 @@ class Channel {
   bool closed() const SIGMA_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return closed_;
-  }
-
-  std::size_t size() const SIGMA_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.size();
   }
 
  private:

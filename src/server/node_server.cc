@@ -1,8 +1,6 @@
 #include "server/node_server.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -89,23 +87,12 @@ NodeServer::NodeServer(const NodeServerConfig& config) : config_(config) {
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
   config_.listen.port = transport_->listen_port();
 
-  // Two drain lanes per node (writes + probe fast lane) can each occupy
-  // a task, so size for both — with one thread a probe would queue behind
-  // the write drain and the fast lane would be inert.
-  const std::size_t threads =
-      config_.service_threads > 0
-          ? config_.service_threads
-          : std::min<std::size_t>(
-                2 * config_.num_nodes,
-                std::max(2u, std::thread::hardware_concurrency()));
-  pool_ = std::make_unique<ThreadPool>(threads);
-
   // Every endpoint of this daemon answers a stats scrape with the same
   // daemon-wide view (fleet_stats dedupes daemons by address).
   services_.reserve(config_.num_nodes);
   for (auto& node : nodes_) {
     services_.push_back(std::make_unique<service::NodeService>(
-        *node, *transport_, *pool_, &registry_,
+        *node, *transport_, &registry_,
         "node" + std::to_string(services_.size())));
     services_.back()->set_snapshot_provider(
         [this] { return metrics_snapshot(); });
@@ -155,7 +142,7 @@ void NodeServer::flush() {
   // Leave the fleet before going dark, so subscribed clients see the
   // membership change instead of discovering dead endpoints.
   leave_registry();
-  // Destroying a service unbinds it and waits out its drain tasks: once
+  // Destroying a service unbinds it and joins its node thread: once
   // every one is gone no request can reach a node again — only then is
   // sealing the open containers the complete final state.
   services_.clear();

@@ -1,7 +1,9 @@
 // The node daemon's core: one TCP-listening transport hosting one or more
 // deduplication node services. `tools/node_server.cc` wraps this in a CLI
 // binary; tests embed it in-process to drive a real multi-socket fleet
-// from one test body.
+// from one test body. Each node is served by its own NodeService thread,
+// so a daemon hosting N nodes runs N service threads beside its transport
+// reactors.
 //
 // Endpoint layout is the deployment contract: node i of this daemon is
 // registered at `first_endpoint + i` (default net::kServiceEndpointBase),
@@ -21,7 +23,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ctrl/registry_client.h"
 #include "net/tcp/tcp_transport.h"
 #include "node/dedup_node.h"
@@ -40,9 +41,6 @@ struct NodeServerConfig {
   net::TcpAddress listen{"127.0.0.1", 0};  // port 0 = ephemeral
   std::size_t num_nodes = 1;
   net::EndpointId first_endpoint = net::kServiceEndpointBase;
-  /// Service event-loop threads; 0 = two per node (one per drain lane,
-  /// so probes overtake write backlogs), capped at hardware concurrency.
-  std::size_t service_threads = 0;
   /// Transport event-loop shards (reactors). 0 = auto
   /// (min(hardware_concurrency, 4)); see TcpTransportConfig::reactors.
   std::uint32_t reactors = 0;
@@ -108,7 +106,8 @@ class NodeServer {
   }
 
   /// SIGTERM-clean shutdown: stop serving (unbind every node service,
-  /// draining its inbox — later requests bounce as transport errors),
+  /// which answers what it already queued — later requests bounce as
+  /// transport errors),
   /// THEN seal every node's open containers to the backend. The order
   /// matters: sealing first would let still-arriving stores land in
   /// fresh open containers that die with the process. Irreversible —
@@ -143,10 +142,9 @@ class NodeServer {
   /// Declared before everything that records into it: instruments must
   /// outlive the transport loop, services and backends.
   obs::Registry registry_;
-  // Teardown order (reverse of declaration): services unbind first, then
-  // the pool joins, then the transport stops its event loop.
+  // Teardown order (reverse of declaration): services unbind and join
+  // their node threads first, then the transport stops its event loop.
   std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<DedupNode>> nodes_;
   std::vector<std::unique_ptr<service::NodeService>> services_;
   /// Declared last: destroyed first, so the daemon leaves the fleet

@@ -15,20 +15,16 @@ using net::MessageKind;
 using net::MessageType;
 
 NodeService::NodeService(DedupNode& node, net::Transport& transport,
-                         ThreadPool& pool, obs::Registry* metrics,
-                         const std::string& label)
+                         obs::Registry* metrics, const std::string& label)
     : node_(node),
       transport_(transport),
-      pool_(pool),
       metrics_(metrics),
       prefix_(label.empty() ? std::string("svc.") : "svc." + label + "."),
       depth_gauge_(metrics_->gauge(prefix_ + "inbox_depth")),
       requests_served_(metrics_->counter(prefix_ + "requests_served")),
       errors_returned_(metrics_->counter(prefix_ + "errors_returned")),
-      drain_runs_(metrics_->counter(prefix_ + "drain_runs")),
       fast_requests_served_(
-          metrics_->counter(prefix_ + "fast_requests_served")),
-      fast_drain_runs_(metrics_->counter(prefix_ + "fast_drain_runs")) {
+          metrics_->counter(prefix_ + "fast_requests_served")) {
   // Instruments are cached before the endpoint exists: a TCP peer can
   // address a fresh endpoint id the moment the listener accepts it.
   for (std::uint8_t op = 0; op <= net::kMaxMessageType; ++op) {
@@ -37,24 +33,22 @@ NodeService::NodeService(DedupNode& node, net::Transport& transport,
   }
   endpoint_ = transport.register_endpoint(
       [this](Message&& m) { enqueue(std::move(m)); });
+  thread_ = std::thread([this] { run(); });
 }
 
 NodeService::~NodeService() {
-  // Stop deliveries (blocks until in-flight enqueues return), then wait
-  // for both lanes' drain tasks to run their inboxes dry.
+  // Stop deliveries (blocks until in-flight enqueues return), so nothing
+  // is queued once the thread is gone; it answers what is already queued.
   transport_.unregister_endpoint(endpoint_);
-  inbox_.close();
-  fast_inbox_.close();
-  MutexLock lock(mu_);
-  // Channel::size() locks the channel under mu_ — the kService ->
-  // kChannel ordering the rank table encodes.
-  while (draining_ || fast_draining_ || inbox_.size() != 0 ||
-         fast_inbox_.size() != 0) {
-    idle_cv_.wait(mu_);
+  {
+    MutexLock lock(mu_);
+    closed_ = true;
   }
+  cv_.notify_all();
+  thread_.join();
 }
 
-bool NodeService::is_fast_lane(MessageType type) {
+bool NodeService::is_probe(MessageType type) {
   switch (type) {
     case MessageType::kRoutingProbe:
     case MessageType::kDuplicateTest:
@@ -73,72 +67,54 @@ bool NodeService::is_fast_lane(MessageType type) {
     case MessageType::kFleetFetch:
     case MessageType::kFleetUpdate:
       // Control-plane ops belong to the registry; a node service only
-      // ever answers them with an error (slow lane is fine for that).
+      // ever answers them with an error (the write queue is fine for that).
       return false;
   }
   return false;
 }
 
-void NodeService::observe_depth() {
-  depth_gauge_.set(
-      static_cast<std::int64_t>(inbox_.size() + fast_inbox_.size()));
-}
-
 void NodeService::enqueue(Message&& m) {
-  const bool fast = m.kind == MessageKind::kRequest && is_fast_lane(m.type);
-  auto& lane = fast ? fast_inbox_ : inbox_;
-  if (!lane.push(std::move(m))) return;  // shutting down
-  observe_depth();
-  MutexLock lock(mu_);
-  bool& arming = fast ? fast_draining_ : draining_;
-  if (!arming) {
-    arming = true;
-    pool_.submit([this, fast] { drain(fast); });
+  const bool probe = m.kind == MessageKind::kRequest && is_probe(m.type);
+  {
+    MutexLock lock(mu_);
+    if (closed_) return;  // shutting down
+    (probe ? probes_ : writes_).push_back(std::move(m));
+    depth_gauge_.set(
+        static_cast<std::int64_t>(probes_.size() + writes_.size()));
   }
+  cv_.notify_one();
 }
 
-void NodeService::drain(bool fast) {
-  auto& lane = fast ? fast_inbox_ : inbox_;
-  drain_runs_.inc();
-  if (fast) fast_drain_runs_.inc();
-  while (true) {
-    auto m = lane.try_pop();
-    if (!m) break;
-    observe_depth();
+void NodeService::run() {
+  for (;;) {
+    Message m;
+    bool probe = false;
+    {
+      MutexLock lock(mu_);
+      while (!closed_ && probes_.empty() && writes_.empty()) cv_.wait(mu_);
+      // A queued probe always goes before the next write: it waits out
+      // at most the write in progress, never the write backlog.
+      probe = !probes_.empty();
+      auto& queue = probe ? probes_ : writes_;
+      if (queue.empty()) return;  // closed and drained
+      m = std::move(queue.front());
+      queue.pop_front();
+      depth_gauge_.set(
+          static_cast<std::int64_t>(probes_.size() + writes_.size()));
+    }
     Message response;
     {
-      // One request at a time against the node, across both lanes. A
-      // probe waits out at most the write in progress, never the queue.
-      MutexLock node_lock(node_mu_);
       // The op span adopts the wire context (no-op unless the request is
       // sampled): the daemon-side span is a child of the client's RPC
       // span, and storage spans under handle() nest beneath it via the
       // thread-local current context.
-      obs::SpanScope span(m->trace, "svc.", to_string(m->type));
-      obs::ScopedTimer timer(
-          *op_time_us_[static_cast<std::uint8_t>(m->type)]);
-      response = handle(*m);
+      obs::SpanScope span(m.trace, "svc.", to_string(m.type));
+      obs::ScopedTimer timer(*op_time_us_[static_cast<std::uint8_t>(m.type)]);
+      response = handle(m);
     }
     requests_served_.inc();
-    if (fast) fast_requests_served_.inc();
+    if (probe) fast_requests_served_.inc();
     transport_.send(std::move(response));
-  }
-  {
-    MutexLock lock(mu_);
-    bool& arming = fast ? fast_draining_ : draining_;
-    arming = false;
-    // A message pushed after the final try_pop re-arms here: its enqueue
-    // either saw the flag true (so nobody armed) or will arm itself.
-    // Re-arming also covers shutdown, so a closed inbox still drains dry.
-    if (lane.size() > 0) {
-      arming = true;
-      pool_.submit([this, fast] { drain(fast); });
-      return;
-    }
-    // Notify under mu_: the destructor may destroy this service the
-    // instant its wait predicate holds, so the notify must complete
-    // before that predicate can be re-checked.
-    idle_cv_.notify_all();
   }
 }
 
@@ -212,8 +188,8 @@ Message NodeService::handle(const Message& request) {
       case MessageType::kStatsSnapshot: {
         // The provider covers the whole hosting process; every endpoint
         // of a daemon answers with the same daemon-wide snapshot. Copy it
-        // out first — invoking under mu_ would reacquire kService rank in
-        // the sibling services it scrapes.
+        // out first — invoking it under mu_ would stall every delivery to
+        // this node for the length of the scrape.
         SnapshotProvider provider;
         {
           MutexLock lock(mu_);
@@ -227,8 +203,7 @@ Message NodeService::handle(const Message& request) {
         // Like kStatsSnapshot, the answer covers the whole hosting
         // process: the Tracer is process-global, so every endpoint
         // serves the same flight-recorder view. Collection is lock-free
-        // against concurrent emitters (kTraceRegistry is a leaf rank,
-        // safe under node_mu_).
+        // against concurrent emitters.
         obs::Tracer& tracer = obs::Tracer::instance();
         obs::SpanDump dump;
         dump.pid = static_cast<std::uint64_t>(::getpid());
@@ -262,9 +237,7 @@ NodeServiceStats NodeService::stats() const {
   NodeServiceStats s;
   s.requests_served = requests_served_.value();
   s.errors_returned = errors_returned_.value();
-  s.drain_runs = drain_runs_.value();
   s.fast_requests_served = fast_requests_served_.value();
-  s.fast_drain_runs = fast_drain_runs_.value();
   return s;
 }
 

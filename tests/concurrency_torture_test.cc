@@ -271,13 +271,12 @@ TEST(RpcTortureTest, DestructionRacingInFlightCallsFailsThemFast) {
   EXPECT_EQ(settled, 30);
 }
 
-// ---- NodeService: fast lane vs write backlog -------------------------------
+// ---- NodeService: probe queue vs write backlog -----------------------------
 
 TEST(NodeServiceTortureTest, FastLaneProbesOvertakeWriteBacklogSafely) {
   DedupNode node(0, DedupNodeConfig{});
   net::LoopbackTransport transport;
-  ThreadPool pool(3);
-  service::NodeService service(node, transport, pool);
+  service::NodeService service(node, transport);
   net::RpcEndpoint rpc(transport);
   service::NodeClient client(rpc, service.endpoint(), 5000ms);
 
@@ -287,7 +286,7 @@ TEST(NodeServiceTortureTest, FastLaneProbesOvertakeWriteBacklogSafely) {
   std::atomic<bool> stop_probing{false};
   std::atomic<int> probes_answered{0};
 
-  // Writers pile super-chunk stores into the FIFO write lane...
+  // Writers pile super-chunk stores into the FIFO write queue...
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
@@ -306,7 +305,7 @@ TEST(NodeServiceTortureTest, FastLaneProbesOvertakeWriteBacklogSafely) {
     });
   }
 
-  // ...while probers hammer the fast lane. Overtaking is safe by design
+  // ...while probers hammer the probe queue. Overtaking is safe by design
   // (stores are monotonic), so all that must hold is: every probe answers
   // promptly and the counts are coherent.
   std::vector<std::thread> probers;
@@ -338,20 +337,19 @@ TEST(NodeServiceTortureTest, FastLaneProbesOvertakeWriteBacklogSafely) {
             static_cast<std::uint64_t>(kWriters * kWritesPerWriter));
 }
 
-// Regression: NodeService's final drain used to notify idle_cv_ after
-// releasing mu_, so a destructor whose wait predicate was already
-// satisfied could free the service while the drain task was still inside
+// Regression: NodeService's final drain (when pool tasks served it) used
+// to notify its idle condvar after releasing the lock, so a destructor
+// could free the service while the drain task was still inside
 // notify_all() — a use-after-free TSan caught in the fleet identity
 // tests. Same pattern existed in both transports' delivery accounting.
-// This storm hammers exactly that window: construct, do a little work,
+// This storm hammers the teardown window: construct, do a little work,
 // destroy immediately.
 TEST(NodeServiceTortureTest, TeardownRacingFinalDrainIsClean) {
   for (int round = 0; round < 100; ++round) {
     DedupNode node(0, DedupNodeConfig{});
     net::LoopbackTransport transport;
-    ThreadPool pool(2);
     {
-      service::NodeService service(node, transport, pool);
+      service::NodeService service(node, transport);
       net::RpcEndpoint rpc(transport);
       service::NodeClient client(rpc, service.endpoint(), 5000ms);
       SuperChunk sc;
@@ -360,24 +358,23 @@ TEST(NodeServiceTortureTest, TeardownRacingFinalDrainIsClean) {
            4096});
       (void)client.write_super_chunk_async(StreamId{1}, sc);
       (void)client.stored_bytes_async();
-      // Both calls are likely still in flight: the service destructor
-      // must wait out its drain tasks completely — including their final
-      // idle notify — before the object goes away.
+      // Both calls are likely still queued: the service destructor must
+      // let the node thread answer them and exit before the object goes
+      // away.
     }
   }
 }
 
 TEST(NodeServiceTortureTest, SnapshotProviderInstallRacingScrapes) {
   // Regression: set_snapshot_provider() used to write the provider
-  // unlocked while handle() read it from a pool thread — a daemon could
+  // unlocked while handle() read it from a serving thread — a daemon could
   // crash when a stats scrape arrived during startup. Installs must be
   // safe under live kStatsSnapshot traffic: a racing scrape sees either
   // the old provider or the new one, never a torn std::function.
   DedupNode node(0, DedupNodeConfig{});
   net::LoopbackTransport transport;
-  ThreadPool pool(2);
   obs::Registry registry;
-  service::NodeService service(node, transport, pool);
+  service::NodeService service(node, transport);
   net::RpcEndpoint rpc(transport);
 
   std::atomic<bool> stop{false};

@@ -39,7 +39,7 @@ class LockRankTest : public ::testing::Test {
 };
 
 TEST_F(LockRankTest, InOrderAcquireIsClean) {
-  Mutex outer(LockRank::kNodeSerial);
+  Mutex outer(LockRank::kClientRoute);
   Mutex inner(LockRank::kStorageBackend);
   Mutex leaf(LockRank::kLogging);
   {
@@ -115,7 +115,7 @@ TEST_F(LockRankTest, CondVarRelockIsClean) {
 TEST_F(LockRankTest, HeldStackIsPerThread) {
   // Thread A holding a high rank must not poison thread B's acquires.
   Mutex high(LockRank::kLogging);
-  Mutex low(LockRank::kNodeSerial);
+  Mutex low(LockRank::kClientRoute);
   MutexLock a(high);
   std::thread other([&] {
     MutexLock b(low);  // fresh thread, empty held stack: fine

@@ -1,14 +1,12 @@
 // Node service layer: the four wire operations against a real DedupNode,
-// the sparse-payload write protocol, event-loop serialization on the
-// thread pool, and error propagation.
+// the sparse-payload write protocol, serialization on the node thread, the
+// probe queue, and error propagation.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
+#include <future>
 #include <thread>
 
 #include "common/hash_util.h"
-#include "common/thread_pool.h"
 #include "net/rpc.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -40,60 +38,53 @@ Buffer payload_for(std::uint64_t id, std::uint32_t size = 4096) {
   return b;
 }
 
-/// Loopback transport that can hold write-lane replies: while held, the
-/// service's write drain blocks sending its first reply (with no node
-/// lock held), so the rest of a write backlog stays queued behind it.
-class GatedTransport final : public net::Transport {
+/// Parks a service's node thread inside a kStatsSnapshot provider until
+/// release(), so a test controls exactly what is queued when the thread
+/// next pops. Declare it before the service it parks: the parked thread
+/// still touches these promises on its way out of the provider.
+class NodeThreadPark {
  public:
-  net::EndpointId register_endpoint(Handler handler) override {
-    return inner_.register_endpoint(std::move(handler));
+  /// Returns once the node thread is inside the provider. The scrape
+  /// that parked it is answered after release().
+  net::PendingCall park(service::NodeService& service, net::RpcEndpoint& rpc) {
+    service.set_snapshot_provider([this] {
+      parked_.set_value();
+      released_.wait();
+      return obs::MetricsSnapshot{};
+    });
+    net::PendingCall scrape = rpc.call(
+        service.endpoint(), net::MessageType::kStatsSnapshot, Buffer{});
+    parked_.get_future().wait();
+    return scrape;
   }
-  void unregister_endpoint(net::EndpointId id) override {
-    inner_.unregister_endpoint(id);
-  }
-  void send(net::Message&& m) override {
-    if (m.kind == net::MessageKind::kResponse &&
-        m.type == net::MessageType::kWriteSuperChunk) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !held_; });
-    }
-    inner_.send(std::move(m));
-  }
-  net::NetStats stats() const override { return inner_.stats(); }
 
-  void hold_write_replies() {
-    std::lock_guard<std::mutex> lock(mu_);
-    held_ = true;
-  }
-  void release_write_replies() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      held_ = false;
-    }
-    cv_.notify_all();
+  /// Lets the thread go. Idempotent, so teardown can always call it and a
+  /// failing test cannot hang the service's join.
+  void release() {
+    if (released_flag_) return;
+    released_flag_ = true;
+    release_.set_value();
   }
 
  private:
-  net::LoopbackTransport inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool held_ = false;
+  std::promise<void> parked_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  bool released_flag_ = false;
 };
 
 class ServiceFixture : public ::testing::Test {
  protected:
   ServiceFixture()
       : node_(0, DedupNodeConfig{}),
-        pool_(2),
-        service_(node_, transport_, pool_),
+        service_(node_, transport_),
         rpc_(transport_),
         client_(rpc_, service_.endpoint(), 5000ms) {}
-  // A test that fails while replies are held must still tear down.
-  ~ServiceFixture() override { transport_.release_write_replies(); }
+  ~ServiceFixture() override { park_.release(); }
 
   DedupNode node_;
-  GatedTransport transport_;
-  ThreadPool pool_;
+  net::LoopbackTransport transport_;
+  NodeThreadPark park_;  // before service_, which may be parked on it
   service::NodeService service_;
   net::RpcEndpoint rpc_;
   service::NodeClient client_;
@@ -318,32 +309,29 @@ TEST_F(ServiceFixture, GarbageBodyYieldsErrorNotCrash) {
   EXPECT_EQ(client_.stored_bytes(), 0u);
 }
 
-// --- Probe fast lane ----------------------------------------------------------
+// --- Probe queue --------------------------------------------------------------
 
 TEST_F(ServiceFixture, RequestsAreClassifiedIntoLanes) {
-  client_.write_super_chunk(0, make_super_chunk(0, 8));  // write lane
-  client_.stored_bytes();                                // fast lane
-  client_.test_duplicates({rec(1).fp});                  // fast lane
+  client_.write_super_chunk(0, make_super_chunk(0, 8));  // write queue
+  client_.stored_bytes();                                // probe queue
+  client_.test_duplicates({rec(1).fp});                  // probe queue
   client_
       .routing_probe_async(ProbeKind::kResemblance,
                            compute_handprint(make_super_chunk(0, 8).chunks, 4))
-      .get(5000ms);                                      // fast lane
-  client_.flush();                                       // write lane
+      .get(5000ms);                                      // probe queue
+  client_.flush();                                       // write queue
 
   const auto stats = service_.stats();
   EXPECT_EQ(stats.requests_served, 5u);
   EXPECT_EQ(stats.fast_requests_served, 3u);
-  EXPECT_GT(stats.fast_drain_runs, 0u);
 }
 
 TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
-  // Queue a deep write backlog, then issue one probe: the fast lane must
-  // answer it while the backlog is still pending. (In a single FIFO lane
-  // the probe would serialize behind all of it, which is exactly what
-  // capped same-node pipelining.) The write lane is held on its first
-  // reply until the probe has been answered, so the overtake does not
-  // depend on how fast the backlog drains.
-  transport_.hold_write_replies();
+  // Park the node thread, queue a deep write backlog and then one probe,
+  // and release: the probe must run before every queued write. (In a
+  // single FIFO queue it would serialize behind all of them, which is
+  // exactly what capped same-node pipelining.)
+  net::PendingCall scrape = park_.park(service_, rpc_);
   constexpr int kWrites = 40;
   std::vector<net::PendingCall> writes;
   writes.reserve(kWrites);
@@ -356,23 +344,21 @@ TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
                                net::MessageType::kWriteSuperChunk,
                                service::encode_write_request(req)));
   }
+  net::PendingCall probe = client_.stored_bytes_async();
+  park_.release();
 
-  (void)client_.stored_bytes();  // probe lands mid-backlog
-
-  std::size_t writes_pending = 0;
-  for (auto& w : writes) {
-    if (!w.done()) ++writes_pending;
-  }
-  transport_.release_write_replies();
+  // The probe saw none of the 40 stores: it ran before every one of them.
+  const Buffer body = probe.get(30000ms);
+  EXPECT_EQ(service::decode_u64(ByteView{body.data(), body.size()}), 0u);
   net::RpcEndpoint::wait_all(writes, 30000ms);
-  // The probe returned while the write backlog was still draining.
-  EXPECT_GT(writes_pending, 0u);
-  EXPECT_EQ(service_.stats().fast_requests_served, 1u);
+  (void)scrape.get(5000ms);
+  EXPECT_EQ(node_.stats().super_chunks, static_cast<std::uint64_t>(kWrites));
+  EXPECT_EQ(service_.stats().fast_requests_served, 2u);  // scrape + probe
 }
 
 TEST_F(ServiceFixture, ConcurrentProbesAndWritesStayConsistent) {
   // One thread hammers writes, another probes: every response must be
-  // well-formed (the node mutex serializes actual node access), and the
+  // well-formed (the node thread serializes actual node access), and the
   // final state must reflect every write.
   constexpr int kWrites = 30;
   std::thread writer([&] {
@@ -399,7 +385,6 @@ TEST(ClientProbeSetTest, GatherMatchesPerNodeStateAcrossFleet) {
   // counts and the whole fleet's usage, identical to per-node truth.
   constexpr std::size_t kNodes = 3;
   net::LoopbackTransport transport;
-  ThreadPool pool(4);
   std::vector<std::unique_ptr<DedupNode>> nodes;
   std::vector<std::unique_ptr<service::NodeService>> services;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -407,7 +392,7 @@ TEST(ClientProbeSetTest, GatherMatchesPerNodeStateAcrossFleet) {
         std::make_unique<DedupNode>(static_cast<NodeId>(i),
                                     DedupNodeConfig{}));
     services.push_back(std::make_unique<service::NodeService>(
-        *nodes.back(), transport, pool));
+        *nodes.back(), transport));
   }
   net::RpcEndpoint rpc(transport);
   std::vector<std::unique_ptr<service::NodeClient>> clients;
@@ -445,8 +430,8 @@ TEST(ClientProbeSetTest, GatherMatchesPerNodeStateAcrossFleet) {
 // --- Event-loop behavior ------------------------------------------------------
 
 TEST_F(ServiceFixture, ConcurrentClientsSerializeOnOneNode) {
-  // Hammer one node from several threads; the per-service event loop must
-  // serialize them so node state stays consistent.
+  // Hammer one node from several threads; the node thread must serialize
+  // them so node state stays consistent.
   constexpr int kThreads = 4;
   constexpr int kWrites = 25;
   std::vector<std::thread> threads;
@@ -471,17 +456,16 @@ TEST_F(ServiceFixture, ConcurrentClientsSerializeOnOneNode) {
             transport_.stats().responses);
 }
 
-TEST(NodeServicePoolTest, ManyNodesShareASmallPool) {
-  // 8 services on a 2-thread pool: the re-armed drain must let every
-  // service make progress without pinning a thread each.
+TEST(NodeServiceTest, ManyNodesEachServeOnTheirOwnThread) {
+  // 8 services, one node thread each: interleaved writes to all of them
+  // must land on the right node, and teardown must join every thread.
   net::LoopbackTransport transport;
-  ThreadPool pool(2);
   std::vector<std::unique_ptr<DedupNode>> nodes;
   std::vector<std::unique_ptr<service::NodeService>> services;
   for (NodeId i = 0; i < 8; ++i) {
     nodes.push_back(std::make_unique<DedupNode>(i, DedupNodeConfig{}));
     services.push_back(
-        std::make_unique<service::NodeService>(*nodes[i], transport, pool));
+        std::make_unique<service::NodeService>(*nodes[i], transport));
   }
   net::RpcEndpoint rpc(transport);
   std::vector<net::PendingCall> calls;
@@ -501,7 +485,37 @@ TEST(NodeServicePoolTest, ManyNodesShareASmallPool) {
   for (auto& n : nodes) {
     EXPECT_EQ(n->stats().super_chunks, 5u);
   }
-  services.clear();  // orderly shutdown before pool/transport die
+  services.clear();  // orderly shutdown before the nodes die
+}
+
+TEST(NodeServiceTest, DestructionAnswersEveryQueuedRequest) {
+  // Park the node thread, queue writes and probes behind it, release it
+  // and destroy the service at once: the destructor must answer every
+  // queued request before it joins, so no call fails or times out.
+  NodeThreadPark park;  // before the service, which is parked on it
+  DedupNode node(0, DedupNodeConfig{});
+  net::LoopbackTransport transport;
+  net::RpcEndpoint rpc(transport);
+  auto service = std::make_unique<service::NodeService>(node, transport);
+  service::NodeClient client(rpc, service->endpoint(), 5000ms);
+
+  constexpr int kWrites = 20;
+  std::vector<net::PendingCall> calls;
+  calls.push_back(park.park(*service, rpc));
+  for (int i = 0; i < kWrites; ++i) {
+    calls.push_back(client.write_super_chunk_async(
+        StreamId{0},
+        make_super_chunk(static_cast<std::uint64_t>(i) * 64, 16)));
+    calls.push_back(client.stored_bytes_async());
+  }
+  park.release();
+  service.reset();
+
+  // Every answer was sent before the destructor returned.
+  for (auto& call : calls) {
+    EXPECT_NO_THROW((void)call.get(0ms));
+  }
+  EXPECT_EQ(node.stats().super_chunks, static_cast<std::uint64_t>(kWrites));
 }
 
 }  // namespace

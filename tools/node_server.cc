@@ -70,8 +70,7 @@ void handle_trace_dump(int) {
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "node_server: " << error << "\n";
   std::cerr << "usage: node_server [--host H] [--port P] [--nodes N]\n"
-            << "                   [--first-endpoint E] [--service-threads T]\n"
-            << "                   [--reactors R]\n"
+            << "                   [--first-endpoint E] [--reactors R]\n"
             << "                   [--container-mb MB] [--approximate]\n"
             << "                   [--backend memory|file] [--data-dir DIR]\n"
             << "                   [--no-fsync] [--trace-sample N]\n"
@@ -79,11 +78,10 @@ void handle_trace_dump(int) {
             << "                   [--registry-heartbeat-ms T]\n"
             << "  --host H             listen address (default 127.0.0.1)\n"
             << "  --port P             listen port; 0 picks one (default 0)\n"
-            << "  --nodes N            dedup nodes to host (default 1)\n"
+            << "  --nodes N            dedup nodes to host, one service\n"
+            << "                       thread each (default 1)\n"
             << "  --first-endpoint E   endpoint id of node 0 (default "
             << sigma::net::kServiceEndpointBase << ")\n"
-            << "  --service-threads T  event-loop threads (default: 2 per "
-               "node)\n"
             << "  --reactors R         transport event-loop shards (default\n"
             << "                       0 = min(hardware threads, 4))\n"
             << "  --container-mb MB    container capacity (default 4)\n"
@@ -146,8 +144,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--first-endpoint") {
       config.first_endpoint =
           static_cast<net::EndpointId>(number(0xFFFFFFFFul));
-    } else if (arg == "--service-threads") {
-      config.service_threads = number(1024);
     } else if (arg == "--reactors") {
       config.reactors = static_cast<std::uint32_t>(number(64));
     } else if (arg == "--container-mb") {
