@@ -12,7 +12,7 @@ cd "$(dirname "$0")"
 
 cmake -B build -S .
 cmake --build build -j
-ctest --output-on-failure -j --test-dir build
+ctest --output-on-failure -j"$(nproc)" --test-dir build
 
 scripts/tcp_smoke.sh build
 scripts/persist_smoke.sh build
@@ -66,7 +66,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DSIGMA_SANITIZE=address,undefined \
       -DSIGMA_BUILD_BENCH=OFF -DSIGMA_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j
-  ctest --output-on-failure -j --test-dir build-asan
+  ctest --output-on-failure -j"$(nproc)" --test-dir build-asan
 
   # TSan lane: the full suite plus both multi-process smoke tests, with
   # the runtime lock-rank checker armed. tsan.supp carries documented
@@ -76,7 +76,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
       -DSIGMA_BUILD_BENCH=OFF
   cmake --build build-tsan -j
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \
-      ctest --output-on-failure -j --test-dir build-tsan
+      ctest --output-on-failure -j"$(nproc)" --test-dir build-tsan
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \
       scripts/tcp_smoke.sh build-tsan
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \

@@ -17,6 +17,10 @@ struct StreamChunk {
   std::size_t file_index;
 };
 
+/// Recipe entries a restore reads per round: enough in flight to hide
+/// the per-chunk round trip, few enough to bound the buffered bytes.
+constexpr std::size_t kRestoreWindow = 64;
+
 std::size_t resolve_hash_threads(std::size_t configured) {
   if (configured > 0) return configured;
   return std::min<std::size_t>(
@@ -139,19 +143,43 @@ Buffer BackupClient::restore(const std::string& session,
     throw std::runtime_error("restore: unknown file '" + path +
                              "' in session '" + session + "'");
   }
+  const auto& entries = recipe->chunks;
   Buffer out;
   out.reserve(recipe->logical_bytes());
-  for (const auto& entry : recipe->chunks) {
-    auto chunk = cluster_.read_chunk(entry.node, entry.fp);
-    if (!chunk) {
-      throw std::runtime_error("restore: missing chunk " + entry.fp.hex() +
-                               " on node " + std::to_string(entry.node));
+  std::vector<std::pair<NodeId, Fingerprint>> reads;
+  for (std::size_t base = 0; base < entries.size(); base += kRestoreWindow) {
+    const std::size_t n = std::min(kRestoreWindow, entries.size() - base);
+    reads.clear();
+    for (std::size_t i = base; i < base + n; ++i) {
+      reads.emplace_back(entries[i].node, entries[i].fp);
     }
-    if (chunk->size() != entry.size) {
-      throw std::runtime_error("restore: chunk size mismatch for " +
-                               entry.fp.hex());
+    const auto chunks = cluster_.read_chunks(reads);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& entry = entries[base + i];
+      if (!chunks[i]) {
+        throw std::runtime_error("restore: missing chunk " + entry.fp.hex() +
+                                 " on node " + std::to_string(entry.node));
+      }
+      if (chunks[i]->size() != entry.size) {
+        throw std::runtime_error("restore: chunk size mismatch for " +
+                                 entry.fp.hex());
+      }
     }
-    out.insert(out.end(), chunk->begin(), chunk->end());
+    // End-to-end integrity: the node's ranged read does not check its
+    // container's checksum, so each chunk is held to its fingerprint.
+    std::vector<char> intact(n);
+    parallel_over(n, /*min_per_shard=*/16, [&](std::size_t i) {
+      const Buffer& chunk = *chunks[i];
+      intact[i] = Fingerprint::of(ByteView{chunk.data(), chunk.size()},
+                                  config_.hash) == entries[base + i].fp;
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!intact[i]) {
+        throw std::runtime_error("restore: chunk content mismatch for " +
+                                 entries[base + i].fp.hex());
+      }
+      out.insert(out.end(), chunks[i]->begin(), chunks[i]->end());
+    }
   }
   return out;
 }

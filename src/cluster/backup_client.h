@@ -60,8 +60,10 @@ class BackupClient {
   /// stream for per-stream open containers on the nodes.
   BackupSummary backup(const ContentBackup& session, StreamId stream = 0);
 
-  /// Restore one file from its recipe; verifies nothing — callers compare
-  /// against the original. Throws if the recipe or a chunk is missing.
+  /// Restore one file from its recipe. Reads a window of recipe entries
+  /// at a time, all in flight together, and re-hashes every chunk with the
+  /// configured algorithm against its recipe fingerprint. Throws if the
+  /// recipe or a chunk is missing, or a chunk's content does not match.
   Buffer restore(const std::string& session, const std::string& path) const;
 
  private:

@@ -415,17 +415,44 @@ NodeId Cluster::place_super_chunk(const SuperChunk& super_chunk,
   return target;
 }
 
+std::vector<std::optional<Buffer>> Cluster::read_chunks(
+    const std::vector<std::pair<NodeId, Fingerprint>>& reads) const {
+  for (const auto& [node, fp] : reads) {
+    if (node >= size()) {
+      throw std::invalid_argument("Cluster: bad node id");
+    }
+  }
+  std::vector<std::optional<Buffer>> out;
+  out.reserve(reads.size());
+  if (!runtime_) {
+    MutexLock lock(route_mu_);
+    for (const auto& [node, fp] : reads) {
+      out.push_back(nodes_[node]->read_chunk(fp));
+    }
+    return out;
+  }
+  {
+    // The drain is the read-after-write barrier: reads must observe every
+    // in-flight write. No RPC is issued under the lock.
+    MutexLock lock(route_mu_);
+    runtime_->drain();
+  }
+  std::vector<net::PendingCall> calls;
+  calls.reserve(reads.size());
+  for (const auto& [node, fp] : reads) {
+    calls.push_back(runtime_->clients[node]->read_chunk_async(fp));
+  }
+  for (const Buffer& body :
+       net::RpcEndpoint::wait_all(calls, runtime_->timeout)) {
+    out.push_back(
+        service::decode_read_response(ByteView{body.data(), body.size()}));
+  }
+  return out;
+}
+
 std::optional<Buffer> Cluster::read_chunk(NodeId node,
                                           const Fingerprint& fp) const {
-  if (node >= size()) {
-    throw std::invalid_argument("Cluster: bad node id");
-  }
-  MutexLock lock(route_mu_);
-  if (runtime_) {
-    runtime_->drain();  // reads must observe every in-flight write
-    return runtime_->clients[node]->read_chunk(fp);
-  }
-  return nodes_[node]->read_chunk(fp);
+  return std::move(read_chunks({{node, fp}}).front());
 }
 
 void Cluster::flush() {

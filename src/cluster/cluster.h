@@ -19,6 +19,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -201,8 +202,17 @@ class Cluster {
                            const DedupNode::PayloadProvider& payloads = {})
       SIGMA_EXCLUDES(route_mu_);
 
-  /// Fetch one stored chunk from a node (restore path). Goes over the
-  /// transport in kTcp mode.
+  /// Fetch stored chunks (restore path), one (node, fingerprint) per
+  /// entry; the answers come back in entry order, std::nullopt for a chunk
+  /// its node does not hold. Every write issued before the call is
+  /// applied first. In kTcp mode route_mu_ is held only for that drain:
+  /// the reads then go out together, one pipelined kReadChunk each, and
+  /// concurrent callers overlap.
+  std::vector<std::optional<Buffer>> read_chunks(
+      const std::vector<std::pair<NodeId, Fingerprint>>& reads) const
+      SIGMA_EXCLUDES(route_mu_);
+
+  /// A one-entry read_chunks().
   std::optional<Buffer> read_chunk(NodeId node, const Fingerprint& fp) const
       SIGMA_EXCLUDES(route_mu_);
 

@@ -10,6 +10,8 @@
 //
 //   Cluster::route_mu_     ->  storage, Transport  (direct-mode node access,
 //                                                   write dispatch)
+//     (the kTcp restore read path takes route_mu_ only to drain in-flight
+//     writes — its read-after-write barrier — and never across an RPC)
 //   ContainerStore::mu_    ->  StorageBackend      (seal writes the blob)
 //   Registry               ->  trace ring registry (scrape folds tracer)
 //   anything               ->  logging             (log lines everywhere)

@@ -223,7 +223,7 @@ std::size_t DedupNode::rebuild_indexes() {
     records.reserve(metadata.size());
     for (std::uint32_t i = 0; i < metadata.size(); ++i) {
       const ChunkMeta& m = metadata[i];
-      chunk_index_.insert(m.fp, {*cid, i});
+      chunk_index_.insert(m.fp, {*cid, i, m.length, m.offset});
       {
         MutexLock lock(bloom_mu_);
         bloom_.insert(m.fp);

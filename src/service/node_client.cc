@@ -79,9 +79,12 @@ SuperChunkWriteResult NodeClient::write_super_chunk(
 }
 
 std::optional<Buffer> NodeClient::read_chunk(const Fingerprint& fp) const {
-  const Buffer response = rpc_.call_sync(service_, MessageType::kReadChunk,
-                                         encode_read_request(fp), timeout_);
+  const Buffer response = read_chunk_async(fp).get(timeout_);
   return decode_read_response(ByteView{response.data(), response.size()});
+}
+
+net::PendingCall NodeClient::read_chunk_async(const Fingerprint& fp) const {
+  return rpc_.call(service_, MessageType::kReadChunk, encode_read_request(fp));
 }
 
 net::PendingCall NodeClient::flush_async() const {

@@ -67,6 +67,10 @@ class NodeClient {
 
   std::optional<Buffer> read_chunk(const Fingerprint& fp) const;
 
+  /// Async chunk read (decode the result with decode_read_response) — the
+  /// restore path keeps a recipe window of these in flight at once.
+  net::PendingCall read_chunk_async(const Fingerprint& fp) const;
+
   net::PendingCall flush_async() const;
   void flush() const;
 

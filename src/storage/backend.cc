@@ -1,6 +1,7 @@
 #include "storage/backend.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -50,6 +51,25 @@ std::optional<Buffer> MemoryBackend::get(const std::string& key) {
   return out;
 }
 
+std::optional<Buffer> MemoryBackend::get_range(const std::string& key,
+                                               std::uint64_t offset,
+                                               std::uint64_t len) {
+  Buffer out;
+  {
+    MutexLock lock(mu_);
+    auto it = blobs_.find(key);
+    if (it == blobs_.end()) return std::nullopt;
+    const Buffer& blob = it->second;
+    if (offset > blob.size() || len > blob.size() - offset) {
+      throw std::out_of_range("MemoryBackend: range past end of " + key);
+    }
+    const auto first = blob.begin() + static_cast<std::ptrdiff_t>(offset);
+    out.assign(first, first + static_cast<std::ptrdiff_t>(len));
+  }
+  record_read(len);
+  return out;
+}
+
 bool MemoryBackend::exists(const std::string& key) {
   MutexLock lock(mu_);
   return blobs_.contains(key);
@@ -82,6 +102,18 @@ bool ends_with_tmp_suffix(const std::string& name) {
   throw std::runtime_error("FileBackend: " + what + ": " + path.string() +
                            ": " + std::strerror(errno));
 }
+
+/// Closes a descriptor on scope exit, thrown-through or not.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
 
 void fsync_path(const std::filesystem::path& path, bool directory) {
   const int fd =
@@ -218,6 +250,40 @@ std::optional<Buffer> FileBackend::get(const std::string& key) {
     }
   }
   record_read(buf.size());
+  return buf;
+}
+
+std::optional<Buffer> FileBackend::get_range(const std::string& key,
+                                             std::uint64_t offset,
+                                             std::uint64_t len) {
+  const auto path = path_for(key);
+  // No mu_: a published file is never rewritten in place (put renames a
+  // finished temp over it), so an open descriptor sees one whole version.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw_errno("cannot open for read", path);
+  }
+  const FdCloser closer(fd);
+  struct ::stat st {};
+  if (::fstat(fd, &st) != 0) throw_errno("cannot stat", path);
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (offset > size || len > size - offset) {
+    throw std::out_of_range("FileBackend: range past end of " +
+                            path.string());
+  }
+  Buffer buf(static_cast<std::size_t>(len));
+  for (std::uint64_t got = 0; got < len;) {
+    const ::ssize_t n = ::pread(fd, buf.data() + got, len - got,
+                                static_cast<::off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw_errno("read failed", path);
+    if (n == 0) {
+      throw std::runtime_error("FileBackend: short read: " + path.string());
+    }
+    got += static_cast<std::uint64_t>(n);
+  }
+  record_read(len);
   return buf;
 }
 

@@ -40,6 +40,13 @@ class StorageBackend {
   virtual void put(const std::string& key, ByteView data) = 0;
   /// Returns std::nullopt if the key does not exist.
   virtual std::optional<Buffer> get(const std::string& key) = 0;
+  /// Bytes [offset, offset + len) of the blob under `key`; std::nullopt if
+  /// the key does not exist. Throws if the range runs past the blob's end
+  /// — a short answer would be a torn read, never a valid one. Counts
+  /// `len` bytes read, not the blob's size.
+  virtual std::optional<Buffer> get_range(const std::string& key,
+                                          std::uint64_t offset,
+                                          std::uint64_t len) = 0;
   virtual bool exists(const std::string& key) = 0;
   virtual void remove(const std::string& key) = 0;
   virtual std::vector<std::string> keys() = 0;
@@ -83,6 +90,9 @@ class MemoryBackend final : public StorageBackend {
 
   void put(const std::string& key, ByteView data) override;
   std::optional<Buffer> get(const std::string& key) override;
+  std::optional<Buffer> get_range(const std::string& key,
+                                  std::uint64_t offset,
+                                  std::uint64_t len) override;
   bool exists(const std::string& key) override;
   void remove(const std::string& key) override;
   std::vector<std::string> keys() override;
@@ -101,7 +111,9 @@ class MemoryBackend final : public StorageBackend {
 /// recovery) only ever sees a key fully written or not at all. With
 /// `fsync` enabled the payload is fsynced before the rename and the
 /// directory after it — the durability policy node daemons use so a
-/// sealed container survives power loss, not just process death.
+/// sealed container survives power loss, not just process death. A
+/// published file is therefore immutable, which is why `get_range` reads
+/// it with a plain `pread` and no lock.
 class FileBackend final : public StorageBackend {
  public:
   /// Each put records its whole-call latency (`store.[<label>.]put_us`)
@@ -114,6 +126,9 @@ class FileBackend final : public StorageBackend {
 
   void put(const std::string& key, ByteView data) override;
   std::optional<Buffer> get(const std::string& key) override;
+  std::optional<Buffer> get_range(const std::string& key,
+                                  std::uint64_t offset,
+                                  std::uint64_t len) override;
   bool exists(const std::string& key) override;
   void remove(const std::string& key) override;
   /// Lists stored keys: regular files only, in-progress temps excluded.

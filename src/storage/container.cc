@@ -52,6 +52,25 @@ std::vector<ChunkMeta> read_meta_section(net::WireReader& r) {
   return metadata;
 }
 
+/// The fields before a container's metadata section.
+struct Header {
+  ContainerId id;
+  bool has_payloads;
+};
+
+/// Reads and checks magic and format version, then id and payload flag.
+Header read_header(net::WireReader& r) {
+  if (r.u32() != kContainerMagic) {
+    throw net::WireError("Container: bad magic");
+  }
+  if (const std::uint32_t v = r.u32(); v != kFormatVersion) {
+    throw net::WireError("Container: unsupported format version " +
+                         std::to_string(v));
+  }
+  const ContainerId id = r.u64();
+  return {id, r.u8() != 0};
+}
+
 }  // namespace
 
 std::uint64_t Container::append(const Fingerprint& fp, ByteView data) {
@@ -99,15 +118,8 @@ Buffer Container::serialize() const {
 
 Container Container::deserialize(ByteView blob) {
   net::WireReader r = open_frame(blob, "Container");
-  if (r.u32() != kContainerMagic) {
-    throw net::WireError("Container: bad magic");
-  }
-  if (const std::uint32_t v = r.u32(); v != kFormatVersion) {
-    throw net::WireError("Container: unsupported format version " +
-                         std::to_string(v));
-  }
-  Container c(r.u64());
-  const bool has_payloads = r.u8() != 0;
+  const Header h = read_header(r);
+  Container c(h.id);
   c.metadata_ = read_meta_section(r);
   c.data_size_ = r.u64();
   const ByteView data = r.bytes();
@@ -116,7 +128,7 @@ Container Container::deserialize(ByteView blob) {
       c.metadata_.back().offset + c.metadata_.back().length != c.data_size_) {
     throw net::WireError("Container: metadata does not cover data section");
   }
-  if (has_payloads) {
+  if (h.has_payloads) {
     if (data.size() != c.data_size_) {
       throw net::WireError("Container: payload section size mismatch");
     }
@@ -125,6 +137,21 @@ Container Container::deserialize(ByteView blob) {
     throw net::WireError("Container: payload bytes in meta-only container");
   }
   return c;
+}
+
+std::uint64_t Container::data_section_start(ByteView header, ContainerId id) {
+  net::WireReader r(header);
+  const Header h = read_header(r);
+  if (h.id != id) {
+    throw net::WireError("Container: id does not match");
+  }
+  if (!h.has_payloads) {
+    throw net::WireError("Container: payloads not materialized");
+  }
+  const std::uint64_t count = r.u32();
+  // Header, metadata section, data-section size (u64) and the payload's
+  // length prefix (u32) — the layout serialize() writes.
+  return kHeaderBytes + count * kMetaEntryBytes + 8 + 4;
 }
 
 Buffer Container::serialize_metadata() const {

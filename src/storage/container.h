@@ -1,9 +1,10 @@
 // Self-describing containers (paper Section 3.3, after [Zhu08/DDFS]):
 // the on-disk unit of locality. A container has a data section holding
 // chunk payloads and a metadata section holding per-chunk (fingerprint,
-// offset, length). All disk accesses happen at container granularity; a
-// similarity-index hit prefetches the whole metadata section into the
-// chunk-fingerprint cache.
+// offset, length). Dedup-path disk accesses happen at container
+// granularity — a similarity-index hit prefetches the whole metadata
+// section into the chunk-fingerprint cache — while a restore read uses a
+// chunk's recorded offset and length to fetch only that chunk.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +62,17 @@ class Container {
   /// Serialize to a flat blob: header, metadata section, data section.
   Buffer serialize() const;
   static Container deserialize(ByteView blob);
+
+  /// Size of a serialized container's fixed header (magic, version, id,
+  /// payload flag, chunk count) — what a ranged chunk read fetches first.
+  static constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 1 + 4;
+
+  /// Validates the first kHeaderBytes of a serialized container — magic,
+  /// format version, id == `id`, payloads present — and returns the blob
+  /// offset where its data section starts (chunk `offset`s are relative
+  /// to it). Throws net::WireError otherwise. The trailing checksum is not
+  /// checked: a ranged read never sees it.
+  static std::uint64_t data_section_start(ByteView header, ContainerId id);
 
   /// Serialize only the metadata section (containers' metadata can be read
   /// without the data section — that is what cache prefetch does).

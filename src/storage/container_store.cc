@@ -70,9 +70,10 @@ ChunkLocation ContainerStore::append(StreamId stream, const Fingerprint& fp,
                                      ByteView data) {
   MutexLock lock(mu_);
   Container& c = open_container_for(stream, data.size());
-  c.append(fp, data);
+  const std::uint64_t offset = c.append(fp, data);
   stored_bytes_ += data.size();
-  return {c.id(), static_cast<std::uint32_t>(c.chunk_count() - 1)};
+  return {c.id(), static_cast<std::uint32_t>(c.chunk_count() - 1),
+          static_cast<std::uint32_t>(data.size()), offset};
 }
 
 ChunkLocation ContainerStore::append_meta(StreamId stream,
@@ -80,9 +81,11 @@ ChunkLocation ContainerStore::append_meta(StreamId stream,
                                           std::uint32_t length) {
   MutexLock lock(mu_);
   Container& c = open_container_for(stream, length);
+  const std::uint64_t offset = c.data_size();
   c.append_meta(fp, length);
   stored_bytes_ += length;
-  return {c.id(), static_cast<std::uint32_t>(c.chunk_count() - 1)};
+  return {c.id(), static_cast<std::uint32_t>(c.chunk_count() - 1), length,
+          offset};
 }
 
 void ContainerStore::flush() {
@@ -118,14 +121,21 @@ Buffer ContainerStore::read_chunk(const ChunkLocation& loc) const {
       }
     }
   }
-  auto blob = backend_.get(container_key(loc.container));
-  if (!blob) {
+  // Sealed: the fixed header proves the blob is this payload container
+  // and places its data section; the chunk is then one exact-length read.
+  const std::string key = container_key(loc.container);
+  std::optional<Buffer> chunk;
+  if (const auto header =
+          backend_.get_range(key, 0, Container::kHeaderBytes)) {
+    const std::uint64_t start =
+        Container::data_section_start(*header, loc.container);
+    chunk = backend_.get_range(key, start + loc.offset, loc.length);
+  }
+  if (!chunk) {
     throw std::runtime_error("ContainerStore: unknown container " +
                              std::to_string(loc.container));
   }
-  Container c = Container::deserialize(*blob);
-  ByteView v = c.chunk_data(loc.index);
-  return Buffer(v.begin(), v.end());
+  return std::move(*chunk);
 }
 
 std::uint64_t ContainerStore::stored_bytes() const {

@@ -1,7 +1,8 @@
 // Parallel container management (paper Section 3.3): a dedicated open
 // container per data stream, sealed and persisted to the backend when it
-// fills, with container-granularity reads. This is the locality-preserving
-// store underneath the similarity index and the fingerprint cache.
+// fills, with container-granularity metadata reads and chunk-granularity
+// restore reads. This is the locality-preserving store underneath the
+// similarity index and the fingerprint cache.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,13 @@ namespace sigma {
 /// Identifies one backup data stream; each stream owns an open container.
 using StreamId = std::uint32_t;
 
-/// Where a stored chunk lives.
+/// Where a stored chunk lives: enough to read it back with one ranged
+/// read of its container, without loading the rest.
 struct ChunkLocation {
   ContainerId container = kInvalidContainer;
-  std::uint32_t index = 0;  // position within the container's metadata
+  std::uint32_t index = 0;   // position within the container's metadata
+  std::uint32_t length = 0;  // chunk bytes
+  std::uint64_t offset = 0;  // within the container's data section
 };
 
 class ContainerStore {
@@ -49,7 +53,10 @@ class ContainerStore {
   std::vector<ChunkMeta> read_metadata(ContainerId id) const;
 
   /// Read one chunk's payload (for restore). Requires payload
-  /// materialization.
+  /// materialization. Open containers answer from memory; a sealed one
+  /// costs two ranged reads — its fixed header, then exactly the chunk's
+  /// bytes. The container checksum is not verified on this path (it is at
+  /// recovery); restore checks each chunk against its fingerprint.
   Buffer read_chunk(const ChunkLocation& loc) const;
 
   /// Total bytes accounted to stored chunks (physical usage).

@@ -113,6 +113,39 @@ TEST_P(BackendTest, LargeBlobRoundTrip) {
   EXPECT_EQ(*backend_->get("big"), big);
 }
 
+TEST_P(BackendTest, GetRangeReturnsExactBytes) {
+  const Buffer data = bytes("0123456789abcdef");
+  backend_->put("r", ByteView{data.data(), data.size()});
+  EXPECT_EQ(*backend_->get_range("r", 0, 4), bytes("0123"));
+  EXPECT_EQ(*backend_->get_range("r", 6, 5), bytes("6789a"));
+  EXPECT_EQ(*backend_->get_range("r", 12, 4), bytes("cdef"));
+  EXPECT_EQ(*backend_->get_range("r", 0, 16), data);
+  EXPECT_TRUE(backend_->get_range("r", 16, 0)->empty());
+}
+
+TEST_P(BackendTest, GetRangeMissingKeyReturnsNullopt) {
+  EXPECT_FALSE(backend_->get_range("nope", 0, 1).has_value());
+}
+
+TEST_P(BackendTest, GetRangePastEndThrows) {
+  const Buffer data = bytes("short");
+  backend_->put("r", ByteView{data.data(), data.size()});
+  EXPECT_THROW((void)backend_->get_range("r", 3, 3), std::out_of_range);
+  EXPECT_THROW((void)backend_->get_range("r", 6, 0), std::out_of_range);
+  EXPECT_THROW((void)backend_->get_range("r", ~0ull, 2), std::exception);
+  EXPECT_THROW((void)backend_->get_range("r", 2, ~0ull), std::exception);
+}
+
+TEST_P(BackendTest, GetRangeCountsOnlyTheRange) {
+  Buffer big(64 * 1024, 7);
+  backend_->put("big", ByteView{big.data(), big.size()});
+  const IoStats before = backend_->stats();
+  EXPECT_EQ(backend_->get_range("big", 1000, 4096)->size(), 4096u);
+  const IoStats after = backend_->stats();
+  EXPECT_EQ(after.reads - before.reads, 1u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 4096u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
                          ::testing::Values("memory", "file"));
 
