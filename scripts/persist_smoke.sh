@@ -52,7 +52,22 @@ start_fleet() {  # $1 = log suffix
 
 count_disk_containers() {
   find "$WORK/data1" "$WORK/data2" -type f -name 'container-*' \
-      ! -name '*.meta' ! -name '*.inprogress' | wc -l
+      ! -name '*.inprogress' | wc -l
+}
+
+# Each node directory holds its sealed container blobs and its manifest,
+# nothing else: one file per container.
+check_node_dirs() {  # $1 = when
+  local dirs stray
+  dirs=$(find "$WORK/data1" "$WORK/data2" -type d -name 'node-*' | wc -l)
+  [[ "$dirs" -gt 0 ]] || { echo "FAIL: no node-* directories $1"; exit 1; }
+  stray=$(find "$WORK/data1" "$WORK/data2" -regextype posix-extended \
+      -path '*/node-*/*' -type f \
+      ! -regex '.*/container-[0-9]+' \
+      ! -name node.manifest)
+  [[ -z "$stray" ]] || {
+    echo "FAIL: unexpected files in node directories $1:"; echo "$stray";
+    exit 1; }
 }
 
 sum_recovered() {  # $1 = log suffix
@@ -76,6 +91,7 @@ for pid in "${PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
 ON_DISK=$(count_disk_containers)
 echo "== sealed containers on disk after kill: $ON_DISK"
 [[ "$ON_DISK" -gt 0 ]] || { echo "FAIL: nothing was persisted"; exit 1; }
+check_node_dirs "after run 1"
 
 echo "== restarting the fleet on the same data dirs"
 start_fleet run2
@@ -84,6 +100,7 @@ echo "== recovery reported $RECOVERED containers"
 [[ "$RECOVERED" -eq "$ON_DISK" ]] || {
   echo "FAIL: recovered $RECOVERED != $ON_DISK on disk";
   cat "$WORK"/d*-run2.log; exit 1; }
+check_node_dirs "after recovery"
 
 echo "== backup + restore over TCP (run 2: against recovered state)"
 OUT=$(timeout 120 "$CLIENT" --tcp "$NODES")

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/hash_util.h"
 #include "common/logging.h"
 
 namespace sigma::net {
@@ -20,17 +21,6 @@ Message header_of(const Message& m) {
   h.correlation_id = m.correlation_id;
   h.src = m.src;
   h.dst = m.dst;
-  return h;
-}
-
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t seed = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
   return h;
 }
 
@@ -253,7 +243,9 @@ void TcpTransport::adopt_accepted(SocketFd fd) {
   std::memset(&ss, 0, sizeof(ss));
   socklen_t len = sizeof(ss);
   if (::getpeername(fd.get(), reinterpret_cast<sockaddr*>(&ss), &len) == 0) {
-    shard = fnv1a(&ss, len) % reactors_.size();
+    shard = fnv1a64(ByteView{reinterpret_cast<const std::uint8_t*>(&ss),
+                             len}) %
+            reactors_.size();
   }
   Reactor* owner = reactors_[shard].get();
   auto conn = std::make_shared<TcpConn>(config_.max_body_bytes, owner);
@@ -267,8 +259,7 @@ void TcpTransport::adopt_accepted(SocketFd fd) {
 
 Reactor& TcpTransport::shard_for(const std::string& host,
                                  std::uint16_t port) {
-  std::uint64_t h = fnv1a(host.data(), host.size());
-  h = fnv1a(&port, sizeof(port), h);
+  const std::uint64_t h = hash_combine64(fnv1a64(host), port);
   return *reactors_[h % reactors_.size()];
 }
 

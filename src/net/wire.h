@@ -51,6 +51,8 @@ class WireWriter {
   }
 
   Buffer take() { return std::move(out_); }
+  /// Everything written so far; invalidated by the next write.
+  ByteView view() const { return ByteView{out_.data(), out_.size()}; }
   std::size_t size() const { return out_.size(); }
 
  private:

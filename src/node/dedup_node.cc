@@ -51,8 +51,6 @@ DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
           node_counter(*metrics_, "recovery", id, "containers_recovered")),
       containers_skipped_(
           node_counter(*metrics_, "recovery", id, "containers_skipped")),
-      sidecars_repaired_(
-          node_counter(*metrics_, "recovery", id, "sidecars_repaired")),
       chunks_recovered_(
           node_counter(*metrics_, "recovery", id, "chunks_recovered")),
       bytes_recovered_(
@@ -190,11 +188,9 @@ std::size_t DedupNode::rebuild_indexes() {
   RecoveryReport report;
   std::optional<ContainerId> max_cid;
   for (const std::string& key : backend_->keys()) {
-    // Sealed containers persist as "container-<id>" blobs plus a
-    // "container-<id>.meta" sidecar; recovery is driven by the container
-    // blobs (the sidecar is a read optimization, regenerated on demand).
-    // Foreign keys — sidecars, the manifest, stray files in a shared
-    // directory — are simply not containers and are ignored.
+    // Sealed containers persist as "container-<id>" blobs. Foreign keys
+    // — the manifest, stray files in a shared directory — are simply not
+    // containers and are ignored.
     const auto cid = ContainerStore::parse_container_key(key);
     if (!cid) continue;
     // Every container id present on disk — recovered OR refused — fences
@@ -238,23 +234,6 @@ std::size_t DedupNode::rebuild_indexes() {
          compute_handprint(records, config_.handprint_size)) {
       similarity_index_.put(rfp, *cid);
     }
-    // Repair the metadata sidecar if it is missing or does not decode to
-    // this container's metadata (read_metadata depends on it).
-    const std::string meta_key = ContainerStore::metadata_key(*cid);
-    bool sidecar_ok = false;
-    try {
-      if (const auto meta_blob = backend_->get(meta_key)) {
-        sidecar_ok = Container::deserialize_metadata(ByteView{
-                         meta_blob->data(), meta_blob->size()}) == metadata;
-      }
-    } catch (const std::exception&) {
-      sidecar_ok = false;
-    }
-    if (!sidecar_ok) {
-      const Buffer fixed = container->serialize_metadata();
-      backend_->put(meta_key, ByteView{fixed.data(), fixed.size()});
-      ++report.sidecars_repaired;
-    }
     ++report.containers_recovered;
   }
   if (max_cid) {
@@ -263,7 +242,6 @@ std::size_t DedupNode::rebuild_indexes() {
   physical_bytes_.inc(report.bytes_recovered);
   containers_recovered_.inc(report.containers_recovered);
   containers_skipped_.inc(report.containers_skipped);
-  sidecars_repaired_.inc(report.sidecars_repaired);
   chunks_recovered_.inc(report.chunks_recovered);
   bytes_recovered_.inc(report.bytes_recovered);
   recovery_ = report;

@@ -5,7 +5,8 @@
 //
 //   1. look the super-chunk's handprint up in the *similarity index*;
 //   2. prefetch the metadata sections of all matched containers into the
-//      *chunk-fingerprint cache* (container-granularity disk reads);
+//      *chunk-fingerprint cache* (container-granularity disk reads of each
+//      sealed blob's self-verifying metadata prefix);
 //   3. test every chunk fingerprint against the cache; cache misses fall
 //      back to the metered on-disk *chunk index* (exact backstop) — or are
 //      declared unique when the node runs in approximate,
@@ -85,8 +86,6 @@ struct RecoveryReport {
   /// mismatch). Their chunks are not indexed — a bad container is skipped
   /// whole, never partially.
   std::size_t containers_skipped = 0;
-  /// Metadata sidecars rewritten because they were missing or corrupt.
-  std::size_t sidecars_repaired = 0;
   std::uint64_t chunks_recovered = 0;
   std::uint64_t bytes_recovered = 0;
 };
@@ -173,14 +172,13 @@ class DedupNode : public NodeProbe {
   /// the similarity index.
   ///
   /// Container blobs are fully validated (wire-codec bounds checks,
-  /// structural invariants, checksum) before any of their chunks are
-  /// indexed; a blob that fails validation is counted in
+  /// structural invariants, both checksums) before any of their chunks
+  /// are indexed; a blob that fails validation is counted in
   /// RecoveryReport::containers_skipped and contributes nothing — no
-  /// crash, no silent partial index. Missing or corrupt metadata sidecars
-  /// of valid containers are regenerated from the container blob.
-  /// Returns the number of containers recovered; the full breakdown is
-  /// available from last_recovery() and is added to the
-  /// `recovery.node<id>.*` counters when the pass finishes.
+  /// crash, no silent partial index. Each blob is read once. Returns the
+  /// number of containers recovered; the full breakdown is available from
+  /// last_recovery() and is added to the `recovery.node<id>.*` counters
+  /// when the pass finishes.
   std::size_t rebuild_indexes();
 
   /// Breakdown of the most recent rebuild_indexes() pass.
@@ -230,7 +228,6 @@ class DedupNode : public NodeProbe {
   // recovery.node<id>.* — every rebuild_indexes() pass, summed.
   obs::Counter& containers_recovered_;
   obs::Counter& containers_skipped_;
-  obs::Counter& sidecars_repaired_;
   obs::Counter& chunks_recovered_;
   obs::Counter& bytes_recovered_;
 };

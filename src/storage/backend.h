@@ -31,7 +31,7 @@ struct IoStats {
   std::uint64_t bytes_written = 0;
 };
 
-/// Key-value blob store. Keys are flat strings ("container-42.meta").
+/// Key-value blob store. Keys are flat strings ("container-42").
 /// Thread-safe.
 class StorageBackend {
  public:

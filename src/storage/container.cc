@@ -2,39 +2,71 @@
 
 #include <stdexcept>
 
+#include "common/hash_util.h"
 #include "net/wire.h"
 #include "storage/durable_frame.h"
 
 namespace sigma {
 namespace {
 
-// On-disk framing (format version 2): both the container file and its
-// metadata sidecar are encoded with the bounds-checked wire codec and end
-// in an FNV-1a checksum over everything before it, so recovery can tell a
-// torn, truncated or bit-flipped file from a good one deterministically.
+// On-disk framing (format version 3), encoded with the bounds-checked
+// wire codec: header, metadata section, an FNV-1a checksum over those two,
+// data section, and a checksum over everything before it. The first
+// checksum makes the metadata prefix a ranged read can verify on its own;
+// the second lets recovery tell a torn, truncated or bit-flipped file from
+// a good one deterministically.
 constexpr std::uint32_t kContainerMagic = 0x53444332;  // "SDC2"
-constexpr std::uint32_t kMetadataMagic = 0x53444D32;   // "SDM2"
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 
 /// Serialized size of one ChunkMeta entry.
 constexpr std::size_t kMetaEntryBytes = Fingerprint::kSize + 8 + 4;
 
-void write_meta_section(const std::vector<ChunkMeta>& metadata,
-                        net::WireWriter& w) {
-  w.u32(static_cast<std::uint32_t>(metadata.size()));
-  for (const auto& m : metadata) {
-    w.fingerprint(m.fp);
-    w.u64(m.offset);
-    w.u32(m.length);
-  }
+/// Header, metadata section and the checksum over both.
+std::uint64_t prefix_bytes(std::uint32_t count) {
+  return Container::kHeaderBytes + count * std::uint64_t{kMetaEntryBytes} + 8;
 }
 
-/// Reads and structurally validates a metadata section: entry offsets must
+/// The fields before a container's metadata section.
+struct Header {
+  ContainerId id;
+  bool has_payloads;
+  std::uint32_t count;
+};
+
+/// Reads and checks magic and format version, then id, payload flag and
+/// chunk count.
+Header read_header(net::WireReader& r) {
+  if (r.u32() != kContainerMagic) {
+    throw net::WireError("Container: bad magic");
+  }
+  if (const std::uint32_t v = r.u32(); v != kFormatVersion) {
+    throw net::WireError("Container: unsupported format version " +
+                         std::to_string(v));
+  }
+  const ContainerId id = r.u64();
+  const bool has_payloads = r.u8() != 0;
+  return {id, has_payloads, r.u32()};
+}
+
+/// read_header() that also requires the id a caller asked for.
+Header read_header(net::WireReader& r, ContainerId id) {
+  const Header h = read_header(r);
+  if (h.id != id) {
+    throw net::WireError("Container: id does not match");
+  }
+  return h;
+}
+
+/// Reads and structurally validates the metadata section that follows the
+/// header at the start of `blob`, then its checksum: entry offsets must
 /// tile the data section contiguously from zero (the only layout append()
 /// and append_meta() ever produce), so a decoded section is either exactly
 /// a container's metadata or an error — never a partially plausible one.
-std::vector<ChunkMeta> read_meta_section(net::WireReader& r) {
-  const std::uint32_t count = r.count(kMetaEntryBytes);
+std::vector<ChunkMeta> read_meta_section(net::WireReader& r,
+                                         std::uint32_t count, ByteView blob) {
+  if (r.remaining() / kMetaEntryBytes < count) {
+    throw net::WireError("Container: chunk count exceeds blob");
+  }
   std::vector<ChunkMeta> metadata;
   metadata.reserve(count);
   std::uint64_t expected_offset = 0;
@@ -49,26 +81,10 @@ std::vector<ChunkMeta> read_meta_section(net::WireReader& r) {
     expected_offset += m.length;
     metadata.push_back(m);
   }
+  if (r.u64() != fnv1a64(blob.subspan(0, prefix_bytes(count) - 8))) {
+    throw net::WireError("Container: metadata checksum mismatch");
+  }
   return metadata;
-}
-
-/// The fields before a container's metadata section.
-struct Header {
-  ContainerId id;
-  bool has_payloads;
-};
-
-/// Reads and checks magic and format version, then id and payload flag.
-Header read_header(net::WireReader& r) {
-  if (r.u32() != kContainerMagic) {
-    throw net::WireError("Container: bad magic");
-  }
-  if (const std::uint32_t v = r.u32(); v != kFormatVersion) {
-    throw net::WireError("Container: unsupported format version " +
-                         std::to_string(v));
-  }
-  const ContainerId id = r.u64();
-  return {id, r.u8() != 0};
 }
 
 }  // namespace
@@ -110,7 +126,13 @@ Buffer Container::serialize() const {
   w.u32(kFormatVersion);
   w.u64(id_);
   w.u8(has_payloads() ? 1 : 0);
-  write_meta_section(metadata_, w);
+  w.u32(static_cast<std::uint32_t>(metadata_.size()));
+  for (const auto& m : metadata_) {
+    w.fingerprint(m.fp);
+    w.u64(m.offset);
+    w.u32(m.length);
+  }
+  w.u64(fnv1a64(w.view()));
   w.u64(data_size_);
   w.bytes(ByteView{data_.data(), data_.size()});
   return seal_frame(w);
@@ -120,7 +142,7 @@ Container Container::deserialize(ByteView blob) {
   net::WireReader r = open_frame(blob, "Container");
   const Header h = read_header(r);
   Container c(h.id);
-  c.metadata_ = read_meta_section(r);
+  c.metadata_ = read_meta_section(r, h.count, blob);
   c.data_size_ = r.u64();
   const ByteView data = r.bytes();
   r.expect_done();
@@ -139,41 +161,30 @@ Container Container::deserialize(ByteView blob) {
   return c;
 }
 
+std::uint64_t Container::metadata_prefix_bytes(ByteView header,
+                                               ContainerId id) {
+  net::WireReader r(header);
+  return prefix_bytes(read_header(r, id).count);
+}
+
+std::vector<ChunkMeta> Container::parse_metadata_prefix(ByteView prefix,
+                                                        ContainerId id) {
+  net::WireReader r(prefix);
+  const Header h = read_header(r, id);
+  auto metadata = read_meta_section(r, h.count, prefix);
+  r.expect_done();
+  return metadata;
+}
+
 std::uint64_t Container::data_section_start(ByteView header, ContainerId id) {
   net::WireReader r(header);
-  const Header h = read_header(r);
-  if (h.id != id) {
-    throw net::WireError("Container: id does not match");
-  }
+  const Header h = read_header(r, id);
   if (!h.has_payloads) {
     throw net::WireError("Container: payloads not materialized");
   }
-  const std::uint64_t count = r.u32();
-  // Header, metadata section, data-section size (u64) and the payload's
+  // The metadata prefix, the data-section size (u64) and the payload's
   // length prefix (u32) — the layout serialize() writes.
-  return kHeaderBytes + count * kMetaEntryBytes + 8 + 4;
-}
-
-Buffer Container::serialize_metadata() const {
-  net::WireWriter w(16 + metadata_.size() * kMetaEntryBytes);
-  w.u32(kMetadataMagic);
-  w.u32(kFormatVersion);
-  write_meta_section(metadata_, w);
-  return seal_frame(w);
-}
-
-std::vector<ChunkMeta> Container::deserialize_metadata(ByteView blob) {
-  net::WireReader r = open_frame(blob, "Container metadata");
-  if (r.u32() != kMetadataMagic) {
-    throw net::WireError("Container metadata: bad magic");
-  }
-  if (const std::uint32_t v = r.u32(); v != kFormatVersion) {
-    throw net::WireError("Container metadata: unsupported format version " +
-                         std::to_string(v));
-  }
-  auto metadata = read_meta_section(r);
-  r.expect_done();
-  return metadata;
+  return prefix_bytes(h.count) + 8 + 4;
 }
 
 }  // namespace sigma

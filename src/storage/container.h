@@ -3,8 +3,9 @@
 // chunk payloads and a metadata section holding per-chunk (fingerprint,
 // offset, length). Dedup-path disk accesses happen at container
 // granularity — a similarity-index hit prefetches the whole metadata
-// section into the chunk-fingerprint cache — while a restore read uses a
-// chunk's recorded offset and length to fetch only that chunk.
+// section, read out of the sealed blob's self-verifying prefix, into the
+// chunk-fingerprint cache — while a restore read uses a chunk's recorded
+// offset and length to fetch only that chunk.
 #pragma once
 
 #include <cstdint>
@@ -59,25 +60,31 @@ class Container {
   /// True if append() was used (payload bytes available).
   bool has_payloads() const { return data_.size() == data_size_; }
 
-  /// Serialize to a flat blob: header, metadata section, data section.
+  /// Serialize to a flat blob: header, metadata section and its checksum,
+  /// data section, then a checksum over the whole blob.
   Buffer serialize() const;
   static Container deserialize(ByteView blob);
 
   /// Size of a serialized container's fixed header (magic, version, id,
-  /// payload flag, chunk count) — what a ranged chunk read fetches first.
+  /// payload flag, chunk count) — the first ranged read of a sealed blob.
   static constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 1 + 4;
 
   /// Validates the first kHeaderBytes of a serialized container — magic,
-  /// format version, id == `id`, payloads present — and returns the blob
-  /// offset where its data section starts (chunk `offset`s are relative
-  /// to it). Throws net::WireError otherwise. The trailing checksum is not
-  /// checked: a ranged read never sees it.
-  static std::uint64_t data_section_start(ByteView header, ContainerId id);
+  /// format version, id == `id` — and returns the length of its
+  /// self-verifying prefix: header, metadata section and the checksum
+  /// over both. Throws net::WireError otherwise.
+  static std::uint64_t metadata_prefix_bytes(ByteView header, ContainerId id);
 
-  /// Serialize only the metadata section (containers' metadata can be read
-  /// without the data section — that is what cache prefetch does).
-  Buffer serialize_metadata() const;
-  static std::vector<ChunkMeta> deserialize_metadata(ByteView blob);
+  /// Parses a container's metadata from exactly that prefix after the same
+  /// header checks and its checksum. Throws net::WireError otherwise.
+  static std::vector<ChunkMeta> parse_metadata_prefix(ByteView prefix,
+                                                      ContainerId id);
+
+  /// The header checks of metadata_prefix_bytes(), plus payloads present;
+  /// returns the blob offset where the data section starts (chunk
+  /// `offset`s are relative to it). Neither checksum is checked: a ranged
+  /// chunk read never sees them.
+  static std::uint64_t data_section_start(ByteView header, ContainerId id);
 
  private:
   ContainerId id_;

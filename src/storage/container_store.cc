@@ -16,10 +16,6 @@ std::string ContainerStore::container_key(ContainerId id) {
   return "container-" + std::to_string(id);
 }
 
-std::string ContainerStore::metadata_key(ContainerId id) {
-  return "container-" + std::to_string(id) + ".meta";
-}
-
 std::optional<ContainerId> ContainerStore::parse_container_key(
     const std::string& key) {
   constexpr std::string_view kPrefix = "container-";
@@ -27,8 +23,9 @@ std::optional<ContainerId> ContainerStore::parse_container_key(
       key.compare(0, kPrefix.size(), kPrefix) != 0) {
     return std::nullopt;
   }
-  // Strictly digits after the prefix: sidecars ("container-3.meta") and
-  // foreign files ("container-junk") are not container blobs.
+  // Strictly digits after the prefix: temp or backup copies
+  // ("container-3.bak") and foreign files ("container-junk") are not
+  // container blobs.
   ContainerId id = 0;
   for (std::size_t i = kPrefix.size(); i < key.size(); ++i) {
     const char c = key[i];
@@ -58,11 +55,7 @@ Container& ContainerStore::open_container_for(StreamId stream,
 void ContainerStore::seal_locked(StreamId stream) {
   auto it = open_.find(stream);
   if (it == open_.end() || it->second->chunk_count() == 0) return;
-  const Container& c = *it->second;
-  // Persist the full container and, separately, its metadata section so
-  // that cache prefetch reads metadata without dragging in payloads.
-  backend_.put(container_key(c.id()), c.serialize());
-  backend_.put(metadata_key(c.id()), c.serialize_metadata());
+  backend_.put(container_key(it->second->id()), it->second->serialize());
   open_.erase(it);
 }
 
@@ -103,12 +96,24 @@ std::vector<ChunkMeta> ContainerStore::read_metadata(ContainerId id) const {
       if (c->id() == id) return c->metadata();
     }
   }
-  auto blob = backend_.get(metadata_key(id));
-  if (!blob) {
+  // Sealed: the fixed header sizes the metadata section; one more ranged
+  // read fetches the section and the checksum that covers it and the
+  // header, so the prefix verifies without touching payload bytes.
+  const std::string key = container_key(id);
+  std::optional<Buffer> prefix =
+      backend_.get_range(key, 0, Container::kHeaderBytes);
+  std::optional<Buffer> section;
+  if (prefix) {
+    const std::uint64_t len = Container::metadata_prefix_bytes(*prefix, id);
+    section = backend_.get_range(key, Container::kHeaderBytes,
+                                 len - Container::kHeaderBytes);
+  }
+  if (!section) {
     throw std::runtime_error("ContainerStore: unknown container " +
                              std::to_string(id));
   }
-  return Container::deserialize_metadata(*blob);
+  prefix->insert(prefix->end(), section->begin(), section->end());
+  return Container::parse_metadata_prefix(*prefix, id);
 }
 
 Buffer ContainerStore::read_chunk(const ChunkLocation& loc) const {

@@ -1,8 +1,9 @@
 // Parallel container management (paper Section 3.3): a dedicated open
-// container per data stream, sealed and persisted to the backend when it
-// fills, with container-granularity metadata reads and chunk-granularity
-// restore reads. This is the locality-preserving store underneath the
-// similarity index and the fingerprint cache.
+// container per data stream, sealed and persisted to the backend as one
+// self-describing blob when it fills, with container-granularity metadata
+// reads and chunk-granularity restore reads, both ranged reads of that
+// blob. This is the locality-preserving store underneath the similarity
+// index and the fingerprint cache.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,10 @@ class ContainerStore {
   /// Seal and persist every open container.
   void flush();
 
-  /// Read a container's metadata section (one disk read). Sealed
-  /// containers come from the backend; open containers answer from memory.
+  /// Read a container's metadata section. Open containers answer from
+  /// memory; a sealed one costs two ranged reads — its fixed header, then
+  /// the metadata section and its checksum, which are verified (with the
+  /// header) before parsing. Payload bytes are never read.
   std::vector<ChunkMeta> read_metadata(ContainerId id) const;
 
   /// Read one chunk's payload (for restore). Requires payload
@@ -78,10 +81,8 @@ class ContainerStore {
 
   /// Backend key of a sealed container blob ("container-<id>").
   static std::string container_key(ContainerId id);
-  /// Backend key of its metadata sidecar ("container-<id>.meta").
-  static std::string metadata_key(ContainerId id);
   /// Parses a backend key of the container_key() form back to an id;
-  /// std::nullopt for sidecars, manifests and foreign files.
+  /// std::nullopt for manifests and foreign files.
   static std::optional<ContainerId> parse_container_key(
       const std::string& key);
 

@@ -1,7 +1,7 @@
-// Shared on-disk framing for durable blobs (containers, their metadata
-// sidecars, the node manifest): wire-codec body followed by an FNV-1a
-// checksum over everything before it, so a reader can tell a torn,
-// truncated or bit-flipped file from a good one deterministically.
+// Shared on-disk framing for durable blobs (containers, the node
+// manifest): wire-codec body followed by an FNV-1a checksum over
+// everything before it, so a reader can tell a torn, truncated or
+// bit-flipped file from a good one deterministically.
 #pragma once
 
 #include <string>
@@ -15,13 +15,8 @@ namespace sigma {
 /// Appends the checksum over everything written so far and returns the
 /// finished blob.
 inline Buffer seal_frame(net::WireWriter& w) {
-  Buffer out = w.take();
-  const std::uint64_t sum = fnv1a64(ByteView{out.data(), out.size()});
-  net::WireWriter tail;
-  tail.u64(sum);
-  const Buffer t = tail.take();
-  out.insert(out.end(), t.begin(), t.end());
-  return out;
+  w.u64(fnv1a64(w.view()));
+  return w.take();
 }
 
 /// Verifies the trailing checksum and returns a reader over the body.

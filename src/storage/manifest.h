@@ -22,7 +22,7 @@ inline constexpr const char* kManifestKey = "node.manifest";
 struct NodeManifest {
   /// On-disk format version this directory was written with. Bump when
   /// the container or manifest encoding changes incompatibly.
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
 
   std::uint32_t version = kVersion;
   /// Daemon-local node id that owns this directory.

@@ -33,10 +33,11 @@ TEST(ContainerStoreTest, SealsWhenFull) {
   const auto l2 = store.append(0, fp(3), ByteView{a.data(), a.size()});
   EXPECT_EQ(l0.container, l1.container);
   EXPECT_NE(l1.container, l2.container);
-  // Sealed container persisted to the backend.
-  EXPECT_TRUE(backend.exists("container-" + std::to_string(l0.container)));
-  EXPECT_TRUE(
-      backend.exists("container-" + std::to_string(l0.container) + ".meta"));
+  // The sealed container is persisted as one blob, in one write.
+  EXPECT_EQ(backend.keys(),
+            std::vector<std::string>{"container-" +
+                                     std::to_string(l0.container)});
+  EXPECT_EQ(backend.stats().writes, 1u);
 }
 
 TEST(ContainerStoreTest, PerStreamOpenContainers) {

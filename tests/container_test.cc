@@ -107,12 +107,22 @@ TEST(ContainerTest, MetadataSectionRoundTrip) {
   const Buffer a = bytes("zzz");
   c.append(fp_of("m1"), ByteView{a.data(), a.size()});
   c.append(fp_of("m2"), ByteView{a.data(), a.size()});
-  const Buffer meta = c.serialize_metadata();
+  const Buffer blob = c.serialize();
+  const std::uint64_t len = Container::metadata_prefix_bytes(
+      ByteView{blob.data(), Container::kHeaderBytes}, 9);
+  // The metadata prefix must not include payload bytes.
+  EXPECT_EQ(len, Container::data_section_start(
+                     ByteView{blob.data(), Container::kHeaderBytes}, 9) -
+                     8 - 4);
   const auto parsed =
-      Container::deserialize_metadata(ByteView{meta.data(), meta.size()});
+      Container::parse_metadata_prefix(ByteView{blob.data(), len}, 9);
   EXPECT_EQ(parsed, c.metadata());
-  // The metadata section must not include payload bytes.
-  EXPECT_LT(meta.size(), c.serialize().size());
+  EXPECT_THROW((void)Container::parse_metadata_prefix(
+                   ByteView{blob.data(), len}, 8),
+               std::runtime_error);
+  EXPECT_THROW((void)Container::parse_metadata_prefix(
+                   ByteView{blob.data(), len + 1}, 9),
+               std::runtime_error);
 }
 
 TEST(ContainerTest, DeserializeRejectsBadMagic) {
@@ -151,15 +161,24 @@ TEST(ContainerTest, ChecksumDetectsAnySingleByteCorruption) {
 }
 
 TEST(ContainerTest, MetadataChecksumDetectsAnySingleByteCorruption) {
+  // The metadata prefix (header, metadata section, checksum) verifies on
+  // its own: a flipped byte anywhere in it is detected without the rest
+  // of the blob.
   Container c(12);
   c.append_meta(fp_of("m"), 4096);
-  const Buffer blob = c.serialize_metadata();
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    Buffer bad = blob;
+  c.append_meta(fp_of("n"), 512);
+  const Buffer blob = c.serialize();
+  const std::uint64_t len = Container::metadata_prefix_bytes(
+      ByteView{blob.data(), Container::kHeaderBytes}, 12);
+  ASSERT_EQ(Container::parse_metadata_prefix(ByteView{blob.data(), len}, 12),
+            c.metadata());
+  for (std::size_t i = 0; i < len; ++i) {
+    Buffer bad(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
     bad[i] ^= 0xFF;
     EXPECT_THROW(
-        (void)Container::deserialize_metadata(ByteView{bad.data(),
-                                                       bad.size()}),
+        (void)Container::parse_metadata_prefix(ByteView{bad.data(),
+                                                        bad.size()},
+                                               12),
         std::runtime_error)
         << "byte " << i;
   }

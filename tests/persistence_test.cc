@@ -379,16 +379,22 @@ TEST_F(PersistenceTest, ManifestRefusesRemappedEndpoint) {
 }
 
 TEST_F(PersistenceTest, ManifestRefusesVersionSkew) {
-  { server::NodeServer server(file_server_config(dir_)); }
-  {
-    FileBackend backend(dir_ / "node-0");
-    auto manifest = load_manifest(backend);
-    ASSERT_TRUE(manifest.has_value());
-    manifest->version = NodeManifest::kVersion + 1;
-    store_manifest(backend, *manifest);
+  // A newer format and the previous one are both refused.
+  for (const std::uint32_t version :
+       {NodeManifest::kVersion + 1, NodeManifest::kVersion - 1}) {
+    std::filesystem::remove_all(dir_);
+    { server::NodeServer server(file_server_config(dir_)); }
+    {
+      FileBackend backend(dir_ / "node-0");
+      auto manifest = load_manifest(backend);
+      ASSERT_TRUE(manifest.has_value());
+      manifest->version = version;
+      store_manifest(backend, *manifest);
+    }
+    EXPECT_THROW(server::NodeServer server(file_server_config(dir_)),
+                 std::runtime_error)
+        << "version " << version;
   }
-  EXPECT_THROW(server::NodeServer server(file_server_config(dir_)),
-               std::runtime_error);
 }
 
 TEST_F(PersistenceTest, CorruptManifestRefusedNotReinitialized) {

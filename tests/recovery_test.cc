@@ -231,7 +231,6 @@ TEST_F(RecoveryCorruptionTest, MisnamedContainerRefused) {
   // would poison the chunk index with wrong locations; refuse it.
   const Buffer blob = seal_one_container();
   std::filesystem::rename(dir_ / "container-0", dir_ / "container-9");
-  std::filesystem::remove(dir_ / "container-0.meta");
   write_container_file("container-9", ByteView{blob.data(), blob.size()});
   const RecoveryReport r = recover();
   EXPECT_EQ(r.containers_recovered, 0u);
@@ -272,7 +271,6 @@ TEST_F(RecoveryCorruptionTest, SkippedContainersStillFenceTheIdSpace) {
   Buffer bad = seal_one_container();
   bad[10] ^= 0xFF;
   write_container_file("container-0", ByteView{bad.data(), bad.size()});
-  std::filesystem::remove(dir_ / "container-0.meta");
 
   DedupNode node(0, config(), std::make_unique<FileBackend>(dir_));
   node.rebuild_indexes();
@@ -309,24 +307,6 @@ TEST_F(RecoveryCorruptionTest, ForeignFilesIgnoredNotSkipped) {
   EXPECT_EQ(report_chunk_index_size_, 8u);
 }
 
-TEST_F(RecoveryCorruptionTest, MetaSidecarRepairedFromContainer) {
-  seal_one_container();
-  // Corrupt the sidecar; the container blob itself is fine.
-  write_container_file("container-0.meta", as_bytes(std::string("garbage")));
-  DedupNode node(0, config(), std::make_unique<FileBackend>(dir_));
-  EXPECT_EQ(node.rebuild_indexes(), 1u);
-  EXPECT_EQ(node.last_recovery().sidecars_repaired, 1u);
-  // read_metadata (the cache-prefetch path) works again.
-  EXPECT_EQ(node.container_store().read_metadata(0).size(), 8u);
-
-  // Same with the sidecar missing entirely.
-  std::filesystem::remove(dir_ / "container-0.meta");
-  DedupNode again(0, config(), std::make_unique<FileBackend>(dir_));
-  EXPECT_EQ(again.rebuild_indexes(), 1u);
-  EXPECT_EQ(again.last_recovery().sidecars_repaired, 1u);
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "container-0.meta"));
-}
-
 TEST_F(RecoveryCorruptionTest, RecoveryReportCountsChunksAndBytes) {
   seal_one_container();
   DedupNode node(0, config(), std::make_unique<FileBackend>(dir_));
@@ -336,7 +316,8 @@ TEST_F(RecoveryCorruptionTest, RecoveryReportCountsChunksAndBytes) {
   EXPECT_EQ(r.chunks_recovered, 8u);
   EXPECT_EQ(r.bytes_recovered, 8u * 64);
   EXPECT_EQ(r.containers_skipped, 0u);
-  EXPECT_EQ(r.sidecars_repaired, 0u);
+  // Cache prefetch reads the recovered container's metadata prefix.
+  EXPECT_EQ(node.container_store().read_metadata(0).size(), 8u);
   // Payloads are readable after recovery.
   for (const auto& p : payloads_) {
     const auto got =

@@ -1,7 +1,9 @@
 // The restore read path end to end: a sealed chunk is read with one
 // ranged read of its container (header, then exactly the chunk's bytes),
 // the locations behind it survive recovery, hostile container headers
-// fail cleanly, the client holds every restored chunk to its recipe
+// fail cleanly on chunk and metadata reads alike, a damaged metadata
+// section fails prefetch and recovery, the client holds every restored
+// chunk to its recipe
 // fingerprint, and pipelined reads keep read-after-write and stay
 // bit-exact under concurrent restores and backups over TCP.
 #include <gtest/gtest.h>
@@ -159,34 +161,55 @@ struct SealedFixture {
                 ByteView{replacement.data(), replacement.size()});
     return store.read_chunk(loc);
   }
+
+  /// Replace the container blob, then read its metadata back.
+  std::vector<ChunkMeta> metadata_with(const Buffer& replacement) {
+    backend.put(ContainerStore::container_key(loc.container),
+                ByteView{replacement.data(), replacement.size()});
+    return store.read_metadata(loc.container);
+  }
 };
 
 TEST(RangedReadTest, HostileHeadersThrowCleanly) {
   SealedFixture f;
   ASSERT_EQ(f.store.read_chunk(f.loc).size(), 5000u);
+  ASSERT_EQ(f.store.read_metadata(f.loc.container).size(), 2u);
 
+  // Chunk reads and metadata reads share the header check.
   Buffer bad_magic = f.blob;
   bad_magic[0] ^= 0xFF;
   EXPECT_THROW(f.read_with(bad_magic), net::WireError);
+  EXPECT_THROW(f.metadata_with(bad_magic), net::WireError);
 
   Buffer bad_version = f.blob;
   bad_version[4] = 9;
   EXPECT_THROW(f.read_with(bad_version), net::WireError);
+  EXPECT_THROW(f.metadata_with(bad_version), net::WireError);
 
   // A well-formed container under the wrong key.
   Container other(f.loc.container + 7);
   const Buffer x = random_data(8000, 3);
   other.append(Fingerprint::from_uint64(3), ByteView{x.data(), x.size()});
   EXPECT_THROW(f.read_with(other.serialize()), net::WireError);
+  EXPECT_THROW(f.metadata_with(other.serialize()), net::WireError);
 
+  // No payloads: refused for a chunk read, still fine for prefetch.
   Container meta_only(f.loc.container);
   meta_only.append_meta(Fingerprint::from_uint64(1), 3000);
   meta_only.append_meta(Fingerprint::from_uint64(2), 5000);
   EXPECT_THROW(f.read_with(meta_only.serialize()), net::WireError);
+  EXPECT_EQ(f.metadata_with(meta_only.serialize()), meta_only.metadata());
 
   const Buffer torn_header(f.blob.begin(),
                            f.blob.begin() + Container::kHeaderBytes - 3);
   EXPECT_THROW(f.read_with(torn_header), std::out_of_range);
+  EXPECT_THROW(f.metadata_with(torn_header), std::out_of_range);
+
+  // Cut inside the metadata section (two 32-byte entries, then the
+  // section checksum).
+  const Buffer torn_meta(f.blob.begin(),
+                         f.blob.begin() + Container::kHeaderBytes + 40);
+  EXPECT_THROW(f.metadata_with(torn_meta), std::out_of_range);
 
   const std::uint64_t start = Container::data_section_start(
       ByteView{f.blob.data(), f.blob.size()}, f.loc.container);
@@ -203,6 +226,29 @@ TEST(RangedReadTest, HostileHeadersThrowCleanly) {
       net::WireError);
 }
 
+TEST(RangedReadTest, FlippedMetadataByteFailsPrefetchAndRecovery) {
+  SealedFixture f;
+  const std::uint64_t len = Container::metadata_prefix_bytes(
+      ByteView{f.blob.data(), Container::kHeaderBytes}, f.loc.container);
+  for (std::uint64_t i = 0; i < len; ++i) {
+    Buffer bad = f.blob;
+    bad[i] ^= 0x5A;
+    EXPECT_THROW(f.metadata_with(bad), std::exception) << "byte " << i;
+  }
+
+  // One flipped byte in the second entry's fingerprint: recovery refuses
+  // the container whole, so neither chunk is indexed.
+  Buffer bad = f.blob;
+  bad[Container::kHeaderBytes + 32 + 3] ^= 0x5A;
+  f.backend.put(ContainerStore::container_key(f.loc.container),
+                ByteView{bad.data(), bad.size()});
+  DedupNode node(0, DedupNodeConfig{},
+                 std::make_unique<FileBackend>(f.dir.path()));
+  EXPECT_EQ(node.rebuild_indexes(), 0u);
+  EXPECT_EQ(node.last_recovery().containers_skipped, 1u);
+  EXPECT_EQ(node.chunk_index().size(), 0u);
+}
+
 TEST(RangedReadTest, ReadCountsTheChunkNotTheContainer) {
   SealedFixture f;
   const IoStats before = f.backend.stats();
@@ -210,6 +256,13 @@ TEST(RangedReadTest, ReadCountsTheChunkNotTheContainer) {
   const IoStats after = f.backend.stats();
   EXPECT_EQ(after.bytes_read - before.bytes_read,
             Container::kHeaderBytes + 5000u);
+  // A metadata read fetches the header, then the rest of the metadata
+  // prefix: no payload bytes.
+  ASSERT_EQ(f.store.read_metadata(f.loc.container).size(), 2u);
+  EXPECT_EQ(f.backend.stats().bytes_read - after.bytes_read,
+            Container::metadata_prefix_bytes(
+                ByteView{f.blob.data(), Container::kHeaderBytes},
+                f.loc.container));
 }
 
 TEST(RestoreIntegrityTest, FlippedPayloadByteOnDiskFailsRestore) {

@@ -5,11 +5,11 @@
 //   READY port=7001 endpoints=100..101 nodes=2
 //
 // With `--backend file --data-dir DIR` node state is durable: sealed
-// containers, their metadata sidecars and a versioned per-node manifest
-// live under DIR/node-<i>, written atomically (temp file + rename) and
-// fsynced. On restart the daemon rebuilds every node's fingerprint and
-// resemblance indexes from the sealed containers before it binds the
-// listening socket — one RECOVERED line per node, then READY:
+// containers (one file each) and a versioned per-node manifest live under
+// DIR/node-<i>, written atomically (temp file + rename) and fsynced. On
+// restart the daemon rebuilds every node's fingerprint and resemblance
+// indexes from the sealed containers before it binds the listening socket
+// — one RECOVERED line per node, then READY:
 //
 //   $ node_server --backend file --data-dir /var/lib/sigma --port 7001
 //   RECOVERED node=0 endpoint=100 containers=42 chunks=5376 skipped=0
