@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
 
   std::vector<net::TcpNodeAddress> tcp_nodes;
   std::size_t tcp_depth = 4;
-  std::uint32_t tcp_reactors = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tcp" && i + 1 < argc) {
@@ -85,18 +84,9 @@ int main(int argc, char** argv) {
         std::cerr << "bench_fig_transport_pipeline: " << e.what() << "\n";
         return 2;
       }
-    } else if (arg == "--reactors" && i + 1 < argc) {
-      try {
-        tcp_reactors = static_cast<std::uint32_t>(
-            net::parse_number(argv[++i], 64, "--reactors value"));
-      } catch (const std::exception& e) {
-        std::cerr << "bench_fig_transport_pipeline: " << e.what() << "\n";
-        return 2;
-      }
     } else {
       std::cerr << "usage: bench_fig_transport_pipeline "
-                << "[--tcp host:port[:endpoint],...] [--depth D] "
-                << "[--reactors R]\n";
+                << "[--tcp host:port[:endpoint],...] [--depth D]\n";
       return 2;
     }
   }
@@ -120,15 +110,13 @@ int main(int argc, char** argv) {
     std::uint64_t wire_bytes = 0;
   };
   // One measured backup run; `metrics` is the caller's registry, null for
-  // the cluster's private one (the overhead A/B below runs both);
-  // `reactors` shards the client's TCP transport (0 = auto).
-  auto run_depth = [&](std::size_t depth, obs::Registry* metrics,
-                       std::uint32_t reactors = 0) -> DepthResult {
+  // the cluster's private one (the overhead A/B below runs both).
+  auto run_depth = [&](std::size_t depth,
+                       obs::Registry* metrics) -> DepthResult {
     // Declared before the middleware, so the fleet outlives its client.
     std::optional<server::NodeServer> fleet;
     MiddlewareConfig cfg;
     cfg.transport.mode = TransportMode::kTcp;
-    cfg.transport.tcp_reactors = reactors != 0 ? reactors : tcp_reactors;
     if (external_fleet) {
       cfg.transport.tcp_nodes = tcp_nodes;
     } else {
@@ -170,9 +158,6 @@ int main(int argc, char** argv) {
       std::to_string(external_fleet ? tcp_nodes.size() : std::size_t{8});
   result.params["sessions"] = "3";
   result.params["super_chunk_bytes"] = std::to_string(256 * 1024);
-  if (external_fleet) {
-    result.params["reactors"] = std::to_string(tcp_reactors);
-  }
 
   const std::vector<std::size_t> depths =
       external_fleet ? std::vector<std::size_t>{tcp_depth}
@@ -198,29 +183,6 @@ int main(int argc, char** argv) {
                  "routing with node-side dedup; depth 1 = direct-call "
                  "semantics, baseline "
               << TablePrinter::fmt(depth1_mbps, 1) << " MB/s)\n";
-  }
-
-  // Multi-reactor A/B (external fleet only): the same depth with the
-  // client's transport sharded 1-way vs 4-way. Interleaved best-of-3 per
-  // arm, like the trace gate below, so scheduler noise (CI runners may
-  // expose a single core) cannot flip the comparison; ci.sh gates the
-  // speedup.
-  if (external_fleet) {
-    double r1_mbps = 0.0;
-    double r4_mbps = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      r1_mbps = std::max(r1_mbps, run_depth(tcp_depth, nullptr, 1).mbps);
-      r4_mbps = std::max(r4_mbps, run_depth(tcp_depth, nullptr, 4).mbps);
-    }
-    const double speedup = r1_mbps > 0.0 ? r4_mbps / r1_mbps : 0.0;
-    result.metrics["reactors1_mbps"] = r1_mbps;
-    result.metrics["reactors4_mbps"] = r4_mbps;
-    result.metrics["reactors_speedup"] = speedup;
-    std::cout << "\nmulti-reactor transport (depth " << tcp_depth
-              << "): 1 reactor " << TablePrinter::fmt(r1_mbps, 1)
-              << " MB/s, 4 reactors " << TablePrinter::fmt(r4_mbps, 1)
-              << " MB/s (speedup " << TablePrinter::fmt(speedup, 2)
-              << "x)\n";
   }
 
   // Metrics-plane overhead gate: the same depth back to back, recording

@@ -73,14 +73,6 @@ int main(int argc, char** argv) {
         std::cerr << "transport_cluster: " << e.what() << "\n";
         return 2;
       }
-    } else if (arg == "--reactors" && i + 1 < argc) {
-      try {
-        config.transport.tcp_reactors = static_cast<std::uint32_t>(
-            net::parse_number(argv[++i], 64, "value for --reactors"));
-      } catch (const std::exception& e) {
-        std::cerr << "transport_cluster: " << e.what() << "\n";
-        return 2;
-      }
     } else if (arg == "--trace-sample" && i + 1 < argc) {
       try {
         obs::Tracer::instance().set_sample_every(static_cast<std::uint32_t>(
@@ -93,15 +85,13 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: transport_cluster [--tcp host:port[:endpoint],...]"
                 << " [--registry H:P]\n"
-                << "                         [--watch-updates N] [--reactors R]"
+                << "                         [--watch-updates N]"
                 << " [--trace-sample N]\n"
                 << "  --registry H:P    lease endpoints + node map from a\n"
                 << "                    fleet registry instead of --tcp\n"
                 << "  --watch-updates N after the backup, wait for N pushed\n"
                 << "                    fleet-view changes (membership test\n"
                 << "                    hook; exits 1 on a 30s timeout)\n"
-                << "  --reactors R      client transport event-loop shards\n"
-                << "                    (0 = min(hardware threads, 4))\n"
                 << "  --trace-sample N  sample one distributed trace per N\n"
                 << "                    super-chunks; 0 disables (default "
                 << obs::Tracer::kDefaultSampleEvery << ");\n"

@@ -29,8 +29,7 @@ trap cleanup EXIT
 
 start_daemon() {  # $1 = log file, $2 = first endpoint id, $3 = data dir
   # Default policy (fsync on seal): the smoke drills the durable path.
-  # --reactors 4: recovery + client flow run over the sharded transport.
-  "$NODE_SERVER" --port 0 --nodes 2 --first-endpoint "$2" --reactors 4 \
+  "$NODE_SERVER" --port 0 --nodes 2 --first-endpoint "$2" \
       --backend file --data-dir "$3" --container-mb 1 \
       > "$1" 2>&1 &
   PIDS+=($!)

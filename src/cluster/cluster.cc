@@ -44,7 +44,6 @@ struct Cluster::TransportRuntime {
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
     net::TcpTransportConfig tcp;
     tcp.endpoint_base = config.tcp_client_endpoint_base;
-    tcp.reactors = config.tcp_reactors;
     tcp.metrics = &metrics;
     for (const auto& node : config.tcp_nodes) {
       tcp.remote_endpoints.emplace(node.endpoint, node.address);

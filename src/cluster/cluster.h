@@ -67,9 +67,6 @@ struct TransportConfig {
   /// kTcp only: this client's endpoint id range. Give each client process
   /// sharing a fleet a distinct base.
   net::EndpointId tcp_client_endpoint_base = net::kClientEndpointBase;
-  /// kTcp only: transport event-loop shards (reactors). 0 = auto
-  /// (min(hardware_concurrency, 4)); see TcpTransportConfig::reactors.
-  std::uint32_t tcp_reactors = 0;
   /// kTcp only: fetch the node map from a fleet registry and LEASE this
   /// client's endpoint range from it, instead of wiring tcp_nodes /
   /// tcp_client_endpoint_base by hand (both are overwritten from the

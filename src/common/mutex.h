@@ -45,7 +45,7 @@ namespace sigma {
 
 /// Global lock-acquisition order (see file comment). Lower values are
 /// acquired first; a thread holding rank r may only acquire ranks > r.
-/// Gaps leave room for future subsystems (multi-reactor shards, GC).
+/// Gaps leave room for future subsystems (GC).
 enum class LockRank : int {
   /// Unranked mutexes (tests, examples, short-lived ad-hoc state) are
   /// exempt from order checking and never enter the held-lock stack.
@@ -57,7 +57,7 @@ enum class LockRank : int {
   kClientRoute = 5,  // Cluster::route_mu_ — router state + lookup ledger
 
   // ---- Control plane (fleet registry, src/ctrl/): lease tables and
-  //      cached fleet views. Held across transport sends (ranks 58-60),
+  //      cached fleet views. Held across transport sends (rank 60),
   //      never under data-plane locks.
   kRegistryCtrl = 12,
   // ---- Service plane: held only to queue or pop a request, or to copy
@@ -80,14 +80,10 @@ enum class LockRank : int {
   kDirector = 56,
 
   // ---- Message plane (never held while calling into the layers above).
-  //      The TCP transport is sharded: the endpoint table and the
-  //      learned-route directory are transport-global and rank below the
-  //      per-reactor shard locks, so a reactor may consult them only
-  //      after releasing its own mutex (and never holds two shard
-  //      mutexes — every connection belongs to exactly one reactor). ----
-  kTransportEndpoints = 58,  // TcpTransport::ep_mu_ — endpoint table
-  kTransportRoutes = 59,     // TcpTransport::route_mu_ — learned routes
-  kTransport = 60,    // Reactor::mu_ / LoopbackTransport mu_
+  //      A TcpTransport has two kTransport mutexes — its loop mutex (write
+  //      queues, connection tables, learned routes) and its endpoint
+  //      table — and never holds both at once. ----------------------------
+  kTransport = 60,    // TcpTransport mu_ + ep_mu_ / LoopbackTransport mu_
   kRpcEndpoint = 62,  // RpcEndpoint pending-call map
   kRpcCall = 64,      // one PendingCall's settle state
 

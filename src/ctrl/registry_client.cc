@@ -29,7 +29,6 @@ RegistryClient::RegistryClient(const RegistryClientConfig& config)
   net::TcpTransportConfig tcp;
   tcp.remote_endpoints[net::kRegistryEndpoint] = config_.registry;
   tcp.endpoint_base = random_bootstrap_base();
-  tcp.reactors = config_.reactors;
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
   rpc_ = std::make_unique<net::RpcEndpoint>(*transport_, metrics_.get());
   rpc_->set_request_handler(

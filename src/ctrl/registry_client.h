@@ -52,10 +52,6 @@ struct RegistryClientConfig {
   /// Heartbeat cadence; 0 = a third of the granted lease TTL.
   std::uint32_t heartbeat_interval_ms = 0;
 
-  /// Event-loop shards for the private transport (control traffic is
-  /// tiny; one is plenty).
-  std::uint32_t reactors = 1;
-
   /// Metrics plane (must outlive the client): registry_client.*
   /// heartbeat / failure / update counters and the stub's rpc.* series.
   /// Null = a private registry.

@@ -42,7 +42,6 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
   net::TcpTransportConfig tcp;
   tcp.listen = config_.listen;
   tcp.endpoint_base = net::kRegistryEndpoint;
-  tcp.reactors = config_.reactors;
   tcp.max_body_bytes = config_.max_body_bytes;
   tcp.metrics = &registry_;
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));

@@ -52,9 +52,6 @@ struct RegistryServerConfig {
   /// subscriber would be swept before its next heartbeat refreshes it.
   std::uint32_t lease_ttl_ms = 5000;
 
-  /// Event-loop shards for the registry's transport (0 = auto).
-  std::uint32_t reactors = 1;
-
   std::size_t max_body_bytes = 4u << 20;
 };
 

@@ -1,14 +1,17 @@
 #include "net/tcp/tcp_transport.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
-#include "common/hash_util.h"
 #include "common/logging.h"
+#include "obs/trace.h"
 
 namespace sigma::net {
 namespace {
@@ -24,13 +27,42 @@ Message header_of(const Message& m) {
   return h;
 }
 
-std::size_t resolve_reactor_count(const TcpTransportConfig& config) {
-  std::uint32_t n = config.reactors;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<std::uint32_t>(hw == 0 ? 1 : hw, 4);
+/// Set on every transport's loop thread: a thread that drains write
+/// queues must never block waiting for one to drain. A daemon runs more
+/// than one transport (its node transport and its registry client's),
+/// and a handler on one loop may send through another.
+thread_local bool t_on_loop_thread = false;
+
+std::int64_t steady_now_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// The epoll events a connection wants, given its state machine position.
+std::uint32_t desired_events(const TcpConn& conn) {
+  switch (conn.state) {
+    case TcpConn::State::kConnecting:
+      return EPOLLOUT;
+    case TcpConn::State::kHello:
+      return EPOLLIN |
+             (conn.hello_sent < conn.hello_out.size() ? EPOLLOUT : 0u);
+    case TcpConn::State::kEstablished:
+      return EPOLLIN | (conn.hello_sent < conn.hello_out.size() ||
+                                !conn.outbox.empty()
+                            ? EPOLLOUT
+                            : 0u);
+    default:
+      return 0;
   }
-  return std::clamp<std::uint32_t>(n, 1, 64);
+}
+
+/// Add `fd` to `epfd`'s interest set for EPOLLIN.
+void epoll_add_readable(int epfd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  (void)::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev);
 }
 
 }  // namespace
@@ -78,6 +110,7 @@ TcpTransportStats TcpCounters::read() const {
   return s;
 }
 
+
 TcpTransport::TcpTransport(TcpTransportConfig config)
     : config_(std::move(config)),
       next_id_(config_.endpoint_base),
@@ -87,26 +120,31 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
     listen_fd_ = tcp_listen(*config_.listen);
     listen_port_ = bound_port(listen_fd_.get());
   }
-  const std::size_t n = resolve_reactor_count(config_);
-  reactors_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ReactorHost& host = *this;  // private base: convert inside the class
-    reactors_.push_back(
-        std::make_unique<Reactor>(host, config_, i, *metrics_, counters_));
+  wake_fd_ = SocketFd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!wake_fd_.valid()) {
+    throw SocketError(std::string("eventfd: ") + std::strerror(errno));
   }
-  // Every shard exists before any thread starts: the accept handoff may
-  // target any of them from the first event on.
-  if (listen_fd_.valid()) reactors_[0]->attach_listener(listen_fd_.get());
-  for (auto& r : reactors_) r->start();
+  epoll_fd_ = SocketFd(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) {
+    throw SocketError(std::string("epoll_create1: ") + std::strerror(errno));
+  }
+  epoll_add_readable(epoll_fd_.get(), wake_fd_.get());
+  if (listen_fd_.valid()) {
+    epoll_add_readable(epoll_fd_.get(), listen_fd_.get());
+  }
+  thread_ = std::thread([this] { loop(); });
 }
 
 TcpTransport::~TcpTransport() {
-  stopping_.store(true, std::memory_order_relaxed);
-  for (auto& r : reactors_) r->request_stop();
-  for (auto& r : reactors_) r->join();
-  // Connections, the listener and the wake fds close via RAII. No
-  // deliveries can be in flight: only the (joined) reactor threads
-  // delivered.
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  wake();
+  write_cv_.notify_all();
+  thread_.join();
+  // Connections, the listener and the wake fd close via RAII. No
+  // deliveries can be in flight: only the (joined) loop thread delivered.
 }
 
 EndpointId TcpTransport::register_endpoint(Handler handler) {
@@ -158,116 +196,11 @@ void TcpTransport::bounce_request(const Message& header,
   (void)deliver_local(std::move(bounce));  // requester gone: silent drop
 }
 
-ReactorHost::RouteClaim TcpTransport::learn_route(EndpointId src,
-                                                  const ConnPtr& conn) {
-  if (src == 0) return RouteClaim::kOk;
-  {
-    MutexLock lock(ep_mu_);
-    // A local endpoint id never becomes a remote route.
-    if (endpoints_.count(src) > 0) return RouteClaim::kOk;
-  }
-  // The first registration holds while its connection stays active: a
-  // *different* connection claiming an already-routed endpoint is a
-  // collision (two peers sharing an endpoint id), and silently
-  // re-pointing the route would leak one peer's responses to the other —
-  // the collider is refused deterministically instead. Once the owning
-  // connection has been silent past route_stale_ms (a drop this side
-  // never observed — close_conn erases routes on the drops it does
-  // observe), the new claimant takes the route over, so a re-dialing
-  // peer is locked out for at most the stale window. Freshness crosses
-  // shards via TcpConn::last_frame_us (relaxed atomic, written by each
-  // owning loop just before it claims).
-  MutexLock lock(route_mu_);
-  const auto [it, inserted] = routes_.try_emplace(src, conn);
-  if (inserted || it->second == conn) return RouteClaim::kOk;
-  const std::int64_t claim_us =
-      conn->last_frame_us.load(std::memory_order_relaxed);
-  const std::int64_t stale_cutoff_us =
-      claim_us -
-      static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
-  if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
-      stale_cutoff_us) {
-    counters_.route_takeovers.inc();
-    it->second = conn;
-    return RouteClaim::kTakeover;
-  }
-  counters_.route_conflicts.inc();
-  return RouteClaim::kConflict;
-}
-
-void TcpTransport::forget_routes(const ConnPtr& conn) {
-  MutexLock lock(route_mu_);
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = (it->second == conn) ? routes_.erase(it) : std::next(it);
-  }
-}
-
-void TcpTransport::sweep_stale_routes() {
-  const std::int64_t now_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  MutexLock lock(route_mu_);
-  if (now_us < next_route_sweep_us_) return;
-  // Scan at a quarter of the stale window: reclamation lags an idle
-  // departure by at most ~1.25x route_stale_ms without taking route_mu_
-  // on every reactor iteration. (Expiring a route is cheap to get wrong
-  // in the safe direction — a live peer's next frame just re-learns it.)
-  next_route_sweep_us_ =
-      now_us +
-      std::max<std::int64_t>(
-          static_cast<std::int64_t>(config_.route_stale_ms) * 1000 / 4, 1000);
-  const std::int64_t cutoff_us =
-      now_us - static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
-        cutoff_us) {
-      counters_.route_expired.inc();
-      it = routes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void TcpTransport::adopt_accepted(SocketFd fd) {
-  try {
-    set_nonblocking(fd.get());
-  } catch (const SocketError&) {
-    return;  // conn drops, fd closed by RAII
-  }
-  // Hash the peer's address to pick the owning shard; the fd lives its
-  // whole life on that reactor.
-  std::size_t shard = 0;
-  sockaddr_storage ss;
-  std::memset(&ss, 0, sizeof(ss));
-  socklen_t len = sizeof(ss);
-  if (::getpeername(fd.get(), reinterpret_cast<sockaddr*>(&ss), &len) == 0) {
-    shard = fnv1a64(ByteView{reinterpret_cast<const std::uint8_t*>(&ss),
-                             len}) %
-            reactors_.size();
-  }
-  Reactor* owner = reactors_[shard].get();
-  auto conn = std::make_shared<TcpConn>(config_.max_body_bytes, owner);
-  conn->fd = std::move(fd);
-  Hello hello;
-  hello.role = PeerRole::kServer;
-  conn->hello_out = encode_hello(hello);
-  conn->state = TcpConn::State::kHello;
-  owner->adopt_inbound(std::move(conn));
-}
-
-Reactor& TcpTransport::shard_for(const std::string& host,
-                                 std::uint16_t port) {
-  const std::uint64_t h = hash_combine64(fnv1a64(host), port);
-  return *reactors_[h % reactors_.size()];
-}
+// ---- Producer side ---------------------------------------------------------
 
 void TcpTransport::send(Message&& m) {
-  if (stopping_.load(std::memory_order_relaxed)) return;
   const Message header = header_of(m);
   const bool is_request = m.kind == MessageKind::kRequest;
-  const std::size_t body_size = m.body.size();
 
   bool local = false;
   bool track = false;
@@ -288,63 +221,51 @@ void TcpTransport::send(Message&& m) {
     return;
   }
 
-  // Learned return route first (how a daemon answers client endpoints).
-  ConnPtr route;
-  {
-    MutexLock lock(route_mu_);
-    auto it = routes_.find(m.dst);
-    if (it != routes_.end()) route = it->second;
-  }
-  if (route) {
-    if (body_size > config_.max_body_bytes) {
-      // Fail the offending message locally: shipping it would poison the
-      // shared connection when the peer rejects the frame. (Both sides
-      // of a deployment share one max_body_bytes.)
-      counters_.net.dropped.inc();
-      if (is_request) {
-        bounce_request(header, "message body " + std::to_string(body_size) +
-                                   " exceeds limit " +
-                                   std::to_string(config_.max_body_bytes));
-      }
-      return;
-    }
-    Reactor* owner = route->owner;
-    if (owner->enqueue(route, m, header, track)) {
-      owner->wake();
-      if (!Reactor::on_reactor_thread()) owner->backpressure_wait(route);
-      return;
-    }
-    // The routed connection died under us (close_conn erases the route
-    // momentarily): fall back to the static peer map.
-  }
-
-  const auto pit = config_.remote_endpoints.find(m.dst);
-  if (pit == config_.remote_endpoints.end()) {
+  if (m.body.size() > config_.max_body_bytes) {
+    // Fail the offending message locally: shipping it would poison the
+    // shared connection when the peer rejects the frame. (Both sides of a
+    // deployment share one max_body_bytes.)
     counters_.net.dropped.inc();
     if (is_request) {
-      bounce_request(header,
-                     "no route to endpoint " + std::to_string(header.dst));
-    }
-    return;
-  }
-  if (body_size > config_.max_body_bytes) {
-    counters_.net.dropped.inc();
-    if (is_request) {
-      bounce_request(header, "message body " + std::to_string(body_size) +
+      bounce_request(header, "message body " + std::to_string(m.body.size()) +
                                  " exceeds limit " +
                                  std::to_string(config_.max_body_bytes));
     }
     return;
   }
 
-  const std::pair<std::string, std::uint16_t> key{pit->second.host,
-                                                  pit->second.port};
-  Reactor& shard = shard_for(key.first, key.second);
-  // Resolve a first-contact peer's address before queueing: a slow DNS
-  // lookup then costs only this producer, never a reactor or other
-  // senders. (remote_endpoints is immutable after construction.)
-  TcpAddress dial = pit->second;
-  if (!shard.outbound_exists(key)) {
+  // The learned return route wins (how a daemon answers client
+  // endpoints); otherwise the static peer map names the connection.
+  const auto pit = config_.remote_endpoints.find(m.dst);
+  const bool mapped = pit != config_.remote_endpoints.end();
+  std::pair<std::string, std::uint16_t> key;
+  if (mapped) key = {pit->second.host, pit->second.port};
+  ConnPtr conn;
+  {
+    MutexLock lock(mu_);
+    if (stop_) return;  // swallowed: the transport is shutting down
+    if (const auto rit = routes_.find(m.dst); rit != routes_.end()) {
+      conn = rit->second;
+    } else if (mapped) {
+      const auto oit = outbound_.find(key);
+      if (oit != outbound_.end()) conn = oit->second;
+    }
+    if (conn) push_frame(conn, std::move(m), track);
+  }
+
+  if (!conn) {
+    if (!mapped) {
+      counters_.net.dropped.inc();
+      if (is_request) {
+        bounce_request(header,
+                       "no route to endpoint " + std::to_string(header.dst));
+      }
+      return;
+    }
+    // First contact: resolve the peer's address before queueing, so a
+    // slow DNS lookup costs only this producer, never the loop or other
+    // senders. (remote_endpoints is immutable after construction.)
+    TcpAddress dial;
     try {
       dial = resolve_numeric(pit->second);
     } catch (const SocketError& e) {
@@ -354,16 +275,626 @@ void TcpTransport::send(Message&& m) {
       }
       return;
     }
+    MutexLock lock(mu_);
+    if (stop_) return;
+    ConnPtr& slot = outbound_[key];
+    if (!slot) {
+      slot = std::make_shared<TcpConn>(config_.max_body_bytes);
+      slot->outbound = true;
+      slot->address = std::move(dial);
+    }
+    conn = slot;
+    push_frame(conn, std::move(m), track);
   }
-  const ConnPtr conn = shard.enqueue_outbound(key, dial, m, header, track);
-  if (!conn) return;  // transport stopping
-  shard.wake();
+  wake();
 
-  // Backpressure: block producers (never a reactor thread) while this
+  // Backpressure: block producers (never a loop thread) while this
   // connection's queue is past the high watermark. A dying connection
   // clears its queue; a peer that stays wedged past the stall timeout is
-  // failed (its reactor owns the fd), so this always unblocks.
-  if (!Reactor::on_reactor_thread()) shard.backpressure_wait(conn);
+  // failed (the loop owns the fd), so this always unblocks.
+  if (!t_on_loop_thread) backpressure_wait(conn);
+}
+
+void TcpTransport::push_frame(const ConnPtr& conn, Message&& m, bool track) {
+  if (track) {
+    conn->awaiting_response.emplace(
+        std::pair{m.src, m.correlation_id},
+        TcpConn::TrackedRequest{header_of(m),
+                                std::chrono::steady_clock::now()});
+  }
+  const MessageKind kind = m.kind;
+  OutFrame frame = make_out_frame(std::move(m));
+  counters_.net.count_sent(kind, frame.wire_size());
+  conn->outbox_bytes += frame.wire_size();
+  conn->outbox.push_back(std::move(frame));
+  counters_.write_queue_bytes.set(
+      static_cast<std::int64_t>(conn->outbox_bytes));
+}
+
+void TcpTransport::backpressure_wait(const ConnPtr& conn) {
+  MutexLock lock(mu_);
+  if (!stop_ && conn->outbox_bytes > config_.write_high_watermark) {
+    counters_.backpressure_stalls.inc();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(config_.write_stall_timeout_ms);
+  bool drained;
+  for (;;) {
+    drained = stop_ || conn->outbox_bytes <= config_.write_high_watermark;
+    if (drained) break;
+    if (write_cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
+      drained = stop_ || conn->outbox_bytes <= config_.write_high_watermark;
+      break;
+    }
+  }
+  if (!drained) {
+    conn->stalled = true;
+    lock.unlock();
+    wake();
+    lock.lock();
+    while (!stop_ && conn->outbox_bytes > config_.write_high_watermark) {
+      write_cv_.wait(mu_);
+    }
+  }
+}
+
+void TcpTransport::wake() {
+  counters_.wakeups.inc();
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_.get(), &one, sizeof(one));
+}
+
+void TcpTransport::drain_wake_fd() {
+  std::uint64_t v;
+  (void)!::read(wake_fd_.get(), &v, sizeof(v));  // resets the counter
+}
+
+// ---- Learned routes --------------------------------------------------------
+
+TcpTransport::RouteClaim TcpTransport::learn_route(EndpointId src,
+                                                   const ConnPtr& conn) {
+  if (src == 0) return RouteClaim::kOk;
+  {
+    MutexLock lock(ep_mu_);
+    // A local endpoint id never becomes a remote route.
+    if (endpoints_.count(src) > 0) return RouteClaim::kOk;
+  }
+  // The first registration holds while its connection stays active: a
+  // *different* connection claiming an already-routed endpoint is a
+  // collision (two peers sharing an endpoint id), and silently
+  // re-pointing the route would leak one peer's responses to the other —
+  // the collider is refused deterministically instead. Once the owning
+  // connection has been silent past route_stale_ms (a drop this side
+  // never observed — close_conn erases routes on the drops it does
+  // observe), the new claimant takes the route over, so a re-dialing
+  // peer is locked out for at most the stale window.
+  MutexLock lock(mu_);
+  const auto [it, inserted] = routes_.try_emplace(src, conn);
+  if (inserted || it->second == conn) return RouteClaim::kOk;
+  const std::int64_t stale_cutoff_us =
+      conn->last_frame_us -
+      static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
+  if (it->second->last_frame_us <= stale_cutoff_us) {
+    counters_.route_takeovers.inc();
+    it->second = conn;
+    return RouteClaim::kTakeover;
+  }
+  counters_.route_conflicts.inc();
+  return RouteClaim::kConflict;
+}
+
+void TcpTransport::forget_routes(const ConnPtr& conn) {
+  for (auto it = routes_.begin(); it != routes_.end();) {
+    it = (it->second == conn) ? routes_.erase(it) : std::next(it);
+  }
+}
+
+void TcpTransport::sweep_stale_routes() {
+  const std::int64_t now_us = steady_now_us();
+  if (now_us < next_route_sweep_us_) return;
+  // Scan at a quarter of the stale window: reclamation lags an idle
+  // departure by at most ~1.25x route_stale_ms without scanning every
+  // route on every loop iteration. (Expiring a route is cheap to get
+  // wrong in the safe direction — a live peer's next frame re-learns it.)
+  next_route_sweep_us_ =
+      now_us +
+      std::max<std::int64_t>(
+          static_cast<std::int64_t>(config_.route_stale_ms) * 1000 / 4, 1000);
+  const std::int64_t cutoff_us =
+      now_us - static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
+  for (auto it = routes_.begin(); it != routes_.end();) {
+    if (it->second->last_frame_us <= cutoff_us) {
+      counters_.route_expired.inc();
+      it = routes_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+// ---- Event loop ------------------------------------------------------------
+
+int TcpTransport::prepare_iteration(std::vector<ConnPtr>& to_dial,
+                                    std::vector<ConnPtr>& to_fail) {
+  int timeout_ms = 200;
+  MutexLock lock(mu_);
+  if (stop_) return -1;
+
+  // Reap finished inbound connections.
+  inbound_.erase(std::remove_if(inbound_.begin(), inbound_.end(),
+                                [](const ConnPtr& c) { return c->dead; }),
+                 inbound_.end());
+
+  const auto now = std::chrono::steady_clock::now();
+  // Sweep request tracking that outlived any plausible RPC timeout: the
+  // caller abandoned those calls without telling us, and a response will
+  // never arrive to erase them.
+  const auto track_cutoff =
+      now - std::chrono::milliseconds(config_.request_track_ttl_ms);
+  auto sweep_tracking = [&](const ConnPtr& conn) {
+    for (auto it = conn->awaiting_response.begin();
+         it != conn->awaiting_response.end();) {
+      it = (it->second.queued_at < track_cutoff)
+               ? conn->awaiting_response.erase(it)
+               : std::next(it);
+    }
+  };
+  for (auto& conn : inbound_) {
+    if (conn->stalled) to_fail.push_back(conn);
+    sweep_tracking(conn);
+  }
+  for (auto& [key, conn] : outbound_) {
+    sweep_tracking(conn);
+    if (conn->stalled) {
+      to_fail.push_back(conn);
+      continue;
+    }
+    const bool has_work =
+        !conn->outbox.empty() || !conn->awaiting_response.empty();
+    if (!has_work) continue;
+    if (conn->state == TcpConn::State::kIdle) {
+      to_dial.push_back(conn);
+    } else if (conn->state == TcpConn::State::kBackoff) {
+      if (conn->retry_at <= now) {
+        to_dial.push_back(conn);
+      } else {
+        const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
+            conn->retry_at - now);
+        timeout_ms =
+            std::min<int>(timeout_ms, static_cast<int>(wait.count()) + 1);
+      }
+    }
+  }
+  sweep_stale_routes();
+  return timeout_ms;
+}
+
+void TcpTransport::epoll_update(const ConnPtr& conn) {
+  if (!conn->fd.valid()) return;
+  const int events = static_cast<int>(desired_events(*conn));
+  if (events == conn->epoll_events) return;
+  epoll_event ev{};
+  ev.events = static_cast<std::uint32_t>(events);
+  ev.data.fd = conn->fd.get();
+  if (conn->epoll_events < 0) {
+    if (events == 0) return;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, conn->fd.get(), &ev) ==
+        0) {
+      by_fd_[conn->fd.get()] = conn;
+      conn->epoll_events = events;
+    }
+  } else if (events == 0) {
+    (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, conn->fd.get(),
+                      nullptr);
+    by_fd_.erase(conn->fd.get());
+    conn->epoll_events = -1;
+  } else if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn->fd.get(),
+                         &ev) == 0) {
+    conn->epoll_events = events;
+  }
+}
+
+void TcpTransport::loop() {
+  t_on_loop_thread = true;
+  std::array<epoll_event, 256> events;
+  while (true) {
+    std::vector<ConnPtr> to_dial;
+    std::vector<ConnPtr> to_fail;
+    const int timeout_ms = prepare_iteration(to_dial, to_fail);
+    if (timeout_ms < 0) return;
+
+    for (const auto& conn : to_fail) {
+      close_conn(conn, "write stalled past backpressure timeout");
+    }
+    for (const auto& conn : to_dial) loop_dial(conn);
+
+    // Reconcile every connection's registration with its current
+    // interest. New fds only enter the epoll set here — never while an
+    // event batch is being processed — so a batch can never observe an
+    // event for a recycled fd number it would misattribute.
+    {
+      MutexLock lock(mu_);
+      for (auto& [key, conn] : outbound_) epoll_update(conn);
+      for (auto& conn : inbound_) epoll_update(conn);
+    }
+
+    const int rc = ::epoll_wait(epoll_fd_.get(), events.data(),
+                                static_cast<int>(events.size()), timeout_ms);
+    if (rc < 0) continue;  // EINTR or transient failure: rebuild and retry
+
+    for (int i = 0; i < rc; ++i) {
+      const int fd = events[static_cast<std::size_t>(i)].data.fd;
+      const std::uint32_t e = events[static_cast<std::size_t>(i)].events;
+      if (fd == wake_fd_.get()) {
+        drain_wake_fd();
+        continue;
+      }
+      if (fd == listen_fd_.get()) {
+        loop_accept();
+        continue;
+      }
+      const auto it = by_fd_.find(fd);
+      if (it == by_fd_.end()) continue;  // closed earlier in this batch
+      const ConnPtr conn = it->second;   // copy: a close erases the entry
+      handle_conn_events(conn, e);
+    }
+  }
+}
+
+void TcpTransport::forget_fd(const ConnPtr& conn) {
+  if (conn->epoll_events >= 0 && conn->fd.valid()) {
+    (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, conn->fd.get(),
+                      nullptr);
+    by_fd_.erase(conn->fd.get());
+  }
+  conn->epoll_events = -1;
+}
+
+void TcpTransport::handle_conn_events(const ConnPtr& conn,
+                                      std::uint32_t events) {
+  if (events == 0 || !conn->fd.valid()) return;
+  if (conn->state == TcpConn::State::kConnecting) {
+    if (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) loop_connect_ready(conn);
+    return;
+  }
+  if (events & (EPOLLERR | EPOLLHUP)) {
+    // Flush what the peer sent before it hung up, then close.
+    if (events & EPOLLIN) loop_readable(conn);
+    if (conn->fd.valid()) close_conn(conn, "connection reset");
+    return;
+  }
+  if (events & EPOLLOUT) loop_writable(conn);
+  if ((events & EPOLLIN) && conn->fd.valid()) loop_readable(conn);
+}
+
+void TcpTransport::loop_accept() {
+  while (true) {
+    SocketFd fd(::accept4(listen_fd_.get(), nullptr, nullptr,
+                          SOCK_NONBLOCK | SOCK_CLOEXEC));
+    if (!fd.valid()) return;  // EAGAIN or transient error: next wait retries
+    auto conn = std::make_shared<TcpConn>(config_.max_body_bytes);
+    conn->fd = std::move(fd);
+    Hello hello;
+    hello.role = PeerRole::kServer;
+    conn->hello_out = encode_hello(hello);
+    conn->state = TcpConn::State::kHello;
+    counters_.connections_accepted.inc();
+    // Registered with epoll at the top of the next iteration.
+    MutexLock lock(mu_);
+    inbound_.push_back(std::move(conn));
+  }
+}
+
+void TcpTransport::loop_dial(const ConnPtr& conn) {
+  counters_.connects.inc();
+  if (conn->was_established) {
+    counters_.reconnects.inc();
+    conn->was_established = false;
+  }
+  try {
+    bool in_progress = false;
+    SocketFd fd = tcp_connect_start(conn->address, in_progress);
+    Hello hello;
+    hello.role = config_.listen ? PeerRole::kServer : PeerRole::kClient;
+    MutexLock lock(mu_);
+    conn->fd = std::move(fd);
+    conn->hello_out = encode_hello(hello);
+    conn->hello_sent = 0;
+    conn->hello_in.clear();
+    conn->decoder.reset();
+    conn->state =
+        in_progress ? TcpConn::State::kConnecting : TcpConn::State::kHello;
+  } catch (const SocketError& e) {
+    connect_failed(conn, e.what());
+  }
+}
+
+void TcpTransport::loop_connect_ready(const ConnPtr& conn) {
+  const int err = take_socket_error(conn->fd.get());
+  if (err != 0) {
+    connect_failed(conn, std::string("connect ") + conn->address.to_string() +
+                             ": " + std::strerror(err));
+    return;
+  }
+  MutexLock lock(mu_);
+  conn->state = TcpConn::State::kHello;
+}
+
+void TcpTransport::connect_failed(const ConnPtr& conn,
+                                  const std::string& reason) {
+  std::vector<Message> bounces;
+  {
+    counters_.connect_failures.inc();
+    MutexLock lock(mu_);
+    forget_fd(conn);
+    conn->fd.reset();
+    ++conn->attempts;
+    if (conn->attempts < config_.connect_attempts) {
+      const std::uint32_t shift =
+          std::min<std::uint32_t>(conn->attempts - 1, 10);
+      const std::uint32_t backoff = std::min(
+          config_.connect_backoff_max_ms, config_.connect_backoff_ms << shift);
+      conn->state = TcpConn::State::kBackoff;
+      conn->retry_at = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(backoff);
+      return;
+    }
+    // Out of attempts: fail every queued request and start fresh on the
+    // next send toward this peer.
+    for (auto& [key, tracked] : conn->awaiting_response) {
+      bounces.push_back(tracked.header);
+    }
+    conn->awaiting_response.clear();
+    conn->outbox.clear();
+    conn->outbox_bytes = 0;
+    conn->out_offset = 0;
+    conn->attempts = 0;
+    conn->state = TcpConn::State::kIdle;
+    write_cv_.notify_all();
+  }
+  for (const auto& h : bounces) bounce_request(h, reason);
+}
+
+void TcpTransport::close_conn(const ConnPtr& conn, const std::string& reason) {
+  std::vector<Message> bounces;
+  {
+    MutexLock lock(mu_);
+    if (conn->state == TcpConn::State::kEstablished) {
+      counters_.connections_lost.inc();
+    }
+    forget_fd(conn);
+    conn->fd.reset();
+    for (auto& [key, tracked] : conn->awaiting_response) {
+      bounces.push_back(tracked.header);
+    }
+    conn->awaiting_response.clear();
+    conn->outbox.clear();
+    conn->outbox_bytes = 0;
+    conn->out_offset = 0;
+    conn->hello_in.clear();
+    conn->hello_out.clear();
+    conn->hello_sent = 0;
+    conn->stalled = false;
+    conn->decoder.reset();
+    if (conn->outbound) {
+      conn->state = TcpConn::State::kIdle;
+      conn->attempts = 0;
+    } else {
+      conn->dead = true;
+    }
+    // Under the same lock as the route lookup in send(): a producer never
+    // queues on a closed inbound connection through a stale route.
+    forget_routes(conn);
+    write_cv_.notify_all();
+  }
+  const std::string text =
+      "connection to " +
+      (conn->outbound ? conn->address.to_string() : std::string("peer")) +
+      " lost (" + reason + ")";
+  for (const auto& h : bounces) bounce_request(h, text);
+}
+
+void TcpTransport::loop_writable(const ConnPtr& conn) {
+  // Handshake bytes go first, before any frame.
+  while (conn->hello_sent < conn->hello_out.size()) {
+    const ssize_t n = ::send(
+        conn->fd.get(), conn->hello_out.data() + conn->hello_sent,
+        conn->hello_out.size() - conn->hello_sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn->hello_sent += static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      close_conn(conn, std::string("write: ") + std::strerror(errno));
+      return;
+    }
+  }
+  if (conn->state != TcpConn::State::kEstablished) return;
+
+  // Swap the queue out and run the sendmsg() syscalls without mu_ —
+  // kernel buffer copies must not serialize producers. Frames queued
+  // meanwhile land behind the leftovers we re-insert, so order is
+  // preserved; outbox_bytes stays high until re-accounting, which only
+  // errs on the side of backpressure.
+  std::deque<OutFrame> batch;
+  std::size_t offset = 0;
+  {
+    MutexLock lock(mu_);
+    batch.swap(conn->outbox);
+    offset = conn->out_offset;
+    conn->out_offset = 0;
+  }
+
+  bool failed = false;
+  std::string fail_reason;
+  std::size_t sent_bytes = 0;
+  struct iovec iov[kMaxWriteIovecs];
+  while (!batch.empty()) {
+    const std::size_t n_iov =
+        build_frame_iovecs(batch, offset, iov, kMaxWriteIovecs);
+    if (n_iov == 0) break;
+    struct msghdr msg {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    const ssize_t n = ::sendmsg(conn->fd.get(), &msg, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent_bytes += static_cast<std::size_t>(n);
+      consume_sent(batch, offset, static_cast<std::size_t>(n));
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      failed = true;
+      fail_reason = std::string("write: ") + std::strerror(errno);
+      break;
+    }
+  }
+
+  {
+    MutexLock lock(mu_);
+    conn->outbox_bytes -= sent_bytes;
+    conn->out_offset = offset;
+    for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+      conn->outbox.push_front(std::move(*it));
+    }
+    if (conn->outbox_bytes <= config_.write_low_watermark) {
+      write_cv_.notify_all();
+    }
+  }
+  if (failed) close_conn(conn, fail_reason);
+}
+
+void TcpTransport::loop_readable(const ConnPtr& conn) {
+  std::uint8_t buf[64 * 1024];
+  while (conn->fd.valid()) {
+    const ssize_t n = ::recv(conn->fd.get(), buf, sizeof(buf), 0);
+    if (n == 0) {
+      close_conn(conn, "closed by peer");
+      return;
+    }
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EINTR) continue;
+      close_conn(conn, std::string("read: ") + std::strerror(errno));
+      return;
+    }
+    counters_.bytes_received.inc(static_cast<std::uint64_t>(n));
+    ByteView data{buf, static_cast<std::size_t>(n)};
+
+    // Finish the handshake before framing begins.
+    if (conn->state == TcpConn::State::kHello ||
+        conn->state == TcpConn::State::kConnecting) {
+      const std::size_t need = Hello::kWireBytes - conn->hello_in.size();
+      const std::size_t take = std::min(need, data.size());
+      conn->hello_in.insert(conn->hello_in.end(), data.begin(),
+                            data.begin() + static_cast<long>(take));
+      data = data.subspan(take);
+      if (conn->hello_in.size() < Hello::kWireBytes) continue;
+      try {
+        (void)decode_hello(
+            ByteView{conn->hello_in.data(), conn->hello_in.size()});
+      } catch (const FrameError& e) {
+        counters_.protocol_errors.inc();
+        counters_.handshake_failures.inc();
+        close_conn(conn, e.what());
+        return;
+      }
+      MutexLock lock(mu_);
+      conn->state = TcpConn::State::kEstablished;
+      conn->attempts = 0;
+      conn->was_established = true;
+      counters_.connections_established.inc();
+      // Flushing queued frames + the rest of this read happen below.
+    }
+
+    if (!data.empty()) conn->decoder.feed(data);
+    try {
+      while (auto m = conn->decoder.next()) {
+        loop_dispatch(conn, std::move(*m));
+        if (!conn->fd.valid()) return;  // dispatch closed it
+      }
+    } catch (const FrameError& e) {
+      counters_.protocol_errors.inc();
+      close_conn(conn, e.what());
+      return;
+    }
+  }
+}
+
+void TcpTransport::loop_dispatch(const ConnPtr& conn, Message&& m) {
+  const Message header = header_of(m);
+  const obs::TraceContext trace_ctx = m.trace;
+  const std::uint64_t dispatch_start =
+      trace_ctx.sampled ? obs::unix_micros() : 0;
+  counters_.frames_received.inc();
+  // Kind counters cover traffic both ways (messages_sent/bytes_sent stay
+  // send-only): a client's `responses` is what its fleet answered.
+  counters_.net.count_kind(m.kind);
+  if (m.kind != MessageKind::kRequest) {
+    MutexLock lock(mu_);
+    // The response's destination is the endpoint that issued the call.
+    auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
+    if (it != conn->awaiting_response.end()) {
+      // Whole-RPC latency: local send() to response frame decoded.
+      counters_.rpc_us[static_cast<std::uint8_t>(m.type)]->observe_since(
+          it->second.queued_at);
+      conn->awaiting_response.erase(it);
+    }
+  }
+
+  // Learn the return route for the peer's endpoint.
+  conn->last_frame_us = steady_now_us();
+  const RouteClaim claim = learn_route(m.src, conn);
+  if (claim == RouteClaim::kTakeover) {
+    SIGMA_LOG_WARN << "tcp: endpoint " << m.src
+                   << " return route taken over by a new connection (old "
+                      "one silent past the stale window)";
+  }
+  if (claim == RouteClaim::kConflict) {
+    SIGMA_LOG(LogLevel::kError)
+        << "tcp: endpoint " << m.src
+        << " re-registered by a different peer connection while its route "
+           "is active — refusing the message (endpoint-id collision; give "
+           "each client a distinct endpoint base)";
+    counters_.net.dropped.inc();
+    if (header.kind == MessageKind::kRequest) {
+      bounce_over_wire(conn, header,
+                       "endpoint " + std::to_string(header.src) +
+                           " already routed to another peer (endpoint-id "
+                           "collision)");
+    }
+    return;
+  }
+  if (deliver_local(std::move(m))) {
+    if (trace_ctx.sampled) {
+      // One span per delivered frame: decode to handler return on the
+      // loop thread.
+      obs::Tracer& tracer = obs::Tracer::instance();
+      tracer.emit(tracer.child_of(trace_ctx), "tcp.rx", nullptr,
+                  dispatch_start, obs::unix_micros() - dispatch_start);
+    }
+    return;
+  }
+
+  // Unknown destination: refuse requests over the wire (the remote
+  // caller's RPC fails fast), drop stray responses.
+  counters_.net.dropped.inc();
+  if (header.kind == MessageKind::kRequest) {
+    bounce_over_wire(conn, header,
+                     "no endpoint " + std::to_string(header.dst));
+  }
+}
+
+void TcpTransport::bounce_over_wire(const ConnPtr& conn,
+                                    const Message& header,
+                                    const std::string& text) {
+  Message bounce = Message::error_to(header, "transport: " + text);
+  MutexLock lock(mu_);
+  push_frame(conn, std::move(bounce), /*track=*/false);
 }
 
 NetStats TcpTransport::stats() const { return counters_.net.read(); }

@@ -1,23 +1,19 @@
 // TCP implementation of net::Transport: real sockets between OS
-// processes, same Message semantics as the LoopbackTransport test fake.
+// processes, same Message semantics as the LoopbackTransport test fake
+// (Linux only: epoll and eventfd are required).
 //
-// The event plane is SHARDED. The transport owns N Reactors (see
-// net/tcp/reactor.h) — each a thread with its own epoll instance, its own
-// eventfd wakeup and a private connection table. Connections are
-// partitioned by peer hash — outbound by dial address at first send,
-// inbound by peer address at accept — and never migrate between shards,
-// so each reactor runs the original single-loop state machines against a
-// strictly private fd set:
+// Each transport is ONE event loop: a single thread owning one epoll
+// instance, one eventfd wakeup, the listener (when listening) and every
+// connection the transport dials or accepts:
 //
-//            ┌ reactor 0 ── epoll ── conns {a, d, ...}   (+ listener)
-//   send() ──┤ reactor 1 ── epoll ── conns {b, ...}
-//            └ reactor N ── epoll ── conns {c, ...}
+//   send() ── mu_ ──> conn write queues ── eventfd ──> loop thread
+//                                                        │ epoll
+//                                      listener + conns {a, b, c, ...}
 //
-// This class is the layer above the shards: local endpoint registry,
-// static peer map, learned return routes, and the hash that picks a
-// shard. send() resolves the destination (local endpoint, learned route,
-// or peer map), then queues on the owning reactor; the reactor frames,
-// writev()s and dispatches without ever touching another shard.
+// send() resolves the destination (local endpoint, learned route, or
+// peer map) and queues the frame on that connection's write queue; the
+// loop writev()s the queues, reads and decodes inbound frames, and
+// dispatches them to local endpoint handlers on its own thread.
 //
 // Per-peer connection state machine (outbound connections are dialed
 // lazily, on the first send toward that peer's address):
@@ -41,25 +37,29 @@
 // endpoints are resolved through the static peer map (endpoint id ->
 // host:port, for clients dialing node services) or through learned routes
 // (a server answers a client endpoint over the connection that carried
-// its request). Both the endpoint table and the route directory are
-// transport-global — endpoint ids are fleet-unique regardless of which
-// shard a connection hashed to — and live behind locks RANKED BELOW the
-// shard mutexes (kTransportEndpoints, kTransportRoutes < kTransport), so
-// a reactor consults them only with its own mutex released and no lock
-// order ever crosses two shards.
+// its request).
+//
+// Locking: the loop mutex mu_ guards the producer/loop handoff — every
+// connection's write queue and request tracking, the connection tables
+// and the learned-route directory — so send() looks up a route and
+// queues on it under one lock. The endpoint table has its own mutex
+// (ep_mu_). The two are never nested, and handlers run with neither held.
 //
 // Backpressure: each connection's write queue is capped; send() from a
-// non-reactor thread blocks once the queue passes the high watermark and
-// resumes below the low watermark — a slow or stalled peer throttles its
-// producers instead of ballooning memory.
+// thread that is not a transport loop blocks once the queue passes the
+// high watermark and resumes below the low watermark — a slow or stalled
+// peer throttles its producers instead of ballooning memory.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -84,9 +84,8 @@ struct TcpTransportConfig {
   /// First id handed out by register_endpoint().
   EndpointId endpoint_base = kClientEndpointBase;
 
-  /// Event-loop shards. 0 = auto: min(hardware_concurrency, 4), at least
-  /// 1. Clamped to 64. Each shard is one thread + one epoll instance;
-  /// connections are hash-partitioned across them and never migrate.
+  /// Ignored: a transport always runs exactly one event loop. The field
+  /// remains only so callers that still set it keep compiling.
   std::uint32_t reactors = 0;
 
   /// Largest acceptable frame body. Frames above this are a protocol
@@ -128,9 +127,8 @@ struct TcpTransportConfig {
   /// Metrics plane (must outlive the transport): the `net.*` and `tcp.*`
   /// counters behind stats()/tcp_stats(), per-op RPC latency histograms
   /// (send to response), backpressure-stall counts, a write-queue depth
-  /// gauge with high-water tracking, and per-shard
-  /// transport.reactor<i>.{frames,bytes_received,wakeups} counters. Null
-  /// = the transport records into a private registry.
+  /// gauge with high-water tracking. Null = the transport records into a
+  /// private registry.
   obs::Registry* metrics = nullptr;
 };
 
@@ -144,9 +142,8 @@ struct TcpTransportStats {
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bounced_requests = 0;
-  /// Event-loop wakeup pokes (eventfd writes): producers signalling a
-  /// reactor that new work is queued. A wakeup is cheap but not free —
-  /// this is the cross-thread chatter the shards are meant to bound.
+  /// Event-loop wakeup pokes (eventfd writes): producers signalling the
+  /// loop that new work is queued.
   std::uint64_t wakeups = 0;
   /// Messages refused because their source endpoint's return route is
   /// already owned by a different, recently-active connection — two
@@ -163,10 +160,9 @@ struct TcpTransportStats {
   std::uint64_t route_expired = 0;
 };
 
-/// The registry instruments of one transport, shared by the sharding
-/// layer and every reactor: `net.*` (NetStats), `tcp.*` (TcpTransportStats
-/// plus connect/handshake/backpressure counters), the write-queue gauge
-/// and the per-op RPC latency histograms.
+/// The registry instruments of one transport: `net.*` (NetStats), `tcp.*`
+/// (TcpTransportStats plus connect/handshake/backpressure counters), the
+/// write-queue gauge and the per-op RPC latency histograms.
 struct TcpCounters {
   explicit TcpCounters(obs::Registry& metrics);
 
@@ -194,14 +190,14 @@ struct TcpCounters {
   std::array<obs::Histogram*, kMaxMessageType + 1> rpc_us{};
 };
 
-class TcpTransport final : public Transport, private ReactorHost {
+class TcpTransport final : public Transport {
  public:
-  /// Binds the listener (when configured) and starts every reactor.
-  /// Throws SocketError if the listen address cannot be bound or a
-  /// reactor's eventfd or epoll instance cannot be created.
+  /// Binds the listener (when configured) and starts the event loop.
+  /// Throws SocketError if the listen address cannot be bound or the
+  /// eventfd or epoll instance cannot be created.
   explicit TcpTransport(TcpTransportConfig config);
 
-  /// Stops every reactor, closes every connection, unblocks senders.
+  /// Stops the event loop, closes every connection, unblocks senders.
   ~TcpTransport() override;
 
   EndpointId register_endpoint(Handler handler) override;
@@ -214,63 +210,116 @@ class TcpTransport final : public Transport, private ReactorHost {
   /// Actual listening port (resolves port 0); 0 when not listening.
   std::uint16_t listen_port() const { return listen_port_; }
 
-  /// Number of event-loop shards this transport is running.
-  std::size_t reactor_count() const { return reactors_.size(); }
-
  private:
   struct Endpoint {
     Handler handler;
     int active_deliveries = 0;
   };
 
-  // ---- ReactorHost (called from reactor threads, no shard mutex held) ----
-  bool deliver_local(Message&& m) override;
-  void bounce_request(const Message& header, const std::string& text) override;
-  RouteClaim learn_route(EndpointId src, const ConnPtr& conn) override;
-  void forget_routes(const ConnPtr& conn) override;
-  void sweep_stale_routes() override;
-  void adopt_accepted(SocketFd fd) override;
+  enum class RouteClaim { kOk, kConflict, kTakeover };
 
-  /// The shard owning connections to `host:port` (stable FNV-1a hash —
-  /// every send toward one address lands on the same reactor).
-  Reactor& shard_for(const std::string& host, std::uint16_t port);
+  /// Deliver to a local endpoint handler; false when the endpoint is not
+  /// registered. Any thread, no lock held.
+  bool deliver_local(Message&& m);
+  /// Synthesize the error response for an undeliverable request and hand
+  /// it to the local requester (silently drops if the requester is gone).
+  void bounce_request(const Message& header, const std::string& text);
+
+  // ---- Producer side (any thread) ---------------------------------------
+  /// Queue a frame on `conn`: encode, account, track our own requests.
+  void push_frame(const ConnPtr& conn, Message&& m, bool track)
+      SIGMA_REQUIRES(mu_);
+  /// Block the producer while `conn`'s write queue is past the high
+  /// watermark (never called on a loop thread).
+  void backpressure_wait(const ConnPtr& conn);
+  /// Poke the loop (new work queued, stop requested).
+  void wake();
+
+  // ---- Event loop (loop thread only) ------------------------------------
+  void loop();
+  /// One pass over shared state at the top of a loop iteration: reap dead
+  /// inbound conns, sweep stale request tracking and learned routes,
+  /// collect stalled conns and due dials. Returns the epoll_wait timeout
+  /// in ms, or -1 once stop was requested.
+  int prepare_iteration(std::vector<ConnPtr>& to_dial,
+                        std::vector<ConnPtr>& to_fail);
+  /// Reconcile one connection's epoll registration with its desired
+  /// interest set (mu_ held for the interest computation).
+  void epoll_update(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
+  /// Reclaim learned routes whose owning connection has been silent past
+  /// the stale window (a departed peer whose drop this side never
+  /// observed, and no collider ever dialed in to take the route over).
+  /// Throttled to one scan per quarter of the window.
+  void sweep_stale_routes() SIGMA_REQUIRES(mu_);
+  /// Learn (or contest) the return route for remote endpoint `src` over
+  /// `conn`. kConflict = the endpoint is owned by a different, fresh
+  /// connection (refuse the message); kTakeover = a stale owner was
+  /// displaced.
+  RouteClaim learn_route(EndpointId src, const ConnPtr& conn);
+  /// Drop every learned route pointing at `conn` (connection closed).
+  void forget_routes(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
+  void loop_accept();
+  void loop_dial(const ConnPtr& conn);
+  void loop_connect_ready(const ConnPtr& conn);
+  void loop_readable(const ConnPtr& conn);
+  void loop_writable(const ConnPtr& conn);
+  void loop_dispatch(const ConnPtr& conn, Message&& m);
+  /// Answer a request that cannot be delivered here with an error frame
+  /// over the connection that carried it (the remote call fails fast).
+  void bounce_over_wire(const ConnPtr& conn, const Message& header,
+                        const std::string& text);
+  /// Handle one connection's epoll events (EPOLLIN/OUT/ERR/HUP).
+  void handle_conn_events(const ConnPtr& conn, std::uint32_t events);
+  /// Tear down a connection: bounce requests awaiting responses, drop the
+  /// queue, forget learned routes. Outbound conns return to kIdle (a
+  /// later send re-dials); inbound conns are reaped.
+  void close_conn(const ConnPtr& conn, const std::string& reason);
+  /// Connect attempt failed: back off and retry, or give up and bounce.
+  void connect_failed(const ConnPtr& conn, const std::string& reason);
+  /// Deregister a connection's fd from the epoll set (before closing it).
+  void forget_fd(const ConnPtr& conn);
+  void drain_wake_fd();
 
   TcpTransportConfig config_;
 
-  /// Set first in the destructor; producers observe it without any lock
-  /// (send() becomes a no-op while the reactors wind down).
-  std::atomic<bool> stopping_{false};
-
-  // ---- Endpoint table (rank kTransportEndpoints, below the shards) ------
-  mutable Mutex ep_mu_{LockRank::kTransportEndpoints};
+  // ---- Endpoint table ---------------------------------------------------
+  mutable Mutex ep_mu_{LockRank::kTransport};
   CondVar idle_cv_;  // unregister_endpoint waits here
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(ep_mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(ep_mu_);
 
-  // ---- Learned routes (rank kTransportRoutes, below the shards) ---------
-  /// Remote endpoint id -> connection that carried its last message (how
-  /// a daemon answers client endpoints). Transport-global: a response
-  /// produced by any thread must find the route no matter which shard
-  /// the inbound connection hashed to.
-  mutable Mutex route_mu_{LockRank::kTransportRoutes};
-  std::unordered_map<EndpointId, ConnPtr> routes_
-      SIGMA_GUARDED_BY(route_mu_);
-  /// Next time sweep_stale_routes() actually scans (it is called every
-  /// reactor iteration; the scan runs at a quarter of the stale window).
-  std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(route_mu_) = 0;
-
-  /// Instruments shared by local delivery and every reactor (declared
-  /// before the reactors, which record into them until joined).
+  /// Instruments shared by local delivery and the loop (declared before
+  /// the loop thread, which records into them until joined).
   obs::RegistryRef metrics_;
   TcpCounters counters_;
 
-  SocketFd listen_fd_;  // owned here, borrowed by reactor 0
-  std::uint16_t listen_port_ = 0;
+  // ---- Producer/loop handoff --------------------------------------------
+  mutable Mutex mu_{LockRank::kTransport};
+  CondVar write_cv_;  // backpressured producers wait here
+  bool stop_ SIGMA_GUARDED_BY(mu_) = false;
+  /// Outbound connections by dial address (persist across reconnects).
+  std::map<std::pair<std::string, std::uint16_t>, ConnPtr> outbound_
+      SIGMA_GUARDED_BY(mu_);
+  /// Accepted connections.
+  std::vector<ConnPtr> inbound_ SIGMA_GUARDED_BY(mu_);
+  /// Remote endpoint id -> connection that carried its last message (how
+  /// a daemon answers client endpoints).
+  std::unordered_map<EndpointId, ConnPtr> routes_ SIGMA_GUARDED_BY(mu_);
+  /// Next time sweep_stale_routes() actually scans.
+  std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(mu_) = 0;
 
-  /// The shards. Sized at construction, immutable afterwards — indexing
-  /// needs no lock.
-  std::vector<std::unique_ptr<Reactor>> reactors_;
+  SocketFd listen_fd_;
+  std::uint16_t listen_port_ = 0;
+  SocketFd wake_fd_;   // eventfd: producers poke the loop
+  SocketFd epoll_fd_;  // watches wake_fd_, the listener and every conn
+  /// Registered fds -> connection, loop-thread-only. New fds are only
+  /// registered at the top of an iteration (accepts, fresh dials), never
+  /// while an event batch is being processed, so a stale event can never
+  /// alias a recycled fd number.
+  std::unordered_map<int, ConnPtr> by_fd_;
+
+  std::thread thread_;  // started last in the constructor
 };
 
 }  // namespace sigma::net

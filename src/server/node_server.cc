@@ -81,7 +81,6 @@ NodeServer::NodeServer(const NodeServerConfig& config) : config_(config) {
   net::TcpTransportConfig tcp;
   tcp.listen = config_.listen;
   tcp.endpoint_base = config_.first_endpoint;
-  tcp.reactors = config_.reactors;
   tcp.max_body_bytes = config_.max_body_bytes;
   tcp.metrics = &registry_;
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));

@@ -2,8 +2,8 @@
 // deduplication node services. `tools/node_server.cc` wraps this in a CLI
 // binary; tests embed it in-process to drive a real multi-socket fleet
 // from one test body. Each node is served by its own NodeService thread,
-// so a daemon hosting N nodes runs N service threads beside its transport
-// reactors.
+// so a daemon hosting N nodes runs N service threads beside its one
+// transport event-loop thread.
 //
 // Endpoint layout is the deployment contract: node i of this daemon is
 // registered at `first_endpoint + i` (default net::kServiceEndpointBase),
@@ -41,9 +41,6 @@ struct NodeServerConfig {
   net::TcpAddress listen{"127.0.0.1", 0};  // port 0 = ephemeral
   std::size_t num_nodes = 1;
   net::EndpointId first_endpoint = net::kServiceEndpointBase;
-  /// Transport event-loop shards (reactors). 0 = auto
-  /// (min(hardware_concurrency, 4)); see TcpTransportConfig::reactors.
-  std::uint32_t reactors = 0;
   DedupNodeConfig node;
   std::size_t max_body_bytes = 64ull << 20;
 
@@ -82,8 +79,6 @@ class NodeServer {
 
   /// The actual listening port (resolves an ephemeral bind).
   std::uint16_t port() const { return transport_->listen_port(); }
-  /// Transport event-loop shards actually running (resolves reactors=0).
-  std::size_t reactors() const { return transport_->reactor_count(); }
   const net::TcpAddress& listen_address() const { return config_.listen; }
 
   std::size_t num_nodes() const { return nodes_.size(); }

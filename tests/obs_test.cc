@@ -463,7 +463,7 @@ std::string replace_all(std::string s, const std::string& from,
 }
 
 /// Every backticked name in README's Observability catalog table, with
-/// the <n>/<i> placeholders expanded to node0/reactor0.
+/// the <n> placeholder expanded to node0.
 std::vector<std::string> readme_catalog_names() {
   std::ifstream readme(std::string(SIGMA_SOURCE_DIR) + "/README.md");
   std::vector<std::string> names;
@@ -483,8 +483,7 @@ std::vector<std::string> readme_catalog_names() {
       const std::size_t close = line.find('`', open + 1);
       if (close == std::string::npos) break;
       const std::string name = line.substr(open + 1, close - open - 1);
-      names.push_back(
-          replace_all(replace_all(name, "<n>", "node0"), "<i>", "reactor0"));
+      names.push_back(replace_all(name, "<n>", "node0"));
       open = line.find('`', close + 1);
     }
   }

@@ -1,4 +1,4 @@
-// Unit tests for the reactor's zero-copy write path (net/tcp/reactor.h):
+// Unit tests for the TCP transport's zero-copy write path (net/tcp/reactor.h):
 // header-only frame encoding, OutFrame construction, iovec batch assembly
 // and partial-write accounting. The vectored writer must reproduce the
 // exact byte stream the old coalescing writer produced (encode_frame) for

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <tuple>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
@@ -28,20 +27,16 @@ namespace {
 using namespace std::chrono_literals;
 
 /// A fleet of in-process node daemons (2 TCP servers x 2 nodes each by
-/// default) and the TransportConfig describing it. `reactors` shards both
-/// the daemons' transports and (via transport()) the client's (0 = auto).
+/// default) and the TransportConfig describing it.
 class TcpFleet {
  public:
-  explicit TcpFleet(std::size_t daemons = 2, std::size_t nodes_each = 2,
-                    std::uint32_t reactors = 0)
-      : reactors_(reactors) {
+  explicit TcpFleet(std::size_t daemons = 2, std::size_t nodes_each = 2) {
     net::EndpointId next_endpoint = net::kServiceEndpointBase;
     for (std::size_t d = 0; d < daemons; ++d) {
       server::NodeServerConfig cfg;
       cfg.listen = {"127.0.0.1", 0};
       cfg.num_nodes = nodes_each;
       cfg.first_endpoint = next_endpoint;  // fleet-wide unique ids
-      cfg.reactors = reactors;
       next_endpoint += static_cast<net::EndpointId>(nodes_each);
       servers_.push_back(std::make_unique<server::NodeServer>(cfg));
     }
@@ -52,7 +47,6 @@ class TcpFleet {
     t.mode = TransportMode::kTcp;
     t.pipeline_depth = pipeline_depth;
     t.rpc_timeout_ms = 20000;
-    t.tcp_reactors = reactors_;
     for (const auto& server : servers_) {
       for (const auto& node : server->node_map()) t.tcp_nodes.push_back(node);
     }
@@ -68,7 +62,6 @@ class TcpFleet {
   void kill(std::size_t daemon) { servers_.at(daemon).reset(); }
 
  private:
-  std::uint32_t reactors_ = 0;
   std::vector<std::unique_ptr<server::NodeServer>> servers_;
 };
 
@@ -129,27 +122,21 @@ void expect_tcp_report_equals_direct(RoutingScheme scheme,
   EXPECT_EQ(direct.net_stats().messages_sent, 0u);
 }
 
-class TcpSchemeIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<RoutingScheme, std::uint32_t>> {};
+class TcpSchemeIdentity : public ::testing::TestWithParam<RoutingScheme> {};
 
 TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
-  // Two daemons x two nodes, at every reactor-shard count: sharding the
-  // event plane repartitions connections across threads but must never
-  // reorder, drop or duplicate a frame within one connection.
-  const auto [scheme, reactors] = GetParam();
-  TcpFleet fleet(2, 2, reactors);
-  expect_tcp_report_equals_direct(scheme, fleet);
+  // Two daemons x two nodes: the client's one connection per daemon must
+  // never reorder, drop or duplicate a frame.
+  TcpFleet fleet(2, 2);
+  expect_tcp_report_equals_direct(GetParam(), fleet);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemesAllShardCounts, TcpSchemeIdentity,
-    ::testing::Combine(::testing::Values(RoutingScheme::kSigma,
-                                         RoutingScheme::kStateless,
-                                         RoutingScheme::kStateful,
-                                         RoutingScheme::kExtremeBinning,
-                                         RoutingScheme::kChunkDht),
-                       ::testing::Values(1u, 2u, 4u)));
+INSTANTIATE_TEST_SUITE_P(AllSchemes, TcpSchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
 
 class SchemeIdentity : public ::testing::TestWithParam<RoutingScheme> {};
 
@@ -250,22 +237,20 @@ TEST(TcpClusterTest, KilledDaemonSurfacesAsErrorNotHang) {
 }
 
 TEST(TcpClusterTest, ManyPeerTortureScrapesAndKills) {
-  // 16 daemon endpoints behind 4 OS-socket servers, a 4-way-sharded
-  // client transport, 4 producer threads hammering kStatsSnapshot
-  // scrapes across every endpoint while one daemon is killed mid-flight.
+  // 16 daemon endpoints behind 4 OS-socket servers, one client transport
+  // (one event loop), 4 producer threads hammering kStatsSnapshot scrapes
+  // across every endpoint while one daemon is killed mid-flight.
   // Contract: calls to dead endpoints fail as RpcErrors (never hang),
   // calls to survivors keep succeeding after the kill, and the whole
   // storm stays inside a bounded wall clock.
-  TcpFleet fleet(4, 4, /*reactors=*/4);
+  TcpFleet fleet(4, 4);
   const TransportConfig fleet_cfg = fleet.transport();
 
   net::TcpTransportConfig cfg;
-  cfg.reactors = 4;
   for (const auto& node : fleet_cfg.tcp_nodes) {
     cfg.remote_endpoints[node.endpoint] = node.address;
   }
   net::TcpTransport transport(std::move(cfg));
-  ASSERT_EQ(transport.reactor_count(), 4u);
 
   std::vector<net::EndpointId> endpoints;
   for (const auto& node : fleet_cfg.tcp_nodes) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 
 #include "net/rpc.h"
@@ -174,16 +175,16 @@ TEST(TcpAddressTest, ParsesHostPortAndNodeMaps) {
 // --- Event-plane construction -----------------------------------------------
 
 TEST(TcpTransportTest, EpollCreateFailureThrowsFromConstruction) {
-  // A reactor needs an eventfd and an epoll instance; with no fallback
-  // loop, failing to create either must surface as a SocketError from the
-  // transport's constructor rather than kill a reactor thread. The child
+  // The event loop needs an eventfd and an epoll instance; with no
+  // fallback loop, failing to create either must surface as a SocketError
+  // from the transport's constructor rather than kill the loop thread. The
+  // child
   // caps RLIMIT_NOFILE so exactly one more descriptor can be opened: the
   // eventfd gets it and epoll_create1 hits EMFILE.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(
       {
         TcpTransportConfig cfg;
-        cfg.reactors = 1;
         // Construct once unconstrained: UBSan's vptr check opens a pipe
         // the first time it meets a type, which the cap would refuse.
         { TcpTransport warm_up(cfg); }
@@ -205,6 +206,41 @@ TEST(TcpTransportTest, EpollCreateFailureThrowsFromConstruction) {
         std::exit(1);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+/// Threads of this process right now (entries of /proc/self/task).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Poll until thread_count() == `want` (a joined thread's task entry may
+/// linger for a moment after pthread_join returns); returns the last count.
+std::size_t await_thread_count(std::size_t want) {
+  std::size_t n = thread_count();
+  for (int i = 0; i < 200 && n != want; ++i) {
+    std::this_thread::sleep_for(10ms);
+    n = thread_count();
+  }
+  return n;
+}
+
+TEST(TcpTransportTest, OneTransportIsOneThread) {
+  TcpTransportConfig cfg;
+  cfg.listen = TcpAddress{"127.0.0.1", 0};
+  // Construct once first: a sanitizer runtime starts its own background
+  // thread the first time the process creates one.
+  { TcpTransport warm_up(cfg); }
+  const std::size_t before = thread_count();
+  {
+    TcpTransport transport(cfg);
+    EXPECT_EQ(await_thread_count(before + 1), before + 1);
+  }
+  EXPECT_EQ(await_thread_count(before), before);
 }
 
 // --- Two transports over real sockets -----------------------------------------
@@ -461,6 +497,7 @@ TEST(TcpTransportTest, RequestToUnknownRemoteEndpointErrorsOverWire) {
       424242, TcpAddress{"127.0.0.1", pair.server->listen_port()});
   TcpTransport client(cfg);
   RpcEndpoint rpc(client);
+  const NetStats before = pair.server->stats();
   // The server has no endpoint 424242: it answers with a transport error
   // frame, which surfaces as RpcError (fast), not a timeout.
   try {
@@ -471,6 +508,45 @@ TEST(TcpTransportTest, RequestToUnknownRemoteEndpointErrorsOverWire) {
   } catch (const RpcError& e) {
     EXPECT_NE(std::string(e.what()).find("no endpoint"), std::string::npos);
   }
+  // The error frame is counted like any other frame the server sends.
+  const NetStats after = pair.server->stats();
+  EXPECT_EQ(after.messages_sent, before.messages_sent + 1);
+  EXPECT_EQ(after.errors, before.errors + 1);
+  EXPECT_GT(after.bytes_sent, before.bytes_sent);
+}
+
+TEST(TcpTransportTest, OversizedSendBouncesLocallyAndPeerStaysUsable) {
+  // The server accepts 4 MB bodies, this client only 1 KB: a larger
+  // request fails at once on the client instead of being shipped (the
+  // peer would drop the whole connection on the oversized frame).
+  TcpPair pair;
+  TcpTransportConfig cfg;
+  cfg.max_body_bytes = 1024;
+  cfg.remote_endpoints.emplace(
+      pair.echo_id, TcpAddress{"127.0.0.1", pair.server->listen_port()});
+  TcpTransport client(std::move(cfg));
+  RpcEndpoint rpc(client);
+  EXPECT_EQ(rpc.call_sync(pair.echo_id, MessageType::kFlush, Buffer{1},
+                          5000ms),
+            Buffer{1});
+
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    rpc.call_sync(pair.echo_id, MessageType::kFlush, Buffer(4096, 0x5A),
+                  30000ms);
+    FAIL() << "expected RpcError";
+  } catch (const RpcTimeoutError&) {
+    FAIL() << "expected a local bounce, got timeout";
+  } catch (const RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds limit"),
+              std::string::npos);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+
+  EXPECT_EQ(rpc.call_sync(pair.echo_id, MessageType::kFlush, Buffer{2},
+                          5000ms),
+            Buffer{2});
+  EXPECT_EQ(pair.server->tcp_stats().connections_accepted, 1u);
 }
 
 TEST(TcpTransportTest, NoRouteBouncesImmediately) {

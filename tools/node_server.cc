@@ -70,8 +70,8 @@ void handle_trace_dump(int) {
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "node_server: " << error << "\n";
   std::cerr << "usage: node_server [--host H] [--port P] [--nodes N]\n"
-            << "                   [--first-endpoint E] [--reactors R]\n"
-            << "                   [--container-mb MB] [--approximate]\n"
+            << "                   [--first-endpoint E] [--container-mb MB]\n"
+            << "                   [--approximate]\n"
             << "                   [--backend memory|file] [--data-dir DIR]\n"
             << "                   [--no-fsync] [--trace-sample N]\n"
             << "                   [--trace-dump FILE] [--registry H:P]\n"
@@ -82,8 +82,6 @@ void handle_trace_dump(int) {
             << "                       thread each (default 1)\n"
             << "  --first-endpoint E   endpoint id of node 0 (default "
             << sigma::net::kServiceEndpointBase << ")\n"
-            << "  --reactors R         transport event-loop shards (default\n"
-            << "                       0 = min(hardware threads, 4))\n"
             << "  --container-mb MB    container capacity (default 4)\n"
             << "  --approximate        similarity-index-only dedup (Fig. 5b)\n"
             << "  --backend B          node state storage (default memory);\n"
@@ -144,8 +142,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--first-endpoint") {
       config.first_endpoint =
           static_cast<net::EndpointId>(number(0xFFFFFFFFul));
-    } else if (arg == "--reactors") {
-      config.reactors = static_cast<std::uint32_t>(number(64));
     } else if (arg == "--container-mb") {
       config.node.container_capacity_bytes = number(1ul << 20) << 20;
     } else if (arg == "--approximate") {
@@ -227,8 +223,7 @@ int main(int argc, char** argv) {
     std::cout << "READY port=" << server.port() << " endpoints="
               << server.endpoint(0) << ".."
               << server.endpoint(server.num_nodes() - 1)
-              << " nodes=" << server.num_nodes()
-              << " reactors=" << server.reactors() << std::endl;
+              << " nodes=" << server.num_nodes() << std::endl;
 
     // Serve until SIGINT/SIGTERM; SIGUSR1 dumps metrics and SIGUSR2 the
     // trace rings, both without disturbing service.

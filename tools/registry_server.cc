@@ -43,13 +43,11 @@ void handle_dump(int) {
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "registry_server: " << error << "\n";
   std::cerr << "usage: registry_server [--host H] [--port P] [--ttl-ms T]\n"
-            << "                       [--reactors R]\n"
             << "  --host H      listen address (default 127.0.0.1)\n"
             << "  --port P      listen port; 0 picks one (default 0)\n"
             << "  --ttl-ms T    lease time-to-live; a lease with no\n"
             << "                heartbeat for T ms expires and its range\n"
             << "                is reclaimed (default 5000)\n"
-            << "  --reactors R  transport event-loop shards (default 1)\n"
             << "signals: SIGUSR1 dumps the metrics snapshot to stderr;\n"
             << "         SIGINT/SIGTERM shut down cleanly\n";
   std::exit(2);
@@ -81,8 +79,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--ttl-ms") {
       config.lease_ttl_ms = static_cast<std::uint32_t>(number(3600000));
       if (config.lease_ttl_ms == 0) usage("--ttl-ms must be positive");
-    } else if (arg == "--reactors") {
-      config.reactors = static_cast<std::uint32_t>(number(64));
     } else if (arg == "--help" || arg == "-h") {
       usage();
     } else {
