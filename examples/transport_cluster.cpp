@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
                 << " [--trace-sample N]\n"
                 << "  --registry H:P    lease endpoints + node map from a\n"
                 << "                    fleet registry instead of --tcp\n"
-                << "  --watch-updates N after the backup, wait for N pushed\n"
+                << "  --watch-updates N after the backup, wait for N observed\n"
                 << "                    fleet-view changes (membership test\n"
                 << "                    hook; exits 1 on a 30s timeout)\n"
                 << "  --trace-sample N  sample one distributed trace per N\n"
@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
               << net.requests << " requests, " << net.responses
               << " responses)\n";
 
-    // Membership-test hook: block until the registry pushes N fleet-view
-    // changes (a daemon joined or left), printing one line per change.
+    // Membership-test hook: block until N fleet-view changes (a daemon
+    // joined or left) are observed, printing one line per change.
     if (watch_updates > 0) {
       std::cout << std::flush;
       const auto deadline =

@@ -9,8 +9,8 @@
 #   2. registry  — same workload discovered via --registry: REGISTERED
 #                  daemons, a leased client range, bit-identical report,
 #                  fleet_stats --registry scrape, and a membership change
-#                  (daemon joins, then leaves) pushed to a subscribed
-#                  watcher client
+#                  (daemon joins, then leaves) that a watcher client pulls
+#                  within one heartbeat interval (ttl/3, ~1.7 s)
 #   3. kill      — SIGKILL the registry while a client is mid-backup: the
 #                  client finishes on its cached view with the identical
 #                  report, and the daemons stay up
@@ -115,24 +115,25 @@ print("fleet_stats --registry: %d daemons, %d requests served"
       % (len(doc["daemons"]), served))
 PY
 
-echo "== membership change reaches a subscribed client"
+echo "== membership change reaches a leased client"
 timeout 120 "$CLIENT" --registry "127.0.0.1:$RPORT" --watch-updates 2 \
     > "$WORK/watch.log" 2>&1 &
 WATCH_PID=$!
 PIDS+=($WATCH_PID)
 wait_for "REGISTRY nodes=4" "$WORK/watch.log" "watcher lease"
 
-# A third daemon joins: the registry pushes the grown view.
+# A third daemon joins: the watcher's next heartbeat reply shows a newer
+# view version, and it fetches the grown view.
 start_daemon "$WORK/d3.log" 104 --registry "127.0.0.1:$RPORT"
 D3_PID=${PIDS[-1]}
-wait_for "FLEET-UPDATE.*nodes=6" "$WORK/watch.log" "join push"
+wait_for "FLEET-UPDATE.*nodes=6" "$WORK/watch.log" "join observed"
 
-# ...and leaves cleanly (SIGTERM): the shrunken view is pushed too.
+# ...and leaves cleanly (SIGTERM): the shrunken view is pulled the same way.
 kill "$D3_PID"
-wait_for "FLEET-UPDATE.*nodes=4" "$WORK/watch.log" "leave push"
+wait_for "FLEET-UPDATE.*nodes=4" "$WORK/watch.log" "leave observed"
 wait "$WATCH_PID" || {
   echo "FAIL: watcher client failed"; cat "$WORK/watch.log"; exit 1; }
-echo "watcher saw both membership pushes:"
+echo "watcher saw both membership changes:"
 grep FLEET-UPDATE "$WORK/watch.log"
 
 echo "== leg 3: SIGKILL the registry mid-backup (fresh registry + daemons)"

@@ -154,9 +154,7 @@ Cluster::Cluster(const ClusterConfig& config)
     rc.metrics = metrics_.get();
     registry_client_ = std::make_unique<ctrl::RegistryClient>(rc);
     const service::LeaseEndpointsReply lease =
-        registry_client_->lease_endpoints(
-            kLeasedClientEndpoints,
-            [this](const service::FleetView& v) { on_fleet_update(v); });
+        registry_client_->lease_endpoints(kLeasedClientEndpoints);
     if (lease.view.nodes.empty()) {
       throw std::runtime_error(
           "Cluster: registry at " + config_.transport.registry->to_string() +
@@ -165,13 +163,6 @@ Cluster::Cluster(const ClusterConfig& config)
     config_.transport.tcp_nodes = lease.view.nodes;
     config_.transport.tcp_client_endpoint_base = lease.endpoint_base;
     config_.num_nodes = lease.view.nodes.size();
-    {
-      MutexLock lock(view_mu_);
-      if (!has_fleet_view_ || fleet_view_.version < lease.view.version) {
-        fleet_view_ = lease.view;
-      }
-      has_fleet_view_ = true;
-    }
     SIGMA_LOG_INFO << "cluster: leased client endpoints base "
                    << lease.endpoint_base << " (+" << kLeasedClientEndpoints
                    << "), fleet view v" << lease.view.version << " with "
@@ -468,23 +459,9 @@ void Cluster::flush() {
   for (auto& n : nodes_) n->flush();
 }
 
-void Cluster::on_fleet_update(const service::FleetView& view) {
-  // Runs on a transport thread, possibly while the constructor is still
-  // wiring the node map from the lease reply: touch only view_mu_ state.
-  {
-    MutexLock lock(view_mu_);
-    if (fleet_view_.version < view.version) fleet_view_ = view;
-    has_fleet_view_ = true;
-  }
-  SIGMA_LOG_WARN << "cluster: fleet view v" << view.version << " now has "
-                 << view.nodes.size()
-                 << " nodes — this cluster keeps its node map until restarted";
-}
-
 std::optional<service::FleetView> Cluster::fleet_view() const {
-  MutexLock lock(view_mu_);
-  if (!has_fleet_view_) return std::nullopt;
-  return fleet_view_;
+  if (!registry_client_) return std::nullopt;
+  return registry_client_->latest_view();
 }
 
 bool Cluster::registry_healthy() const {

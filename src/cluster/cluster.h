@@ -159,18 +159,18 @@ class Cluster {
   obs::MetricsSnapshot stats_snapshot(NodeId node) const;
 
   /// Registry mode only: the latest fleet view (the lease-time view until
-  /// a membership change is pushed). Empty optional under static wiring.
-  /// NOTE: the cluster keeps its wired node map until restarted — a
-  /// pushed change updates this view (and logs) so operators and tests
-  /// see it; dynamic rewiring is future work.
-  std::optional<service::FleetView> fleet_view() const
-      SIGMA_EXCLUDES(view_mu_);
+  /// a heartbeat observes a membership change and pulls the new one).
+  /// Empty optional under static wiring. NOTE: the cluster keeps its
+  /// wired node map until restarted — an observed change updates this
+  /// view (and logs) so operators and tests see it; dynamic rewiring is
+  /// future work.
+  std::optional<service::FleetView> fleet_view() const;
 
   /// Registry mode only: false while the registry is unreachable (the
   /// degraded-mode probe). True under static wiring.
   bool registry_healthy() const;
 
-  /// The registry stub (lease id, update counts); null under static
+  /// The registry stub (lease id, latest view); null under static
   /// wiring.
   const ctrl::RegistryClient* registry_client() const {
     return registry_client_.get();
@@ -280,16 +280,6 @@ class Cluster {
   std::uint64_t logical_bytes_ SIGMA_GUARDED_BY(route_mu_) = 0;
   MessageStats messages_ SIGMA_GUARDED_BY(route_mu_);
 
-  /// Registry mode: the leased fleet view, replaced by pushed updates
-  /// (delivered on transport threads — hence the dedicated mutex, never
-  /// held across a callback or RPC).
-  void on_fleet_update(const service::FleetView& view)
-      SIGMA_EXCLUDES(view_mu_);
-  mutable Mutex view_mu_{LockRank::kRegistryCtrl};
-  bool has_fleet_view_ SIGMA_GUARDED_BY(view_mu_) = false;
-  service::FleetView fleet_view_ SIGMA_GUARDED_BY(view_mu_);
-  /// Declared last: destroyed first, so pushes and heartbeats stop before
-  /// the members they reference.
   std::unique_ptr<ctrl::RegistryClient> registry_client_;
 };
 

@@ -57,15 +57,14 @@ enum class LockRank : int {
   kClientRoute = 5,  // Cluster::route_mu_ — router state + lookup ledger
 
   // ---- Control plane (fleet registry, src/ctrl/): lease tables and
-  //      cached fleet views. Held across transport sends (rank 60),
-  //      never under data-plane locks.
+  //      cached fleet views. Never held across a transport send or under
+  //      data-plane locks.
   kRegistryCtrl = 12,
   // ---- Service plane: held only to queue or pop a request, or to copy
   //      the snapshot provider — never while the node executes ---------
   kService = 20,     // NodeService::mu_ — request queues + provider
 
-  // ---- Queue primitives ------------------------------------------------
-  kChannel = 30,     // net::Channel inbox state (RegistryServer)
+  // ---- Queue primitive -------------------------------------------------
   kThreadPool = 32,  // ThreadPool queue
 
   // ---- Storage plane (taken by a node thread holding nothing, or under

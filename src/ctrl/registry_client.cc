@@ -31,8 +31,6 @@ RegistryClient::RegistryClient(const RegistryClientConfig& config)
   tcp.endpoint_base = random_bootstrap_base();
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
   rpc_ = std::make_unique<net::RpcEndpoint>(*transport_, metrics_.get());
-  rpc_->set_request_handler(
-      [this](const net::Message& m) { return on_request(m); });
 }
 
 RegistryClient::~RegistryClient() {
@@ -73,19 +71,9 @@ service::LeaseGrant RegistryClient::register_node(
 }
 
 service::LeaseEndpointsReply RegistryClient::lease_endpoints(
-    std::uint32_t num_endpoints, UpdateCallback on_update) {
-  {
-    // Install before the RPC: a membership change racing the lease reply
-    // must find the callback in place.
-    MutexLock lock(mu_);
-    on_update_ = std::move(on_update);
-  }
+    std::uint32_t num_endpoints) {
   service::LeaseEndpointsRequest req;
   req.num_endpoints = num_endpoints;
-  {
-    MutexLock lock(mu_);
-    req.subscribe = static_cast<bool>(on_update_);
-  }
   const Buffer body = rpc_->call_sync(
       net::kRegistryEndpoint, net::MessageType::kLeaseEndpoints,
       service::encode_lease_endpoints_request(req),
@@ -99,10 +87,7 @@ service::LeaseEndpointsReply RegistryClient::lease_endpoints(
     ttl_ms_ = reply.grant.ttl_ms;
     is_node_ = false;
     healthy_ = true;
-    // A push may already have advanced past the lease-time view.
-    if (latest_view_.version < reply.view.version) {
-      latest_view_ = reply.view;
-    }
+    latest_view_ = reply.view;
   }
   start_heartbeat();
   return reply;
@@ -130,7 +115,7 @@ void RegistryClient::leave() {
                     net::MessageType::kRegistryLeave, service::encode_u64(id),
                     std::chrono::milliseconds(config_.rpc_timeout_ms));
   } catch (const net::RpcError& e) {
-    // A dead registry cannot un-lease us; its expiry sweep will.
+    // A dead registry cannot un-lease us; the lease expires instead.
     SIGMA_LOG_WARN << "registry client: clean leave failed (" << e.what()
                    << ") — the lease will expire on its own";
   }
@@ -149,11 +134,6 @@ std::uint64_t RegistryClient::lease_id() const {
 std::uint32_t RegistryClient::ttl_ms() const {
   MutexLock lock(mu_);
   return ttl_ms_;
-}
-
-std::uint64_t RegistryClient::updates_received() const {
-  MutexLock lock(mu_);
-  return updates_received_;
 }
 
 service::FleetView RegistryClient::latest_view() const {
@@ -175,19 +155,24 @@ void RegistryClient::heartbeat_loop() {
       interval_ms = config_.heartbeat_interval_ms > 0
                         ? config_.heartbeat_interval_ms
                         : std::max<std::uint32_t>(ttl_ms_ / 3, 1);
-      cv_.wait_for(mu_, std::chrono::milliseconds(interval_ms));
+      // A leave() that ran before this thread first got here has already
+      // notified: check before waiting, or the stop sleeps a whole interval.
+      if (!stop_) cv_.wait_for(mu_, std::chrono::milliseconds(interval_ms));
       if (stop_) return;
       id = lease_id_;
     }
     if (id == 0) continue;
+    std::uint64_t version = 0;
     try {
-      rpc_->call_sync(net::kRegistryEndpoint,
-                      net::MessageType::kRegistryHeartbeat,
-                      service::encode_u64(id),
-                      std::chrono::milliseconds(config_.rpc_timeout_ms));
+      const Buffer reply = rpc_->call_sync(
+          net::kRegistryEndpoint, net::MessageType::kRegistryHeartbeat,
+          service::encode_u64(id),
+          std::chrono::milliseconds(config_.rpc_timeout_ms));
+      version = service::decode_u64(ByteView{reply.data(), reply.size()});
       m_heartbeats_.inc();
       note_heartbeat_result(true, {});
-    } catch (const net::RpcError& e) {
+    } catch (const std::exception& e) {
+      // An RpcError, or a reply that does not decode.
       m_heartbeat_failures_.inc();
       const std::string what = e.what();
       const bool unknown_lease =
@@ -244,7 +229,9 @@ void RegistryClient::heartbeat_loop() {
                          << re.what();
         }
       }
+      continue;
     }
+    refresh_view(version);
   }
 }
 
@@ -268,23 +255,28 @@ void RegistryClient::note_heartbeat_result(bool ok,
   }
 }
 
-Buffer RegistryClient::on_request(const net::Message& m) {
-  if (m.type != net::MessageType::kFleetUpdate) {
-    throw std::runtime_error("registry client: unexpected request op " +
-                             std::string(net::to_string(m.type)));
-  }
-  const service::FleetView view =
-      service::decode_fleet_view(ByteView{m.body.data(), m.body.size()});
-  UpdateCallback callback;
+void RegistryClient::refresh_view(std::uint64_t version) {
   {
     MutexLock lock(mu_);
-    ++updates_received_;
-    if (latest_view_.version < view.version) latest_view_ = view;
-    callback = on_update_;
+    if (is_node_ || version <= latest_view_.version) return;
+  }
+  service::FleetView view;
+  try {
+    view = fetch_fleet();
+  } catch (const std::exception& e) {
+    // The next heartbeat sees the same newer version and retries.
+    SIGMA_LOG_WARN << "registry client: fleet view fetch failed: "
+                   << e.what();
+    return;
+  }
+  {
+    MutexLock lock(mu_);
+    if (view.version <= latest_view_.version) return;
+    latest_view_ = view;
   }
   m_updates_.inc();
-  if (callback) callback(view);
-  return Buffer{};
+  SIGMA_LOG_WARN << "registry client: fleet view v" << view.version
+                 << " now has " << view.nodes.size() << " nodes";
 }
 
 }  // namespace sigma::ctrl

@@ -9,8 +9,11 @@
 //     endpoint range (refused up front on overlap — the id-collision bug
 //     class dies here, at registration, not at runtime route conflicts);
 //   * a backup client calls lease_endpoints() and wires its Cluster from
-//     the returned endpoint base + fleet view, subscribing to pushed
-//     kFleetUpdate membership changes.
+//     the returned endpoint base + fleet view. Each heartbeat reply
+//     carries the registry's view version; when it is newer than the
+//     client's view, the client pulls the new view with kFleetFetch, so
+//     latest_view() trails a membership change by at most one heartbeat
+//     interval. A daemon ignores the version.
 //
 // Degraded mode: if the registry dies, heartbeats fail — the client logs
 // ONE warning per transition, keeps its lease state (the data plane is
@@ -28,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,17 +55,15 @@ struct RegistryClientConfig {
   std::uint32_t heartbeat_interval_ms = 0;
 
   /// Metrics plane (must outlive the client): registry_client.*
-  /// heartbeat / failure / update counters and the stub's rpc.* series.
+  /// heartbeat / failure / update counters and the stub's rpc.* series
+  /// (registry_client.updates counts the newer views pulled after a
+  /// heartbeat).
   /// Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
 
 class RegistryClient {
  public:
-  /// Invoked (on a transport delivery thread, no locks held) for every
-  /// pushed fleet view after lease_endpoints() subscribed.
-  using UpdateCallback = std::function<void(const service::FleetView&)>;
-
   explicit RegistryClient(const RegistryClientConfig& config);
 
   /// Leaves (best effort) and stops the heartbeat.
@@ -81,10 +81,9 @@ class RegistryClient {
                                     std::uint32_t num_endpoints)
       SIGMA_EXCLUDES(mu_);
 
-  /// Client role: lease `num_endpoints` ids. When `on_update` is given,
-  /// subscribes to pushed membership changes. Starts the heartbeat.
-  service::LeaseEndpointsReply lease_endpoints(std::uint32_t num_endpoints,
-                                               UpdateCallback on_update = {})
+  /// Client role: lease `num_endpoints` ids. Starts the heartbeat, which
+  /// keeps latest_view() current.
+  service::LeaseEndpointsReply lease_endpoints(std::uint32_t num_endpoints)
       SIGMA_EXCLUDES(mu_);
 
   /// One-shot fleet view fetch (no lease needed — fleet CLIs use this).
@@ -102,8 +101,7 @@ class RegistryClient {
   std::uint64_t lease_id() const SIGMA_EXCLUDES(mu_);
   std::uint32_t ttl_ms() const SIGMA_EXCLUDES(mu_);
 
-  /// Pushed views received so far, and the latest one.
-  std::uint64_t updates_received() const SIGMA_EXCLUDES(mu_);
+  /// Client role: the lease-time view, or the newest one pulled since.
   service::FleetView latest_view() const SIGMA_EXCLUDES(mu_);
 
  private:
@@ -111,7 +109,8 @@ class RegistryClient {
   void heartbeat_loop() SIGMA_EXCLUDES(mu_);
   void note_heartbeat_result(bool ok, const std::string& error)
       SIGMA_EXCLUDES(mu_);
-  Buffer on_request(const net::Message& m) SIGMA_EXCLUDES(mu_);
+  /// Client role: pull the view when `version` is newer than ours.
+  void refresh_view(std::uint64_t version) SIGMA_EXCLUDES(mu_);
 
   RegistryClientConfig config_;
   obs::RegistryRef metrics_;
@@ -134,11 +133,7 @@ class RegistryClient {
   net::TcpAddress advertise_ SIGMA_GUARDED_BY(mu_);
   net::EndpointId first_endpoint_ SIGMA_GUARDED_BY(mu_) = 0;
   std::uint32_t num_endpoints_ SIGMA_GUARDED_BY(mu_) = 0;
-  /// Copied out under mu_ and invoked unlocked (the callback may call
-  /// back into this client).
-  UpdateCallback on_update_ SIGMA_GUARDED_BY(mu_);
   service::FleetView latest_view_ SIGMA_GUARDED_BY(mu_);
-  std::uint64_t updates_received_ SIGMA_GUARDED_BY(mu_) = 0;
 
   std::thread heartbeat_;
 };

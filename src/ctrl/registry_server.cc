@@ -35,7 +35,6 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
   m_unknown_leases_ = &registry_.counter("registry.unknown_leases");
   m_lease_expiries_ = &registry_.counter("registry.lease_expiries");
   m_leaves_ = &registry_.counter("registry.leaves");
-  m_view_pushes_ = &registry_.counter("registry.view_pushes");
   m_nodes_ = &registry_.gauge("registry.nodes");
   m_clients_ = &registry_.gauge("registry.clients");
 
@@ -46,163 +45,110 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
   tcp.metrics = &registry_;
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
   endpoint_ = transport_->register_endpoint(
-      [this](net::Message&& m) { inbox_.push(std::move(m)); });
-  worker_ = std::thread([this] { serve(); });
+      [this](net::Message&& m) { handle(m); });
 }
 
-RegistryServer::~RegistryServer() {
-  // Stop deliveries first (blocks until in-flight handler calls return),
-  // so nothing touches the inbox once the worker is gone.
-  transport_->unregister_endpoint(endpoint_);
-  inbox_.close();
-  worker_.join();
-}
+RegistryServer::~RegistryServer() = default;
 
-service::FleetView RegistryServer::fleet_view() const {
+service::FleetView RegistryServer::fleet_view() {
   MutexLock lock(mu_);
+  expire_due();
   return view_;
 }
 
-std::size_t RegistryServer::node_lease_count() const {
+std::size_t RegistryServer::node_lease_count() {
   MutexLock lock(mu_);
+  expire_due();
   std::size_t n = 0;
   for (const auto& [id, lease] : leases_) n += lease.is_node ? 1 : 0;
   return n;
 }
 
-std::size_t RegistryServer::client_lease_count() const {
+std::size_t RegistryServer::client_lease_count() {
   MutexLock lock(mu_);
+  expire_due();
   std::size_t n = 0;
   for (const auto& [id, lease] : leases_) n += lease.is_node ? 0 : 1;
   return n;
 }
 
-std::uint64_t RegistryServer::push_acks() const {
+obs::MetricsSnapshot RegistryServer::metrics_snapshot() {
   MutexLock lock(mu_);
-  return push_acks_;
+  expire_due();
+  return scrape();
 }
 
-obs::MetricsSnapshot RegistryServer::metrics_snapshot() const {
+obs::MetricsSnapshot RegistryServer::scrape() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
   obs::fold_trace_stats(snap);
   return snap;
 }
 
-void RegistryServer::serve() {
-  for (;;) {
-    std::optional<net::Message> m = inbox_.pop_until(next_expiry());
-    if (!m) {
-      if (inbox_.closed()) return;
-      expire_due();
-      continue;
-    }
-    if (m->kind != net::MessageKind::kRequest) {
-      // Response (or error) to a fleet push — count the acknowledgement;
-      // an error here means the subscriber is gone, which its lease
-      // expiry will surface soon enough.
-      if (m->type == net::MessageType::kFleetUpdate &&
-          m->kind == net::MessageKind::kResponse) {
-        MutexLock lock(mu_);
-        ++push_acks_;
-      }
-    } else {
-      handle(*m);
-    }
-    expire_due();
-  }
-}
-
-std::chrono::steady_clock::time_point RegistryServer::next_expiry() const {
-  MutexLock lock(mu_);
-  auto next = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(config_.lease_ttl_ms);
-  for (const auto& [id, lease] : leases_) {
-    next = std::min(next, lease.expires_at);
-  }
-  return next;
-}
-
 void RegistryServer::handle(const net::Message& request) {
-  using net::Message;
-  using net::MessageType;
-  bool membership_changed = false;
-  Message reply;
+  if (request.kind != net::MessageKind::kRequest) return;
+  net::Message reply;
   try {
-    switch (request.type) {
-      case MessageType::kRegisterNode: {
-        MutexLock lock(mu_);
-        const std::uint64_t version_before = view_.version;
-        Buffer body = handle_register_node(request);
-        membership_changed = view_.version != version_before;
-        reply = Message::response_to(request, std::move(body));
-        break;
-      }
-      case MessageType::kLeaseEndpoints: {
-        MutexLock lock(mu_);
-        reply = Message::response_to(request, handle_lease_endpoints(request));
-        break;
-      }
-      case MessageType::kRegistryHeartbeat: {
-        const std::uint64_t id = service::decode_u64(
-            ByteView{request.body.data(), request.body.size()});
-        MutexLock lock(mu_);
-        auto it = leases_.find(id);
-        if (it == leases_.end()) {
-          m_unknown_leases_->inc();
-          throw std::runtime_error(
-              "registry: unknown lease " + std::to_string(id) +
-              " (expired, or the registry restarted) — re-register");
-        }
-        it->second.expires_at =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.lease_ttl_ms);
-        m_heartbeats_->inc();
-        reply = Message::response_to(request, Buffer{});
-        break;
-      }
-      case MessageType::kRegistryLeave: {
-        const std::uint64_t id = service::decode_u64(
-            ByteView{request.body.data(), request.body.size()});
-        MutexLock lock(mu_);
-        auto it = leases_.find(id);
-        if (it != leases_.end()) {
-          const bool was_node = it->second.is_node;
-          leases_.erase(it);
-          m_leaves_->inc();
-          if (was_node) {
-            rebuild_view();
-            membership_changed = true;
-          } else {
-            m_clients_->sub(1);
-          }
-        }
-        // Leaving twice (or after expiry) is not an error: the desired
-        // state — no lease — already holds.
-        reply = Message::response_to(request, Buffer{});
-        break;
-      }
-      case MessageType::kFleetFetch: {
-        MutexLock lock(mu_);
-        reply = Message::response_to(request, service::encode_fleet_view(view_));
-        break;
-      }
-      case MessageType::kStatsSnapshot: {
-        reply = Message::response_to(
-            request, obs::encode_metrics_snapshot(metrics_snapshot()));
-        break;
-      }
-      default:
-        throw std::runtime_error(
-            "registry: unsupported operation " +
-            std::string(net::to_string(request.type)) +
-            " (this endpoint only serves control-plane ops)");
-    }
+    MutexLock lock(mu_);
+    expire_due();
+    reply = net::Message::response_to(request, answer(request));
   } catch (const std::exception& e) {
-    transport_->send(Message::error_to(request, e.what()));
-    return;
+    reply = net::Message::error_to(request, e.what());
   }
   transport_->send(std::move(reply));
-  if (membership_changed) push_view();
+}
+
+Buffer RegistryServer::answer(const net::Message& request) {
+  using net::MessageType;
+  switch (request.type) {
+    case MessageType::kRegisterNode:
+      return handle_register_node(request);
+    case MessageType::kLeaseEndpoints:
+      return handle_lease_endpoints(request);
+    case MessageType::kRegistryHeartbeat: {
+      const std::uint64_t id = service::decode_u64(
+          ByteView{request.body.data(), request.body.size()});
+      auto it = leases_.find(id);
+      if (it == leases_.end()) {
+        m_unknown_leases_->inc();
+        throw std::runtime_error(
+            "registry: unknown lease " + std::to_string(id) +
+            " (expired, or the registry restarted) — re-register");
+      }
+      it->second.expires_at = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(config_.lease_ttl_ms);
+      m_heartbeats_->inc();
+      // The version lets a client see that its view is stale and pull the
+      // new one with kFleetFetch.
+      return service::encode_u64(view_.version);
+    }
+    case MessageType::kRegistryLeave: {
+      const std::uint64_t id = service::decode_u64(
+          ByteView{request.body.data(), request.body.size()});
+      auto it = leases_.find(id);
+      if (it != leases_.end()) {
+        const bool was_node = it->second.is_node;
+        leases_.erase(it);
+        m_leaves_->inc();
+        if (was_node) {
+          rebuild_view();
+        } else {
+          m_clients_->sub(1);
+        }
+      }
+      // Leaving twice (or after expiry) is not an error: the desired
+      // state — no lease — already holds.
+      return Buffer{};
+    }
+    case MessageType::kFleetFetch:
+      return service::encode_fleet_view(view_);
+    case MessageType::kStatsSnapshot:
+      return obs::encode_metrics_snapshot(scrape());
+    default:
+      throw std::runtime_error(
+          "registry: unsupported operation " +
+          std::string(net::to_string(request.type)) +
+          " (this endpoint only serves control-plane ops)");
+  }
 }
 
 Buffer RegistryServer::handle_register_node(const net::Message& request) {
@@ -238,7 +184,7 @@ Buffer RegistryServer::handle_register_node(const net::Message& request) {
         held.count == req.num_endpoints) {
       // The same daemon re-registering (restart, or a heartbeat that hit
       // a restarted registry): replace its lease. The view's content is
-      // unchanged, so subscribers are not disturbed.
+      // unchanged, so its version stays and no client refetches it.
       leases_.erase(it);
       replaced = true;
       break;
@@ -310,13 +256,11 @@ Buffer RegistryServer::handle_lease_endpoints(const net::Message& request) {
   lease.count = req.num_endpoints;
   lease.expires_at = std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(config_.lease_ttl_ms);
-  lease.subscriber = req.subscribe ? request.src : 0;
   leases_.emplace(lease.id, lease);
   m_leases_->inc();
   m_clients_->add(1);
   SIGMA_LOG_INFO << "registry: client leased endpoints "
-                 << range_string(lease.base, lease.count)
-                 << (lease.subscriber ? " (subscribed)" : "");
+                 << range_string(lease.base, lease.count);
 
   service::LeaseEndpointsReply reply;
   reply.grant = {lease.id, config_.lease_ttl_ms};
@@ -327,32 +271,28 @@ Buffer RegistryServer::handle_lease_endpoints(const net::Message& request) {
 
 void RegistryServer::expire_due() {
   bool membership_changed = false;
-  {
-    MutexLock lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    for (auto it = leases_.begin(); it != leases_.end();) {
-      if (it->second.expires_at <= now) {
-        m_lease_expiries_->inc();
-        SIGMA_LOG_WARN << "registry: lease " << it->second.id << " ("
-                       << (it->second.is_node
-                               ? "daemon " + it->second.address.to_string()
-                               : "client")
-                       << ", endpoints "
-                       << range_string(it->second.base, it->second.count)
-                       << ") expired without a heartbeat";
-        if (it->second.is_node) {
-          membership_changed = true;
-        } else {
-          m_clients_->sub(1);
-        }
-        it = leases_.erase(it);
+  const auto now = std::chrono::steady_clock::now();
+  for (auto it = leases_.begin(); it != leases_.end();) {
+    if (it->second.expires_at <= now) {
+      m_lease_expiries_->inc();
+      SIGMA_LOG_WARN << "registry: lease " << it->second.id << " ("
+                     << (it->second.is_node
+                             ? "daemon " + it->second.address.to_string()
+                             : "client")
+                     << ", endpoints "
+                     << range_string(it->second.base, it->second.count)
+                     << ") expired without a heartbeat";
+      if (it->second.is_node) {
+        membership_changed = true;
       } else {
-        ++it;
+        m_clients_->sub(1);
       }
+      it = leases_.erase(it);
+    } else {
+      ++it;
     }
-    if (membership_changed) rebuild_view();
   }
-  if (membership_changed) push_view();
+  if (membership_changed) rebuild_view();
 }
 
 void RegistryServer::rebuild_view() {
@@ -371,29 +311,6 @@ void RegistryServer::rebuild_view() {
             });
   ++view_.version;
   m_nodes_->set(node_leases);
-}
-
-void RegistryServer::push_view() {
-  std::vector<net::Message> pushes;
-  {
-    MutexLock lock(mu_);
-    const Buffer body = service::encode_fleet_view(view_);
-    for (const auto& [id, lease] : leases_) {
-      if (lease.is_node || lease.subscriber == 0) continue;
-      net::Message m;
-      m.type = net::MessageType::kFleetUpdate;
-      m.kind = net::MessageKind::kRequest;
-      m.correlation_id = next_push_correlation_++;
-      m.src = endpoint_;
-      m.dst = lease.subscriber;
-      m.body = body;
-      pushes.push_back(std::move(m));
-    }
-  }
-  for (auto& m : pushes) {
-    m_view_pushes_->inc();
-    transport_->send(std::move(m));
-  }
 }
 
 }  // namespace sigma::ctrl

@@ -6,17 +6,24 @@
 //
 //   node_server --registry H:P   ->  kRegisterNode {host, port, range}
 //                                    (overlapping ranges refused up front)
-//   Cluster    {--registry H:P}  ->  kLeaseEndpoints {count, subscribe}
+//   Cluster    {--registry H:P}  ->  kLeaseEndpoints {count}
 //                                    -> granted base + the fleet view
 //   both                         ->  kRegistryHeartbeat every ttl/3
+//                                    -> the current view version
 //                                    (a lapsed lease expires: the range is
 //                                    freed and the fleet view drops it)
 //
 // Membership changes — a daemon joining, a lease expiring, a clean
-// kRegistryLeave — bump the view version and are PUSHED (kFleetUpdate) to
-// every subscribed client over the learned return route its lease request
-// established. Heartbeats keep that route fresh (the default TTL's
-// heartbeat cadence is far below the transport's route_stale_ms).
+// kRegistryLeave — bump the view version. The registry never calls a
+// client: each heartbeat reply carries the version, and a client holding
+// an older view pulls the new one with kFleetFetch, so a change reaches
+// every client within one heartbeat interval.
+//
+// The server runs on its transport's event loop: handle() is the
+// endpoint handler, so requests are serialized by the loop itself and the
+// registry adds no thread of its own. Leases expire lazily — every
+// handled request and every accessor first drops the leases past their
+// deadline, so a lapsed lease is never observed as live.
 //
 // The registry speaks the existing framed wire protocol on the well-known
 // endpoint kRegistryEndpoint, so the protocol-version handshake, metrics
@@ -31,11 +38,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "net/channel.h"
 #include "net/message.h"
 #include "net/tcp/tcp_transport.h"
 #include "obs/metrics.h"
@@ -47,9 +52,7 @@ struct RegistryServerConfig {
   net::TcpAddress listen{"127.0.0.1", 0};
 
   /// Lease TTL granted to every registrant. Holders heartbeat at ttl/3;
-  /// a lease with no heartbeat for a full TTL expires. Keep well below
-  /// the transport's route_stale_ms, or the push route to an idle
-  /// subscriber would be swept before its next heartbeat refreshes it.
+  /// a lease with no heartbeat for a full TTL expires.
   std::uint32_t lease_ttl_ms = 5000;
 
   std::size_t max_body_bytes = 4u << 20;
@@ -61,9 +64,9 @@ class RegistryServer {
   /// listen address cannot be bound.
   explicit RegistryServer(const RegistryServerConfig& config);
 
-  /// Stops the worker and the transport. Leases are not persisted — a
-  /// restart starts empty and daemons re-register via their heartbeat's
-  /// "unknown lease" error.
+  /// Stops the transport. Leases are not persisted — a restart starts
+  /// empty and daemons re-register via their heartbeat's "unknown lease"
+  /// error.
   ~RegistryServer();
 
   RegistryServer(const RegistryServer&) = delete;
@@ -73,15 +76,13 @@ class RegistryServer {
   std::uint16_t port() const { return transport_->listen_port(); }
 
   /// The current fleet view (tests and CLIs; peers use kFleetFetch).
-  service::FleetView fleet_view() const SIGMA_EXCLUDES(mu_);
+  /// Like every accessor below, expires lapsed leases first.
+  service::FleetView fleet_view() SIGMA_EXCLUDES(mu_);
 
-  std::size_t node_lease_count() const SIGMA_EXCLUDES(mu_);
-  std::size_t client_lease_count() const SIGMA_EXCLUDES(mu_);
+  std::size_t node_lease_count() SIGMA_EXCLUDES(mu_);
+  std::size_t client_lease_count() SIGMA_EXCLUDES(mu_);
 
-  /// Fleet-view pushes acknowledged by subscribers (test ordering hook).
-  std::uint64_t push_acks() const SIGMA_EXCLUDES(mu_);
-
-  obs::MetricsSnapshot metrics_snapshot() const;
+  obs::MetricsSnapshot metrics_snapshot() SIGMA_EXCLUDES(mu_);
 
  private:
   struct Lease {
@@ -92,28 +93,25 @@ class RegistryServer {
     net::EndpointId base = 0;
     std::uint32_t count = 0;
     std::chrono::steady_clock::time_point expires_at;
-    /// Client leases: the endpoint to push kFleetUpdate to (0 = none).
-    net::EndpointId subscriber = 0;
   };
 
-  void serve();
+  /// The endpoint handler, on the transport's loop thread: expires due
+  /// leases, then answers `request` with answer()'s body or its error.
   void handle(const net::Message& request) SIGMA_EXCLUDES(mu_);
+  Buffer answer(const net::Message& request) SIGMA_REQUIRES(mu_);
   Buffer handle_register_node(const net::Message& request)
       SIGMA_REQUIRES(mu_);
   Buffer handle_lease_endpoints(const net::Message& request)
       SIGMA_REQUIRES(mu_);
 
-  /// Drop leases past their TTL; pushes an updated view if a node left.
-  void expire_due() SIGMA_EXCLUDES(mu_);
+  /// The registry.* instruments plus the process's trace counters.
+  obs::MetricsSnapshot scrape() const;
+
+  /// Drop leases past their TTL; rebuilds the view if a node left.
+  void expire_due() SIGMA_REQUIRES(mu_);
 
   /// Rebuild the view from the node leases and bump its version.
   void rebuild_view() SIGMA_REQUIRES(mu_);
-
-  /// Push the current view to every subscribed client lease.
-  void push_view() SIGMA_EXCLUDES(mu_);
-
-  std::chrono::steady_clock::time_point next_expiry() const
-      SIGMA_EXCLUDES(mu_);
 
   RegistryServerConfig config_;
   obs::Registry registry_;
@@ -124,26 +122,20 @@ class RegistryServer {
   obs::Counter* m_unknown_leases_;
   obs::Counter* m_lease_expiries_;
   obs::Counter* m_leaves_;
-  obs::Counter* m_view_pushes_;
   obs::Gauge* m_nodes_;
   obs::Gauge* m_clients_;
 
-  std::unique_ptr<net::TcpTransport> transport_;
-  net::EndpointId endpoint_ = 0;
-
-  /// Transport delivery threads push everything here; ONE worker thread
-  /// drains, so the lease table sees strictly serialized mutations and
-  /// expiry runs between messages (pop_until the next lease deadline).
-  net::Channel<net::Message> inbox_;
-
-  mutable Mutex mu_{LockRank::kRegistryCtrl};
+  /// The loop serializes handle(); mu_ is for the accessors, which
+  /// tests and CLIs call from other threads.
+  Mutex mu_{LockRank::kRegistryCtrl};
   std::map<std::uint64_t, Lease> leases_ SIGMA_GUARDED_BY(mu_);
   std::uint64_t next_lease_id_ SIGMA_GUARDED_BY(mu_) = 1;
   service::FleetView view_ SIGMA_GUARDED_BY(mu_);
-  std::uint64_t next_push_correlation_ SIGMA_GUARDED_BY(mu_) = 1;
-  std::uint64_t push_acks_ SIGMA_GUARDED_BY(mu_) = 0;
 
-  std::thread worker_;
+  /// Declared last: destroyed first, so the loop stops before the state
+  /// its handler touches.
+  std::unique_ptr<net::TcpTransport> transport_;
+  net::EndpointId endpoint_ = 0;
 };
 
 }  // namespace sigma::ctrl

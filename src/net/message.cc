@@ -30,8 +30,6 @@ const char* to_string(MessageType type) {
       return "RegistryLeave";
     case MessageType::kFleetFetch:
       return "FleetFetch";
-    case MessageType::kFleetUpdate:
-      return "FleetUpdate";
   }
   return "?";
 }

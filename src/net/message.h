@@ -37,20 +37,19 @@ enum class MessageType : std::uint8_t {
   // these to a registry_server; a node service answers them with an error.
   kRegisterNode,       // host + port + endpoint range -> lease id + TTL
                        // (daemon announces its service endpoints)
-  kLeaseEndpoints,     // endpoint count + subscribe flag -> lease id +
-                       // TTL + leased base + current fleet view
-  kRegistryHeartbeat,  // lease id -> () : extend the lease
+  kLeaseEndpoints,     // endpoint count -> lease id + TTL + leased base
+                       // + current fleet view
+  kRegistryHeartbeat,  // lease id -> view version : extend the lease
   kRegistryLeave,      // lease id -> () : clean leave, frees the range
-  kFleetFetch,         // () -> fleet view (one-shot, no lease)
-  kFleetUpdate,        // fleet view -> () : pushed registry->client on
-                       // membership change (the one server-initiated op)
+  kFleetFetch,         // () -> fleet view (no lease needed; a client
+                       // pulls it when a heartbeat shows a newer version)
 };
 
 /// Highest valid op byte — the TCP frame decoder rejects anything above
 /// it as a protocol error. Keep in sync when appending operations, or
 /// remote peers will drop the new op's frames.
 inline constexpr std::uint8_t kMaxMessageType =
-    static_cast<std::uint8_t>(MessageType::kFleetUpdate);
+    static_cast<std::uint8_t>(MessageType::kFleetFetch);
 
 const char* to_string(MessageType type);
 

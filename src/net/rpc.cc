@@ -125,29 +125,10 @@ std::vector<Buffer> RpcEndpoint::wait_all(std::vector<PendingCall>& calls,
   return results;
 }
 
-void RpcEndpoint::set_request_handler(RequestHandler handler) {
-  MutexLock lock(mu_);
-  request_handler_ = std::move(handler);
-}
-
 void RpcEndpoint::on_message(Message&& m) {
   if (m.kind == MessageKind::kRequest) {
-    RequestHandler handler;
-    {
-      MutexLock lock(mu_);
-      handler = request_handler_;
-    }
-    if (!handler) {
-      // A pure client endpoint: refuse requests rather than stall the peer.
-      transport_.send(
-          Message::error_to(m, "endpoint does not serve requests"));
-      return;
-    }
-    try {
-      transport_.send(Message::response_to(m, handler(m)));
-    } catch (const std::exception& e) {
-      transport_.send(Message::error_to(m, e.what()));
-    }
+    // A pure client endpoint: refuse requests rather than stall the peer.
+    transport_.send(Message::error_to(m, "endpoint does not serve requests"));
     return;
   }
   std::shared_ptr<PendingCall::State> state;

@@ -6,6 +6,9 @@
 // returns a PendingCall future-like handle) so a client can keep several
 // requests in flight — the batching/pipelining primitive the cluster's
 // super-chunk write path is built on — or synchronously via `call_sync`.
+// It only issues calls: a request addressed to it is answered at once
+// with an "endpoint does not serve requests" error, so the peer fails
+// fast instead of waiting out its timeout.
 //
 // Timeouts are caller-driven: PendingCall::get(timeout) abandons the call
 // on expiry (the endpoint forgets it, a late response is counted and
@@ -14,7 +17,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -117,16 +119,6 @@ class RpcEndpoint {
   static std::vector<Buffer> wait_all(std::vector<PendingCall>& calls,
                                       std::chrono::milliseconds timeout);
 
-  /// Serve peer-initiated requests arriving at this endpoint (e.g. the
-  /// registry's kFleetUpdate push): the handler returns the response
-  /// body, or throws — the exception text becomes an error reply. Invoked
-  /// on transport delivery threads with no endpoint lock held, so it may
-  /// issue calls of its own. Without a handler, requests are refused (the
-  /// default: a pure client endpoint). Safe to install/replace while
-  /// traffic is flowing.
-  using RequestHandler = std::function<Buffer(const Message&)>;
-  void set_request_handler(RequestHandler handler) SIGMA_EXCLUDES(mu_);
-
   /// Pending (unanswered, unabandoned) call count.
   std::size_t pending_count() const;
 
@@ -150,9 +142,6 @@ class RpcEndpoint {
       pending_ SIGMA_GUARDED_BY(mu_);
   std::uint64_t next_correlation_ SIGMA_GUARDED_BY(mu_) = 1;
   std::uint64_t late_responses_ SIGMA_GUARDED_BY(mu_) = 0;
-  /// Copied out under mu_ and invoked unlocked (the handler may call back
-  /// into this endpoint).
-  RequestHandler request_handler_ SIGMA_GUARDED_BY(mu_);
 };
 
 }  // namespace sigma::net

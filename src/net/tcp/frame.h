@@ -37,10 +37,13 @@ inline constexpr std::uint32_t kFrameMagic = 0x314D4753;
 /// the first unknown frame. v2: fused kRoutingProbe op. v3: kStatsSnapshot
 /// metrics scrape. v4: header flags byte + optional trace block,
 /// kTraceDump flight-recorder scrape. v5: fleet registry / control-plane
-/// ops (kRegisterNode..kFleetUpdate). v6: the two per-node probe ops
-/// (resemblance, chunk match) are gone — kRoutingProbe is the one probe
-/// op — so every later op byte shifts down by two.
-inline constexpr std::uint8_t kProtocolVersion = 6;
+/// ops. v6: the two per-node probe ops (resemblance, chunk match) are
+/// gone — kRoutingProbe is the one probe op — so every later op byte
+/// shifts down by two. v7: the registry sends no request to a client —
+/// clients pull the view with kFleetFetch, prompted by the version in the
+/// kRegistryHeartbeat reply — so the push op is gone and kLeaseEndpoints
+/// loses its flag byte.
+inline constexpr std::uint8_t kProtocolVersion = 7;
 
 /// Peer roles exchanged in the HELLO (informational, for diagnostics).
 enum class PeerRole : std::uint8_t { kClient = 0, kServer = 1 };

@@ -306,9 +306,9 @@ void TcpTransport::push_frame(const ConnPtr& conn, Message&& m, bool track) {
   OutFrame frame = make_out_frame(std::move(m));
   counters_.net.count_sent(kind, frame.wire_size());
   conn->outbox_bytes += frame.wire_size();
+  counters_.write_queue_bytes.add(
+      static_cast<std::int64_t>(frame.wire_size()));
   conn->outbox.push_back(std::move(frame));
-  counters_.write_queue_bytes.set(
-      static_cast<std::int64_t>(conn->outbox_bytes));
 }
 
 void TcpTransport::backpressure_wait(const ConnPtr& conn) {
@@ -646,14 +646,20 @@ void TcpTransport::connect_failed(const ConnPtr& conn,
       bounces.push_back(tracked.header);
     }
     conn->awaiting_response.clear();
-    conn->outbox.clear();
-    conn->outbox_bytes = 0;
-    conn->out_offset = 0;
+    clear_outbox(conn);
     conn->attempts = 0;
     conn->state = TcpConn::State::kIdle;
     write_cv_.notify_all();
   }
   for (const auto& h : bounces) bounce_request(h, reason);
+}
+
+void TcpTransport::clear_outbox(const ConnPtr& conn) {
+  counters_.write_queue_bytes.sub(
+      static_cast<std::int64_t>(conn->outbox_bytes));
+  conn->outbox.clear();
+  conn->outbox_bytes = 0;
+  conn->out_offset = 0;
 }
 
 void TcpTransport::close_conn(const ConnPtr& conn, const std::string& reason) {
@@ -669,9 +675,7 @@ void TcpTransport::close_conn(const ConnPtr& conn, const std::string& reason) {
       bounces.push_back(tracked.header);
     }
     conn->awaiting_response.clear();
-    conn->outbox.clear();
-    conn->outbox_bytes = 0;
-    conn->out_offset = 0;
+    clear_outbox(conn);
     conn->hello_in.clear();
     conn->hello_out.clear();
     conn->hello_sent = 0;
@@ -757,6 +761,7 @@ void TcpTransport::loop_writable(const ConnPtr& conn) {
   {
     MutexLock lock(mu_);
     conn->outbox_bytes -= sent_bytes;
+    counters_.write_queue_bytes.sub(static_cast<std::int64_t>(sent_bytes));
     conn->out_offset = offset;
     for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
       conn->outbox.push_front(std::move(*it));

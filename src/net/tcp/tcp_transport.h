@@ -274,6 +274,9 @@ class TcpTransport final : public Transport {
   /// queue, forget learned routes. Outbound conns return to kIdle (a
   /// later send re-dials); inbound conns are reaped.
   void close_conn(const ConnPtr& conn, const std::string& reason);
+  /// Drop `conn`'s queued frames and take their bytes off the
+  /// write-queue gauge.
+  void clear_outbox(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
   /// Connect attempt failed: back off and retry, or give up and bounce.
   void connect_failed(const ConnPtr& conn, const std::string& reason);
   /// Deregister a connection's fd from the epoll set (before closing it).

@@ -138,8 +138,8 @@ obs::MetricsSnapshot NodeServer::metrics_snapshot() const {
 }
 
 void NodeServer::flush() {
-  // Leave the fleet before going dark, so subscribed clients see the
-  // membership change instead of discovering dead endpoints.
+  // Leave the fleet before going dark, so clients see the membership
+  // change at their next heartbeat instead of discovering dead endpoints.
   leave_registry();
   // Destroying a service unbinds it and joins its node thread: once
   // every one is gone no request can reach a node again — only then is

@@ -65,7 +65,6 @@ bool NodeService::is_probe(MessageType type) {
     case MessageType::kRegistryHeartbeat:
     case MessageType::kRegistryLeave:
     case MessageType::kFleetFetch:
-    case MessageType::kFleetUpdate:
       // Control-plane ops belong to the registry; a node service only
       // ever answers them with an error (the write queue is fine for that).
       return false;
@@ -219,7 +218,6 @@ Message NodeService::handle(const Message& request) {
       case MessageType::kRegistryHeartbeat:
       case MessageType::kRegistryLeave:
       case MessageType::kFleetFetch:
-      case MessageType::kFleetUpdate:
         // Control-plane ops are served by a registry_server, not a node:
         // a peer that dials a data endpoint with them is misconfigured.
         return Message::error_to(

@@ -303,9 +303,8 @@ LeaseGrant decode_lease_grant(ByteView body) {
 }
 
 Buffer encode_lease_endpoints_request(const LeaseEndpointsRequest& req) {
-  WireWriter w(5);
+  WireWriter w(4);
   w.u32(req.num_endpoints);
-  w.u8(req.subscribe ? 1 : 0);
   return w.take();
 }
 
@@ -313,7 +312,6 @@ LeaseEndpointsRequest decode_lease_endpoints_request(ByteView body) {
   WireReader r(body);
   LeaseEndpointsRequest req;
   req.num_endpoints = r.u32();
-  req.subscribe = r.u8() != 0;
   r.expect_done();
   return req;
 }

@@ -125,11 +125,9 @@ Buffer encode_lease_grant(const LeaseGrant& grant);
 LeaseGrant decode_lease_grant(ByteView body);
 
 /// kLeaseEndpoints request: a client asks for `num_endpoints` contiguous
-/// endpoint ids; `subscribe` asks the registry to push kFleetUpdate to
-/// the requesting endpoint on membership change.
+/// endpoint ids.
 struct LeaseEndpointsRequest {
   std::uint32_t num_endpoints = 0;
-  bool subscribe = false;
 };
 
 Buffer encode_lease_endpoints_request(const LeaseEndpointsRequest& req);
@@ -146,8 +144,9 @@ struct LeaseEndpointsReply {
 Buffer encode_lease_endpoints_reply(const LeaseEndpointsReply& reply);
 LeaseEndpointsReply decode_lease_endpoints_reply(ByteView body);
 
-// kRegistryHeartbeat / kRegistryLeave requests carry encode_u64(lease_id);
-// their replies and kFleetFetch's request are empty bodies. kFleetFetch's
-// reply and the kFleetUpdate push body are encode_fleet_view().
+// kRegistryHeartbeat / kRegistryLeave requests carry encode_u64(lease_id).
+// The heartbeat reply is encode_u64(view version); kRegistryLeave's reply
+// and kFleetFetch's request are empty bodies. kFleetFetch's reply is
+// encode_fleet_view().
 
 }  // namespace sigma::service

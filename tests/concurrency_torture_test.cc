@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -12,7 +15,6 @@
 
 #include "common/hash_util.h"
 #include "common/thread_pool.h"
-#include "net/channel.h"
 #include "net/rpc.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
@@ -87,119 +89,67 @@ TEST(ThreadPoolTortureTest, SubmitRacingShutdownEitherRunsOrThrows) {
   EXPECT_EQ(executed.load(), accepted.load());
 }
 
-// ---- Channel: MPSC hammering ----------------------------------------------
-
-TEST(ChannelTortureTest, MpscHammerPreservesPerProducerFifo) {
-  constexpr std::uint64_t kProducers = 8;
-  constexpr std::uint64_t kItemsPerProducer = 2000;
-  net::Channel<std::uint64_t> ch;  // producer id in high bits, seq in low
-
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (std::uint64_t i = 0; i < kItemsPerProducer; ++i) {
-        ASSERT_TRUE(ch.push((p << 32) | i));
-      }
-    });
-  }
-
-  std::uint64_t popped = 0;
-  std::vector<std::uint64_t> next_seq(kProducers, 0);
-  std::thread consumer([&] {
-    while (auto item = ch.pop()) {
-      const std::uint64_t p = *item >> 32;
-      const std::uint64_t seq = *item & 0xffffffffu;
-      ASSERT_LT(p, kProducers);
-      // FIFO per producer: sequences arrive in order.
-      ASSERT_EQ(seq, next_seq[p]);
-      ++next_seq[p];
-      ++popped;
-    }
-  });
-
-  for (auto& t : producers) t.join();
-  ch.close();  // consumer drains the remainder, then pop() returns nullopt
-  consumer.join();
-  EXPECT_EQ(popped, kProducers * kItemsPerProducer);
-}
-
-TEST(ChannelTortureTest, CloseRacingPushNeverLosesAcceptedItems) {
-  for (int round = 0; round < 50; ++round) {
-    net::Channel<int> ch;
-    std::atomic<int> pushed{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&] {
-        for (int i = 0; i < 100; ++i) {
-          if (ch.push(int{1})) pushed.fetch_add(1);
-        }
-      });
-    }
-    std::thread closer([&] { ch.close(); });
-    int drained = 0;
-    while (ch.pop()) ++drained;
-    for (auto& t : producers) t.join();
-    closer.join();
-    // pop() went dry only after close; by then every accepted push is
-    // visible, so accepted == drained exactly.
-    ASSERT_EQ(drained, pushed.load());
-  }
-}
-
 // ---- RpcEndpoint: concurrent call / timeout / cancel -----------------------
 
-// A responder endpoint: answers correlation ids divisible by 3 promptly,
-// ids % 3 == 1 after a delay longer than the caller's timeout (a
-// guaranteed late response, on a separate lane so it never head-of-line
-// blocks the prompt answers), and drops ids % 3 == 2 (a guaranteed
-// timeout with no response ever).
+// A responder endpoint: answers correlation ids divisible by 3 promptly
+// (in the delivery itself), ids % 3 == 1 after a delay longer than the
+// caller's timeout (a guaranteed late response, from a separate thread so
+// it never holds up the prompt answers), and drops ids % 3 == 2 (a
+// guaranteed timeout with no response ever).
 class FlakyResponder {
  public:
   explicit FlakyResponder(net::Transport& transport) : transport_(transport) {
-    endpoint_ = transport_.register_endpoint(
-        [this](net::Message&& m) { inbox_.push(std::move(m)); });
-    fast_worker_ = std::thread([this] { run_fast(); });
+    endpoint_ = transport_.register_endpoint([this](net::Message&& m) {
+      switch (m.correlation_id % 3) {
+        case 0:
+          transport_.send(net::Message::response_to(m, Buffer{1}));
+          break;
+        case 1: {
+          std::lock_guard lock(mu_);
+          late_.push_back(std::move(m));
+          cv_.notify_one();
+          break;
+        }
+        default:
+          break;  // never answered
+      }
+    });
     late_worker_ = std::thread([this] { run_late(); });
   }
 
   ~FlakyResponder() {
     transport_.unregister_endpoint(endpoint_);
-    inbox_.close();
-    fast_worker_.join();  // run_fast() closes late_inbox_ when it drains
-    late_worker_.join();
+    {
+      std::lock_guard lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_one();
+    late_worker_.join();  // answers whatever is still queued, then exits
   }
 
   net::EndpointId endpoint() const { return endpoint_; }
 
  private:
-  void run_fast() {
-    while (auto m = inbox_.pop()) {
-      switch (m->correlation_id % 3) {
-        case 0:
-          transport_.send(net::Message::response_to(*m, Buffer{1}));
-          break;
-        case 1:
-          late_inbox_.push(std::move(*m));
-          break;
-        default:
-          break;  // never answered
-      }
-    }
-    late_inbox_.close();
-  }
-
   void run_late() {
-    while (auto m = late_inbox_.pop()) {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return closed_ || !late_.empty(); });
+      if (late_.empty()) return;
+      net::Message m = std::move(late_.front());
+      late_.pop_front();
+      lock.unlock();
       std::this_thread::sleep_for(30ms);  // past the caller's timeout
-      transport_.send(net::Message::response_to(*m, Buffer{2}));
+      transport_.send(net::Message::response_to(m, Buffer{2}));
+      lock.lock();
     }
   }
 
   net::Transport& transport_;
   net::EndpointId endpoint_ = 0;
-  net::Channel<net::Message> inbox_;
-  net::Channel<net::Message> late_inbox_;
-  std::thread fast_worker_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<net::Message> late_;
+  bool closed_ = false;
   std::thread late_worker_;
 };
 

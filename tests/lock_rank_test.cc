@@ -66,9 +66,9 @@ TEST_F(LockRankTest, OutOfOrderAcquireIsCaught) {
 
 TEST_F(LockRankTest, SameRankReacquireIsCaught) {
   // Two locks of equal rank held together violate strict ordering (no
-  // operation may ever need two similarity shards, two channels, ...).
-  Mutex a(LockRank::kChannel);
-  Mutex b(LockRank::kChannel);
+  // operation may ever need two similarity shards, two thread pools, ...).
+  Mutex a(LockRank::kThreadPool);
+  Mutex b(LockRank::kThreadPool);
   MutexLock la(a);
   MutexLock lb(b);
   EXPECT_EQ(Recorder::violations().size(), 1u);
@@ -96,7 +96,7 @@ TEST_F(LockRankTest, UnrankedMutexesAreExempt) {
 TEST_F(LockRankTest, CondVarRelockIsClean) {
   // A CondVar wait releases and re-acquires its mutex; the re-acquire runs
   // through the rank checker and must not trip over the lock's own rank.
-  Mutex mu(LockRank::kChannel);
+  Mutex mu(LockRank::kThreadPool);
   CondVar cv;
   bool ready = false;
   std::thread waker([&] {
@@ -135,7 +135,7 @@ TEST_F(LockRankTest, DisabledCheckingIsSilent) {
 
 TEST_F(LockRankTest, TryLockParticipates) {
   Mutex outer(LockRank::kRpcEndpoint);
-  Mutex inner(LockRank::kChannel);
+  Mutex inner(LockRank::kThreadPool);
   ASSERT_TRUE(outer.try_lock());
   ASSERT_TRUE(inner.try_lock());  // inversion via try_lock
   EXPECT_EQ(Recorder::violations().size(), 1u);

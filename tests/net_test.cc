@@ -1,15 +1,16 @@
 // Transport subsystem: wire codec round trips and robustness against
-// hostile bytes (TCP makes them reachable), channel ordering, loopback
-// delivery + accounting, RPC correlation under concurrent clients, and
-// timeout handling.
+// hostile bytes (TCP makes them reachable), loopback delivery +
+// accounting, RPC correlation under concurrent clients, timeout handling,
+// and the refusal of requests sent to a client endpoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/hash_util.h"
-#include "net/channel.h"
 #include "net/message.h"
 #include "net/rpc.h"
 #include "net/transport.h"
@@ -167,61 +168,6 @@ TEST(WireRobustnessTest, NestedPayloadCountValidatedAgainstBody) {
   EXPECT_THROW(
       service::decode_write_request(ByteView{body.data(), body.size()}),
       WireError);
-}
-
-// --- Channel ------------------------------------------------------------------
-
-TEST(ChannelTest, FifoFromSingleProducer) {
-  Channel<int> ch;
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(ch.push(int{i}));
-  for (int i = 0; i < 100; ++i) {
-    auto v = ch.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(ChannelTest, PerProducerOrderPreservedUnderConcurrency) {
-  Channel<std::pair<int, int>> ch;  // (producer, sequence)
-  constexpr int kProducers = 8;
-  constexpr int kItems = 500;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (int i = 0; i < kItems; ++i) ch.push({p, i});
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  std::vector<int> next_seq(kProducers, 0);
-  for (int n = 0; n < kProducers * kItems; ++n) {
-    auto item = ch.pop();
-    ASSERT_TRUE(item.has_value());
-    // Every producer's items arrive in its own push order.
-    EXPECT_EQ(item->second, next_seq[item->first]++);
-  }
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kItems);
-}
-
-TEST(ChannelTest, CloseDrainsThenSignalsEmpty) {
-  Channel<int> ch;
-  ch.push(1);
-  ch.push(2);
-  ch.close();
-  EXPECT_FALSE(ch.push(3));  // rejected after close
-  EXPECT_EQ(ch.pop().value(), 1);
-  EXPECT_EQ(ch.pop().value(), 2);
-  EXPECT_FALSE(ch.pop().has_value());  // closed and drained
-}
-
-TEST(ChannelTest, PopBlocksUntilPush) {
-  Channel<int> ch;
-  std::thread producer([&ch] {
-    std::this_thread::sleep_for(20ms);
-    ch.push(42);
-  });
-  EXPECT_EQ(ch.pop().value(), 42);
-  producer.join();
 }
 
 // --- LoopbackTransport --------------------------------------------------------
@@ -433,6 +379,28 @@ TEST(RpcTest, ErrorResponsePropagatesAsRpcError) {
     EXPECT_NE(std::string(e.what()).find("nope"), std::string::npos);
   }
   transport.unregister_endpoint(nack);
+}
+
+TEST(RpcTest, RequestToClientEndpointIsRefusedNotTimedOut) {
+  // An RpcEndpoint only issues calls: a request addressed to it comes back
+  // at once as an error, so the caller never burns its timeout.
+  LoopbackTransport transport;
+  RpcEndpoint client(transport);
+  RpcEndpoint caller(transport);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    caller.call_sync(client.id(), MessageType::kFlush, Buffer{}, 10000ms);
+    FAIL() << "expected RpcError";
+  } catch (const RpcTimeoutError&) {
+    FAIL() << "expected a refusal, got a timeout";
+  } catch (const RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find("endpoint does not serve requests"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
+  EXPECT_EQ(caller.pending_count(), 0u);
+  EXPECT_EQ(client.pending_count(), 0u);
 }
 
 TEST(RpcTest, CallToUnknownEndpointFailsFast) {

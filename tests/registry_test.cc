@@ -1,11 +1,13 @@
 // Fleet registry acceptance: the control plane that kills the
 // id-collision bug class at the root. Daemons register endpoint ranges
 // (overlaps refused at the source), clients lease ranges instead of
-// guessing bases, membership changes are pushed to subscribers, and the
-// data plane wired through the registry is bit-identical to the
-// hand-written static map. Plus the failure modes: a dead registry
-// degrades the fleet gracefully (cached view, backups keep verifying),
-// and a heartbeat lapse expires the lease and the pushed view drops it.
+// guessing bases, clients pull membership changes within one heartbeat,
+// and the data plane wired through the registry is bit-identical to the
+// hand-written static map. The registry runs on its transport's one
+// thread and expires leases lazily. Plus the failure modes: a dead
+// registry degrades the fleet gracefully (cached view, backups keep
+// verifying), and a heartbeat lapse expires the lease and the pulled view
+// drops it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,13 +20,17 @@
 #include "ctrl/registry_client.h"
 #include "ctrl/registry_server.h"
 #include "net/rpc.h"
+#include "net/tcp/tcp_transport.h"
 #include "server/node_server.h"
+#include "thread_count.h"
 #include "workload/generators.h"
 
 namespace sigma {
 namespace {
 
 using namespace std::chrono_literals;
+using test::await_thread_count;
+using test::thread_count;
 
 ctrl::RegistryClientConfig client_config(const ctrl::RegistryServer& reg) {
   ctrl::RegistryClientConfig cfg;
@@ -63,7 +69,7 @@ TEST(RegistryTest, RegisterLeaseFetchRoundTrip) {
   // A client lease starts at the well-known client base — no hand-picked
   // base anywhere — and carries the same view.
   ctrl::RegistryClient client(client_config(reg));
-  const auto lease = client.lease_endpoints(8, nullptr);
+  const auto lease = client.lease_endpoints(8);
   EXPECT_EQ(lease.endpoint_base, net::kClientEndpointBase);
   EXPECT_EQ(lease.view.nodes.size(), 2u);
   EXPECT_EQ(reg.client_lease_count(), 1u);
@@ -124,8 +130,8 @@ TEST(RegistryTest, ClientLeasesAreDisjointAndFreedRangesReused) {
 
   auto a = std::make_unique<ctrl::RegistryClient>(client_config(reg));
   ctrl::RegistryClient b(client_config(reg));
-  const auto lease_a = a->lease_endpoints(16, nullptr);
-  const auto lease_b = b.lease_endpoints(16, nullptr);
+  const auto lease_a = a->lease_endpoints(16);
+  const auto lease_b = b.lease_endpoints(16);
   EXPECT_EQ(lease_a.endpoint_base, net::kClientEndpointBase);
   EXPECT_EQ(lease_b.endpoint_base, net::kClientEndpointBase + 16);
   EXPECT_EQ(reg.client_lease_count(), 2u);
@@ -135,11 +141,60 @@ TEST(RegistryTest, ClientLeasesAreDisjointAndFreedRangesReused) {
   a.reset();
   EXPECT_EQ(reg.client_lease_count(), 1u);
   ctrl::RegistryClient c(client_config(reg));
-  const auto lease_c = c.lease_endpoints(8, nullptr);
+  const auto lease_c = c.lease_endpoints(8);
   EXPECT_EQ(lease_c.endpoint_base, net::kClientEndpointBase);
 }
 
-TEST(RegistryTest, HeartbeatLapseExpiresLeaseAndPushesUpdatedView) {
+TEST(RegistryTest, OneRegistryIsOneThread) {
+  // The registry answers on its transport's loop: constructing one adds
+  // exactly that thread, and destroying it takes it away again.
+  { ctrl::RegistryServer warm_up({}); }  // sanitizer runtimes start a
+                                          // helper on the first thread
+  const std::size_t before = thread_count();
+  {
+    ctrl::RegistryServer reg({});
+    EXPECT_EQ(await_thread_count(before + 1), before + 1);
+  }
+  EXPECT_EQ(await_thread_count(before), before);
+}
+
+TEST(RegistryTest, LapsedLeaseIsNeverSeenLive) {
+  ctrl::RegistryServerConfig cfg;
+  cfg.lease_ttl_ms = 100;
+  ctrl::RegistryServer reg(cfg);
+
+  // The daemon never heartbeats (cadence far past the test's horizon).
+  ctrl::RegistryClientConfig daemon_cfg = client_config(reg);
+  daemon_cfg.heartbeat_interval_ms = 3'600'000;
+  ctrl::RegistryClient daemon(daemon_cfg);
+  const auto grant = daemon.register_node({"127.0.0.1", 7001}, 100, 2);
+  ASSERT_EQ(reg.node_lease_count(), 1u);
+
+  // No traffic at all while the lease lapses: expiry needs no timer, the
+  // first read after the deadline already finds the lease gone.
+  std::this_thread::sleep_for(150ms);
+  EXPECT_EQ(reg.node_lease_count(), 0u);
+  EXPECT_TRUE(reg.fleet_view().nodes.empty());
+
+  // A heartbeat that arrives late cannot revive it.
+  net::TcpTransportConfig tcp;
+  tcp.remote_endpoints[net::kRegistryEndpoint] = {"127.0.0.1", reg.port()};
+  tcp.endpoint_base = net::kRegistryBootstrapBase;
+  net::TcpTransport transport(std::move(tcp));
+  net::RpcEndpoint rpc(transport);
+  try {
+    rpc.call_sync(net::kRegistryEndpoint,
+                  net::MessageType::kRegistryHeartbeat,
+                  service::encode_u64(grant.lease_id), 5000ms);
+    FAIL() << "expected the lapsed lease to be refused";
+  } catch (const net::RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown lease"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(reg.node_lease_count(), 0u);
+}
+
+TEST(RegistryTest, HeartbeatLapseExpiresLeaseAndClientsPullUpdatedView) {
   ctrl::RegistryServerConfig cfg;
   cfg.lease_ttl_ms = 300;
   ctrl::RegistryServer reg(cfg);
@@ -152,40 +207,50 @@ TEST(RegistryTest, HeartbeatLapseExpiresLeaseAndPushesUpdatedView) {
   daemon.register_node({"127.0.0.1", 7001}, 100, 2);
   EXPECT_EQ(reg.node_lease_count(), 1u);
 
-  // A subscribed client (default cadence keeps its own lease alive) must
-  // be TOLD the daemon fell out — membership changes are pushed, not
-  // polled.
-  ctrl::RegistryClient client(client_config(reg));
-  const auto lease = client.lease_endpoints(
-      1, [](const service::FleetView&) {});
-  EXPECT_EQ(lease.view.nodes.size(), 2u);
+  // Two clients (the default cadence, ttl/3 = 100 ms, keeps their own
+  // leases alive) each learn from a heartbeat reply that the view moved
+  // on, and pull it.
+  ctrl::RegistryClient a(client_config(reg));
+  ctrl::RegistryClient b(client_config(reg));
+  EXPECT_EQ(a.lease_endpoints(1).view.nodes.size(), 2u);
+  EXPECT_EQ(b.lease_endpoints(1).view.nodes.size(), 2u);
 
-  EXPECT_TRUE(eventually([&] { return reg.node_lease_count() == 0; }));
-  EXPECT_TRUE(eventually([&] {
-    return client.updates_received() > 0 &&
-           client.latest_view().nodes.empty();
-  }));
+  // The lease lapses at 300 ms; a client's next heartbeat (<= 100 ms
+  // later) expires it and reports the new version, and the fetch follows.
+  const auto heartbeat_plus_slack = 300ms + 100ms + 1000ms;
+  EXPECT_TRUE(eventually([&] { return a.latest_view().nodes.empty(); },
+                         heartbeat_plus_slack));
+  EXPECT_TRUE(eventually([&] { return b.latest_view().nodes.empty(); },
+                         heartbeat_plus_slack));
+  EXPECT_EQ(reg.node_lease_count(), 0u);
   const obs::MetricsSnapshot snap = reg.metrics_snapshot();
   const auto* expiries = snap.find_counter("registry.lease_expiries");
   ASSERT_NE(expiries, nullptr);
   EXPECT_GE(*expiries, 1u);
 }
 
-TEST(RegistryTest, CleanLeavePushesUpdatedView) {
-  ctrl::RegistryServer reg({});
+TEST(RegistryTest, CleanLeaveReachesClientsWithinOneHeartbeat) {
+  ctrl::RegistryServerConfig cfg;
+  cfg.lease_ttl_ms = 300;  // clients heartbeat every 100 ms
+  ctrl::RegistryServer reg(cfg);
 
   auto daemon = std::make_unique<ctrl::RegistryClient>(client_config(reg));
   daemon->register_node({"127.0.0.1", 7001}, 100, 2);
 
-  ctrl::RegistryClient client(client_config(reg));
-  client.lease_endpoints(1, [](const service::FleetView&) {});
+  ctrl::RegistryClient a(client_config(reg));
+  ctrl::RegistryClient b(client_config(reg));
+  a.lease_endpoints(1);
+  b.lease_endpoints(1);
+  ASSERT_EQ(a.latest_view().nodes.size(), 2u);
 
   daemon.reset();  // destructor leaves cleanly
   EXPECT_EQ(reg.node_lease_count(), 0u);
-  EXPECT_TRUE(eventually([&] {
-    return client.updates_received() > 0 &&
-           client.latest_view().nodes.empty();
-  }));
+  const auto heartbeat_plus_slack = 100ms + 1000ms;
+  EXPECT_TRUE(eventually([&] { return a.latest_view().nodes.empty(); },
+                         heartbeat_plus_slack));
+  EXPECT_TRUE(eventually([&] { return b.latest_view().nodes.empty(); },
+                         heartbeat_plus_slack));
+  EXPECT_EQ(a.latest_view().version, reg.fleet_view().version);
 }
 
 TEST(RegistryTest, NodeServerRegistersOnStartupAndLeavesOnShutdown) {

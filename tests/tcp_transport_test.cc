@@ -12,18 +12,21 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 #include <thread>
 
 #include "net/rpc.h"
 #include "net/tcp/frame.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
+#include "obs/metrics.h"
+#include "thread_count.h"
 
 namespace sigma::net {
 namespace {
 
 using namespace std::chrono_literals;
+using test::await_thread_count;
+using test::thread_count;
 
 // --- Frame codec --------------------------------------------------------------
 
@@ -208,27 +211,6 @@ TEST(TcpTransportTest, EpollCreateFailureThrowsFromConstruction) {
       ::testing::ExitedWithCode(0), "");
 }
 
-/// Threads of this process right now (entries of /proc/self/task).
-std::size_t thread_count() {
-  std::size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++n;
-  }
-  return n;
-}
-
-/// Poll until thread_count() == `want` (a joined thread's task entry may
-/// linger for a moment after pthread_join returns); returns the last count.
-std::size_t await_thread_count(std::size_t want) {
-  std::size_t n = thread_count();
-  for (int i = 0; i < 200 && n != want; ++i) {
-    std::this_thread::sleep_for(10ms);
-    n = thread_count();
-  }
-  return n;
-}
-
 TEST(TcpTransportTest, OneTransportIsOneThread) {
   TcpTransportConfig cfg;
   cfg.listen = TcpAddress{"127.0.0.1", 0};
@@ -296,6 +278,43 @@ TEST(TcpTransportTest, LargeBodySurvivesPartialReadsAndWrites) {
   const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kReadChunk,
                                      Buffer(body), 30000ms);
   EXPECT_EQ(reply, body);
+}
+
+TEST(TcpTransportTest, WriteQueueGaugeFallsToZeroOnceDrained) {
+  // tcp.write_queue_bytes is the bytes queued across all of a transport's
+  // connections: it rises when a frame is queued and falls as the frame
+  // is written, so an idle transport reads 0 on both sides.
+  obs::Registry server_metrics;
+  obs::Registry client_metrics;
+  TcpTransportConfig server_cfg;
+  server_cfg.listen = TcpAddress{"127.0.0.1", 0};
+  server_cfg.endpoint_base = kServiceEndpointBase;
+  server_cfg.metrics = &server_metrics;
+  TcpTransport server(server_cfg);
+  const EndpointId echo = server.register_endpoint([&server](Message&& m) {
+    if (m.kind != MessageKind::kRequest) return;
+    server.send(Message::response_to(m, Buffer(m.body)));
+  });
+  TcpTransportConfig client_cfg;
+  client_cfg.metrics = &client_metrics;
+  client_cfg.remote_endpoints.emplace(
+      echo, TcpAddress{"127.0.0.1", server.listen_port()});
+  TcpTransport client(client_cfg);
+  RpcEndpoint rpc(client);
+
+  const Buffer body(1u << 20, 0x5A);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(rpc.call_sync(echo, MessageType::kReadChunk, Buffer(body),
+                            30000ms),
+              body);
+  }
+  std::this_thread::sleep_for(300ms);
+  EXPECT_EQ(client_metrics.gauge("tcp.write_queue_bytes").value(), 0);
+  EXPECT_EQ(server_metrics.gauge("tcp.write_queue_bytes").value(), 0);
+  // The high-water mark still shows that a frame was queued.
+  EXPECT_GE(client_metrics.gauge("tcp.write_queue_bytes").high_water(),
+            static_cast<std::int64_t>(body.size()));
+  server.unregister_endpoint(echo);
 }
 
 TEST(TcpTransportTest, CorrelationUnderConcurrentClientThreads) {

@@ -562,7 +562,7 @@ TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
 
   Buffer hello = net::encode_hello({net::PeerRole::kClient});
   ASSERT_EQ(hello[4], net::kProtocolVersion);
-  ASSERT_EQ(net::kProtocolVersion, 6);
+  ASSERT_EQ(net::kProtocolVersion, 7);
   hello[4] = 3;
   ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
             static_cast<ssize_t>(hello.size()));

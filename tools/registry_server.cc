@@ -11,7 +11,7 @@
 // the ephemeral port actually bound).
 //
 // SIGUSR1 dumps the registry metrics snapshot (lease counts, refusals,
-// pushes) to stderr; SIGINT/SIGTERM shut down cleanly. The same wire
+// heartbeats) to stderr; SIGINT/SIGTERM shut down cleanly. The same wire
 // endpoint also answers kStatsSnapshot, so fleet_stats can scrape a
 // registry like any daemon.
 #include <csignal>
