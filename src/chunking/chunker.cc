@@ -1,5 +1,6 @@
 #include "chunking/chunker.h"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,41 @@ void check_power_of_two(std::uint32_t v, const char* what) {
     throw std::invalid_argument(std::string(what) +
                                 " must be a power of two");
   }
+}
+
+// The boundary condition compares the masked hash to a fixed magic value;
+// any constant works, but a non-zero magic avoids degenerate behaviour on
+// all-zero data (where the rolling hash stays 0).
+constexpr std::uint64_t kMagic = 0x78;
+
+// Finds one chunk's cut in d[0, end) by rolling the Rabin hash over the
+// bytes in place: the window ending at d[i] drops d[i - kWindowSize].
+// Calls cut(h, len) with the hash of the window ending at d[len - 1], for
+// every len in [min_size, end], and returns the first len it accepts, or
+// 0 if it accepts none.
+//
+// A full window's hash depends only on the bytes in it, and no cut is
+// tested below min_size, so the roll starts kWindowSize bytes before the
+// first tested position (or at d[0], if that is closer): the bytes before
+// it never affect a boundary. The hashes equal those of a RabinHash reset
+// at d[0] and rolled over every byte.
+template <typename Cut>
+std::size_t scan_chunk(const RabinTables& t, const std::uint8_t* d,
+                       std::size_t end, std::uint32_t min_size, Cut&& cut) {
+  constexpr std::size_t kWindow = RabinHash::kWindowSize;
+  if (min_size >= end) return 0;
+  const std::size_t from = min_size > kWindow ? min_size - kWindow : 0;
+  std::uint64_t h = 0;
+  std::size_t i = from;
+  for (; i < from + kWindow && i < end; ++i) {  // the window fills
+    h = t.append_byte(h, d[i]);
+    if (i + 1 >= min_size && cut(h, i + 1)) return i + 1;
+  }
+  for (; i < end; ++i) {
+    h = t.slide(h, d[i - kWindow], d[i]);
+    if (cut(h, i + 1)) return i + 1;
+  }
+  return 0;
 }
 
 std::string size_label(std::uint32_t bytes) {
@@ -67,31 +103,23 @@ CdcChunker CdcChunker::with_average(std::uint32_t avg_size) {
 }
 
 std::vector<ChunkBoundary> CdcChunker::chunk(ByteView data) const {
-  // The boundary condition compares the masked hash to a fixed magic value;
-  // any constant works, but a non-zero magic avoids degenerate behaviour on
-  // all-zero data (where the rolling hash stays 0).
-  constexpr std::uint64_t kMagic = 0x78;
-
+  const RabinTables& t = RabinTables::get();
+  const std::uint64_t magic = kMagic & mask_;
   std::vector<ChunkBoundary> out;
   out.reserve(data.size() / avg_size_ + 1);
 
-  RabinHash rabin;
-  std::uint64_t start = 0;
-  std::uint64_t pos = 0;
-  while (pos < data.size()) {
-    const std::uint64_t h = rabin.roll(data[pos]);
-    ++pos;
-    const std::uint64_t len = pos - start;
-    const bool at_boundary =
-        len >= min_size_ && (h & mask_) == (kMagic & mask_);
-    if (at_boundary || len >= max_size_) {
-      out.push_back({start, static_cast<std::uint32_t>(len)});
-      start = pos;
-      rabin.reset();
-    }
-  }
-  if (start < data.size()) {
-    out.push_back({start, static_cast<std::uint32_t>(data.size() - start)});
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t end =
+        std::min<std::size_t>(data.size() - start, max_size_);
+    std::size_t len =
+        scan_chunk(t, data.data() + start, end, min_size_,
+                   [&](std::uint64_t h, std::size_t) {
+                     return (h & mask_) == magic;
+                   });
+    if (len == 0) len = end;
+    out.push_back({start, static_cast<std::uint32_t>(len)});
+    start += len;
   }
   return out;
 }
@@ -119,41 +147,31 @@ TttdChunker TttdChunker::paper_default() {
 }
 
 std::vector<ChunkBoundary> TttdChunker::chunk(ByteView data) const {
-  constexpr std::uint64_t kMagic = 0x78;
-
+  const RabinTables& t = RabinTables::get();
+  const std::uint64_t major_magic = kMagic & major_mask_;
+  const std::uint64_t minor_magic = kMagic & minor_mask_;
   std::vector<ChunkBoundary> out;
-  RabinHash rabin;
-  std::uint64_t start = 0;
-  std::uint64_t pos = 0;
-  std::uint64_t backup_len = 0;  // last minor-divisor match in this chunk
+  out.reserve(data.size() / (minor_mask_ + 1) + 1);
 
-  while (pos < data.size()) {
-    const std::uint64_t h = rabin.roll(data[pos]);
-    ++pos;
-    const std::uint64_t len = pos - start;
-    if (len < min_size_) continue;
-
-    if ((h & major_mask_) == (kMagic & major_mask_)) {
-      out.push_back({start, static_cast<std::uint32_t>(len)});
-      start = pos;
-      backup_len = 0;
-      rabin.reset();
-      continue;
-    }
-    if ((h & minor_mask_) == (kMagic & minor_mask_)) {
-      backup_len = len;  // remember as fallback cut point
-    }
-    if (len >= max_size_) {
-      const std::uint64_t cut = backup_len > 0 ? backup_len : len;
-      out.push_back({start, static_cast<std::uint32_t>(cut)});
-      start += cut;
-      pos = start;
-      backup_len = 0;
-      rabin.reset();
-    }
-  }
-  if (start < data.size()) {
-    out.push_back({start, static_cast<std::uint32_t>(data.size() - start)});
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t remaining = data.size() - start;
+    const std::size_t end = std::min<std::size_t>(remaining, max_size_);
+    std::size_t backup_len = 0;  // last minor-divisor match in this chunk
+    std::size_t len =
+        scan_chunk(t, data.data() + start, end, min_size_,
+                   [&](std::uint64_t h, std::size_t n) {
+                     if ((h & major_mask_) == major_magic) return true;
+                     if ((h & minor_mask_) == minor_magic) backup_len = n;
+                     return false;
+                   });
+    // No major match by max: cut at the last minor match (the next chunk
+    // rescans from there), failing that at max. Running out of data first
+    // just ends the chunk.
+    if (len == 0 && remaining >= max_size_) len = backup_len;
+    if (len == 0) len = end;
+    out.push_back({start, static_cast<std::uint32_t>(len)});
+    start += len;
   }
   return out;
 }

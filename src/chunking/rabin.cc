@@ -3,8 +3,7 @@
 namespace sigma {
 namespace {
 
-constexpr int kDegree = 53;
-constexpr std::uint64_t kMask = (1ull << kDegree) - 1;
+constexpr int kDegree = RabinHash::kDegree;
 
 // Reduce a polynomial of degree <= 60 modulo kPolynomial.
 constexpr std::uint64_t reduce(std::uint64_t v) {
@@ -14,40 +13,6 @@ constexpr std::uint64_t reduce(std::uint64_t v) {
     }
   }
   return v;
-}
-
-struct Tables {
-  // append_table[t] = (t * x^53) mod P, for the 8 bits shifted past the
-  // modulus on a one-byte append.
-  std::array<std::uint64_t, 256> append;
-  // out_table[b] = (b * x^{8*(W-1)}) mod P: the residue contributed by the
-  // window's oldest byte, XORed out before the shift.
-  std::array<std::uint64_t, 256> out;
-
-  Tables() {
-    for (int t = 0; t < 256; ++t) {
-      append[static_cast<std::size_t>(t)] =
-          reduce(static_cast<std::uint64_t>(t) << kDegree);
-    }
-    for (int b = 0; b < 256; ++b) {
-      std::uint64_t h = static_cast<std::uint64_t>(b);
-      for (std::size_t i = 0; i + 1 < RabinHash::kWindowSize; ++i) {
-        h = rabin_detail::append_byte_reference(h, 0);
-      }
-      out[static_cast<std::size_t>(b)] = h;
-    }
-  }
-};
-
-const Tables& tables() {
-  static const Tables t;
-  return t;
-}
-
-// Table-driven one-byte append: h must be < 2^53.
-inline std::uint64_t append_byte(std::uint64_t h, std::uint8_t b) {
-  const std::uint64_t shifted = (h << 8) | b;
-  return (shifted & kMask) ^ tables().append[shifted >> kDegree];
 }
 
 }  // namespace
@@ -64,8 +29,29 @@ std::uint64_t append_byte_reference(std::uint64_t hash, std::uint8_t byte) {
 
 }  // namespace rabin_detail
 
+RabinTables::RabinTables() {
+  for (int t = 0; t < 256; ++t) {
+    append[static_cast<std::size_t>(t)] =
+        reduce(static_cast<std::uint64_t>(t) << kDegree);
+  }
+  for (int b = 0; b < 256; ++b) {
+    std::uint64_t h = static_cast<std::uint64_t>(b);
+    for (std::size_t i = 0; i + 1 < RabinHash::kWindowSize; ++i) {
+      h = rabin_detail::append_byte_reference(h, 0);
+    }
+    out[static_cast<std::size_t>(b)] = h;
+    slide_out[static_cast<std::size_t>(b)] =
+        rabin_detail::append_byte_reference(h, 0);
+  }
+}
+
+const RabinTables& RabinTables::get() {
+  static const RabinTables t;
+  return t;
+}
+
 RabinHash::RabinHash() {
-  (void)tables();  // force table construction before first roll
+  (void)RabinTables::get();  // force table construction before first roll
 }
 
 void RabinHash::reset() {
@@ -76,15 +62,16 @@ void RabinHash::reset() {
 }
 
 std::uint64_t RabinHash::roll(std::uint8_t in) {
+  const RabinTables& t = RabinTables::get();
   if (filled_ == kWindowSize) {
     const std::uint8_t out = window_[pos_];
-    hash_ ^= tables().out[out];
+    hash_ ^= t.out[out];
   } else {
     ++filled_;
   }
   window_[pos_] = in;
   pos_ = (pos_ + 1) % kWindowSize;
-  hash_ = append_byte(hash_, in);
+  hash_ = t.append_byte(hash_, in);
   return hash_;
 }
 

@@ -16,7 +16,11 @@ namespace sigma {
 ///
 /// The hash value is the residue of the window's polynomial (bytes as
 /// coefficients of x^8k) modulo an irreducible degree-53 polynomial, so the
-/// value always fits in 53 bits.
+/// value always fits in 53 bits. Once the window is full the value depends
+/// only on the last kWindowSize bytes; before that, on all bytes rolled in.
+///
+/// The chunkers do not use this class: they roll RabinTables straight over
+/// their input (chunker.cc). It is the reference their tests compare to.
 class RabinHash {
  public:
   /// Sliding window width in bytes. 48 is the classic LBFS choice.
@@ -24,6 +28,7 @@ class RabinHash {
 
   /// Irreducible polynomial of degree 53 (LBFS poly).
   static constexpr std::uint64_t kPolynomial = 0x3DA3358B4DC173ull;
+  static constexpr int kDegree = 53;
 
   RabinHash();
 
@@ -47,6 +52,43 @@ class RabinHash {
   std::array<std::uint8_t, kWindowSize> window_{};
   std::size_t pos_ = 0;
   std::size_t filled_ = 0;
+};
+
+/// The lookup tables behind the table-driven update, built once per
+/// process. A caller that rolls over a buffer of its own fetches them once
+/// and passes `data[pos - kWindowSize]` as the outgoing byte.
+struct RabinTables {
+  static constexpr std::uint64_t kMask = (1ull << RabinHash::kDegree) - 1;
+
+  // append[t] = (t * x^53) mod P, for the 8 bits shifted past the modulus
+  // on a one-byte append.
+  std::array<std::uint64_t, 256> append;
+  // out[b] = (b * x^{8*(W-1)}) mod P: the residue contributed by the
+  // window's oldest byte, XORed out before the shift.
+  std::array<std::uint64_t, 256> out;
+  // slide_out[b] = (b * x^{8*W}) mod P: out[b] carried through the shift.
+  std::array<std::uint64_t, 256> slide_out;
+
+  static const RabinTables& get();
+
+  /// Append one byte to a hash h < 2^53 (the window is not yet full).
+  std::uint64_t append_byte(std::uint64_t h, std::uint8_t in) const {
+    const std::uint64_t shifted = (h << 8) | in;
+    return (shifted & kMask) ^ append[shifted >> RabinHash::kDegree];
+  }
+
+  /// Slide a full window one byte: drop `oldest`, append `in`. The update
+  /// is linear, so `oldest` is XORed out after the shift rather than
+  /// before; that leaves one shift, one load and one XOR between
+  /// successive hashes.
+  std::uint64_t slide(std::uint64_t h, std::uint8_t oldest,
+                      std::uint8_t in) const {
+    const std::uint64_t low = (((h << 8) & kMask) | in) ^ slide_out[oldest];
+    return low ^ append[h >> (RabinHash::kDegree - 8)];
+  }
+
+ private:
+  RabinTables();
 };
 
 namespace rabin_detail {

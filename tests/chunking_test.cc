@@ -1,7 +1,10 @@
 // Chunkers: coverage invariants (every byte covered exactly once), size
-// bounds, content-defined shift tolerance, Rabin rolling-hash correctness.
+// bounds, content-defined shift tolerance, Rabin rolling-hash correctness,
+// and boundary identity of the in-place CDC and TTTD scans with the
+// RabinHash-driven reference loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "chunking/chunker.h"
@@ -67,6 +70,21 @@ TEST(RabinTest, WindowedHashDependsOnlyOnWindowContents) {
   EXPECT_EQ(a.value(), b.value());
 }
 
+TEST(RabinTest, SlideMatchesReferenceHashOfWindow) {
+  // The in-place update the chunkers use: after kWindowSize appends, every
+  // slide must equal the bitwise hash of exactly the current window.
+  const RabinTables& t = RabinTables::get();
+  const Buffer data = random_data(2000, 9);
+  constexpr std::size_t kW = RabinHash::kWindowSize;
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < kW; ++i) h = t.append_byte(h, data[i]);
+  for (std::size_t i = kW; i < data.size(); ++i) {
+    h = t.slide(h, data[i - kW], data[i]);
+    ASSERT_EQ(h, RabinHash::hash_bytes(ByteView{data.data() + i + 1 - kW, kW}))
+        << "i=" << i;
+  }
+}
+
 TEST(RabinTest, HashFitsInDegreeBits) {
   RabinHash h;
   Rng rng(5);
@@ -96,6 +114,186 @@ TEST(RabinTest, HashBytesMatchesIncrementalReference) {
   std::uint64_t h = 0;
   for (std::uint8_t b : data) h = rabin_detail::append_byte_reference(h, b);
   EXPECT_EQ(RabinHash::hash_bytes(ByteView{data.data(), data.size()}), h);
+}
+
+// --- Reference chunkers -----------------------------------------------------
+//
+// The CDC and TTTD loops as first written: one RabinHash rolled over every
+// byte and reset at each cut. The shipped chunkers skip the bytes that
+// cannot affect a boundary and must still cut at exactly these offsets.
+
+constexpr std::uint64_t kMagic = 0x78;
+
+std::vector<ChunkBoundary> reference_cdc(ByteView data, std::uint32_t min_size,
+                                         std::uint32_t avg_size,
+                                         std::uint32_t max_size) {
+  const std::uint64_t mask = avg_size - 1;
+  std::vector<ChunkBoundary> out;
+  RabinHash rabin;
+  std::uint64_t start = 0;
+  std::uint64_t pos = 0;
+  while (pos < data.size()) {
+    const std::uint64_t h = rabin.roll(data[pos]);
+    ++pos;
+    const std::uint64_t len = pos - start;
+    const bool at_boundary = len >= min_size && (h & mask) == (kMagic & mask);
+    if (at_boundary || len >= max_size) {
+      out.push_back({start, static_cast<std::uint32_t>(len)});
+      start = pos;
+      rabin.reset();
+    }
+  }
+  if (start < data.size()) {
+    out.push_back({start, static_cast<std::uint32_t>(data.size() - start)});
+  }
+  return out;
+}
+
+std::vector<ChunkBoundary> reference_tttd(ByteView data,
+                                          std::uint32_t min_size,
+                                          std::uint32_t minor_mean,
+                                          std::uint32_t major_mean,
+                                          std::uint32_t max_size) {
+  const std::uint64_t major_mask = major_mean - 1;
+  const std::uint64_t minor_mask = minor_mean - 1;
+  std::vector<ChunkBoundary> out;
+  RabinHash rabin;
+  std::uint64_t start = 0;
+  std::uint64_t pos = 0;
+  std::uint64_t backup_len = 0;
+  while (pos < data.size()) {
+    const std::uint64_t h = rabin.roll(data[pos]);
+    ++pos;
+    const std::uint64_t len = pos - start;
+    if (len < min_size) continue;
+    if ((h & major_mask) == (kMagic & major_mask)) {
+      out.push_back({start, static_cast<std::uint32_t>(len)});
+      start = pos;
+      backup_len = 0;
+      rabin.reset();
+      continue;
+    }
+    if ((h & minor_mask) == (kMagic & minor_mask)) backup_len = len;
+    if (len >= max_size) {
+      const std::uint64_t cut = backup_len > 0 ? backup_len : len;
+      out.push_back({start, static_cast<std::uint32_t>(cut)});
+      start += cut;
+      pos = start;
+      backup_len = 0;
+      rabin.reset();
+    }
+  }
+  if (start < data.size()) {
+    out.push_back({start, static_cast<std::uint32_t>(data.size() - start)});
+  }
+  return out;
+}
+
+// Period-`period` repetition of random bytes: every window recurs, so a
+// boundary pattern either repeats or never fires.
+Buffer periodic_data(std::size_t n, std::size_t period, std::uint64_t seed) {
+  const Buffer unit = random_data(period, seed);
+  Buffer out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = unit[i % period];
+  return out;
+}
+
+struct CdcParams {
+  std::uint32_t min, avg, max;
+};
+struct TttdParams {
+  std::uint32_t min, minor, major, max;
+};
+
+// min < window, min == window, the paper's shapes, and tight clamps that
+// force many max-size and fallback cuts.
+const CdcParams kCdcParams[] = {{16, 32, 128},     {48, 64, 256},
+                                {1024, 4096, 16384}, {2048, 8192, 32768},
+                                {100, 128, 200},   {64, 64, 64}};
+const TttdParams kTttdParams[] = {{1024, 2048, 4096, 32768},
+                                  {16, 32, 64, 128},
+                                  {48, 64, 128, 256},
+                                  {200, 256, 4096, 4096},
+                                  {64, 64, 64, 64}};
+
+void expect_matches_references(const Buffer& data, const std::string& what) {
+  const ByteView view{data.data(), data.size()};
+  for (const auto& p : kCdcParams) {
+    EXPECT_EQ(CdcChunker(p.min, p.avg, p.max).chunk(view),
+              reference_cdc(view, p.min, p.avg, p.max))
+        << what << " CDC(" << p.min << "," << p.avg << "," << p.max << ")";
+  }
+  for (const auto& p : kTttdParams) {
+    EXPECT_EQ(TttdChunker(p.min, p.minor, p.major, p.max).chunk(view),
+              reference_tttd(view, p.min, p.minor, p.major, p.max))
+        << what << " TTTD(" << p.min << "," << p.minor << "," << p.major
+        << "," << p.max << ")";
+  }
+}
+
+TEST(ChunkerReferenceTest, RandomData) {
+  expect_matches_references(random_data(2 << 20, 30), "random");
+}
+
+TEST(ChunkerReferenceTest, AllZeroData) {
+  expect_matches_references(Buffer(1 << 20, 0), "zeros");
+}
+
+TEST(ChunkerReferenceTest, PeriodicData) {
+  for (std::size_t period : {1u, 7u, 48u, 49u, 1000u, 5000u}) {
+    expect_matches_references(periodic_data(1 << 19, period, 31 + period),
+                              "period " + std::to_string(period));
+  }
+}
+
+TEST(ChunkerReferenceTest, LengthsAroundMinAndMax) {
+  // Every length within 3 bytes of the window size and of each config's
+  // min, max and twice its max, where the skipped prefix and the clamps
+  // meet the end of the input. Every edge is at least 16.
+  std::vector<std::uint32_t> edges = {RabinHash::kWindowSize};
+  for (const auto& p : kCdcParams) {
+    edges.insert(edges.end(), {p.min, p.max, 2 * p.max});
+  }
+  for (const auto& p : kTttdParams) {
+    edges.insert(edges.end(), {p.min, p.max, 2 * p.max});
+  }
+  const Buffer data =
+      random_data(*std::max_element(edges.begin(), edges.end()) + 3, 32);
+  std::vector<std::size_t> lengths = {0, 1};
+  for (std::uint32_t edge : edges) {
+    for (std::size_t len = edge - 3; len <= edge + 3; ++len) {
+      lengths.push_back(len);
+    }
+  }
+  for (std::size_t len : lengths) {
+    expect_matches_references(Buffer(data.begin(), data.begin() + len),
+                              "length " + std::to_string(len));
+  }
+}
+
+TEST(ChunkerReferenceTest, TttdFallbackCutRescans) {
+  // A major divisor as wide as max often finds no match in time, so those
+  // chunks are cut at their last minor match and the next chunk rescans
+  // from there.
+  constexpr std::uint32_t kMin = 64, kMinor = 128, kMajor = 32768;
+  const Buffer data = random_data(2 << 20, 33);
+  const ByteView view{data.data(), data.size()};
+  const auto chunks = TttdChunker(kMin, kMinor, kMajor, kMajor).chunk(view);
+  EXPECT_EQ(chunks, reference_tttd(view, kMin, kMinor, kMajor, kMajor));
+  expect_covers(chunks, data.size());
+  // A fallback cut ends on a window that matches the minor divisor only.
+  std::size_t fallbacks = 0;
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    RabinHash rabin;
+    for (std::uint8_t b : view.subspan(chunks[i].offset, chunks[i].size)) {
+      rabin.roll(b);
+    }
+    if ((rabin.value() & (kMajor - 1)) != (kMagic & (kMajor - 1))) {
+      EXPECT_EQ(rabin.value() & (kMinor - 1), kMagic & (kMinor - 1));
+      ++fallbacks;
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 // --- FixedChunker -----------------------------------------------------------

@@ -1,11 +1,13 @@
 // SHA-1 (RFC 3174) and MD5 (RFC 1321) against official test vectors, plus
-// incremental-update and reuse semantics.
+// incremental-update and reuse semantics, and the SHA-NI SHA-1 kernel
+// against the scalar one.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/md5.h"
+#include "common/random.h"
 #include "common/sha1.h"
 
 namespace sigma {
@@ -23,6 +25,13 @@ std::string hex(const std::uint8_t* data, std::size_t n) {
 
 std::string sha1_hex(const std::string& input) {
   const auto d = Sha1::hash(as_bytes(input));
+  return hex(d.data(), d.size());
+}
+
+std::string sha1_hex(Sha1::Kernel kernel, ByteView input) {
+  Sha1 h(kernel);
+  h.update(input);
+  const auto d = h.finish();
   return hex(d.data(), d.size());
 }
 
@@ -100,6 +109,123 @@ TEST(Sha1Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(sha1_hex("abc"), sha1_hex("abd"));
   EXPECT_NE(sha1_hex("abc"), sha1_hex("abc "));
 }
+
+// --- SHA-1 kernels: SHA-NI against the scalar oracle ------------------------
+
+// The kernel a default hasher picks during static initialisation, before
+// main() and before libgcc's own CPU-model constructor is guaranteed to
+// have run. Picking it from __builtin_cpu_supports without
+// __builtin_cpu_init() would silently read kScalar here.
+const Sha1::Kernel kKernelAtStaticInit = Sha1().kernel();
+
+Buffer random_bytes(std::size_t n, std::uint64_t seed) {
+  Buffer out(n);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+bool cpu_reports_shani() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+         __builtin_cpu_supports("sse4.1");
+}
+#else
+bool cpu_reports_shani() { return false; }
+#endif
+
+TEST(Sha1DispatchTest, PicksShaNiWhenCpuReportsSha) {
+  if (!cpu_reports_shani()) {
+    EXPECT_EQ(Sha1::detected_kernel(), Sha1::Kernel::kScalar);
+    GTEST_SKIP() << "CPU lacks SHA-NI";
+  }
+  EXPECT_EQ(Sha1::detected_kernel(), Sha1::Kernel::kShaNi);
+  EXPECT_EQ(Sha1().kernel(), Sha1::Kernel::kShaNi);
+  EXPECT_EQ(kKernelAtStaticInit, Sha1::Kernel::kShaNi);
+}
+
+TEST(Sha1DispatchTest, ScalarAlwaysSupported) {
+  EXPECT_EQ(Sha1(Sha1::Kernel::kScalar).kernel(), Sha1::Kernel::kScalar);
+  EXPECT_STREQ(to_string(Sha1::Kernel::kScalar), "scalar");
+  EXPECT_STREQ(to_string(Sha1::Kernel::kShaNi), "shani");
+}
+
+TEST(Sha1DispatchTest, ShaNiConstructsOnlyWhereSupported) {
+  if (Sha1::detected_kernel() == Sha1::Kernel::kShaNi) {
+    EXPECT_EQ(Sha1(Sha1::Kernel::kShaNi).kernel(), Sha1::Kernel::kShaNi);
+  } else {
+    EXPECT_THROW(Sha1(Sha1::Kernel::kShaNi), std::invalid_argument);
+  }
+}
+
+TEST(Sha1DispatchTest, ShaNiMatchesScalarEveryLengthUnaligned) {
+  if (Sha1::detected_kernel() != Sha1::Kernel::kShaNi) {
+    GTEST_SKIP() << "CPU lacks SHA-NI";
+  }
+  constexpr std::size_t kMaxLen = 4160;
+  const Buffer data = random_bytes(kMaxLen + 16, 1);
+  for (std::size_t offset : {0u, 1u, 13u}) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const ByteView in{data.data() + offset, len};
+      ASSERT_EQ(sha1_hex(Sha1::Kernel::kShaNi, in),
+                sha1_hex(Sha1::Kernel::kScalar, in))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+class Sha1KernelTest : public ::testing::TestWithParam<Sha1::Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Sha1::Kernel::kShaNi &&
+        Sha1::detected_kernel() != Sha1::Kernel::kShaNi) {
+      GTEST_SKIP() << "CPU lacks SHA-NI";
+    }
+  }
+  std::string hash_hex(const std::string& input) const {
+    return sha1_hex(GetParam(), as_bytes(input));
+  }
+};
+
+TEST_P(Sha1KernelTest, FipsVectors) {
+  EXPECT_EQ(hash_hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(hash_hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(
+      hash_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  EXPECT_EQ(hash_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                     "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "a49b2446a02c645bf419f995b67091253a04a259");
+  EXPECT_EQ(hash_hex(std::string(1000000, 'a')),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST_P(Sha1KernelTest, SplitUpdatesAcrossBlockBoundaries) {
+  // Two and three pieces, cut at every position of a three-block message:
+  // pieces that end mid-block, on a block edge and span whole blocks must
+  // all give the one-shot digest.
+  const Buffer data = random_bytes(3 * Sha1::kBlockSize + 17, 2);
+  const ByteView all{data.data(), data.size()};
+  const std::string want = sha1_hex(GetParam(), all);
+  for (std::size_t a = 0; a <= data.size(); ++a) {
+    for (std::size_t b = a; b <= data.size(); b += 7) {
+      Sha1 h(GetParam());
+      h.update(all.subspan(0, a));
+      h.update(all.subspan(a, b - a));
+      h.update(all.subspan(b));
+      const auto d = h.finish();
+      ASSERT_EQ(hex(d.data(), d.size()), want) << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha1KernelTest,
+                         ::testing::Values(Sha1::Kernel::kScalar,
+                                           Sha1::Kernel::kShaNi),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 // --- MD5 test vectors (RFC 1321 appendix A.5) ------------------------------
 
