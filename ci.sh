@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 ctest --output-on-failure -j"$(nproc)" --test-dir build
 
 scripts/tcp_smoke.sh build
@@ -65,7 +65,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # shared write queues — exactly where the sanitizers earn their keep.
   cmake -B build-asan -S . -DSIGMA_SANITIZE=address,undefined \
       -DSIGMA_BUILD_BENCH=OFF -DSIGMA_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j
+  cmake --build build-asan -j"$(nproc)"
   ctest --output-on-failure -j"$(nproc)" --test-dir build-asan
 
   # TSan lane: the full suite plus both multi-process smoke tests, with
@@ -74,7 +74,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # report here is a real race, fix it rather than suppress it.
   cmake -B build-tsan -S . -DSIGMA_SANITIZE=thread -DSIGMA_LOCK_RANKS=ON \
       -DSIGMA_BUILD_BENCH=OFF
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j"$(nproc)"
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \
       ctest --output-on-failure -j"$(nproc)" --test-dir build-tsan
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \

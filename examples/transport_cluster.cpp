@@ -56,9 +56,8 @@ int main(int argc, char** argv) {
       }
       config.num_nodes = config.transport.tcp_nodes.size();
     } else if (arg == "--registry" && i + 1 < argc) {
-      // Fleet discovery: lease a client endpoint range from the registry
-      // and take the node map from its fleet view — no hand-written
-      // host:port:endpoint list, no hand-assigned client base.
+      // Fleet discovery: take the node map from the registry's fleet
+      // view — no hand-written host:port:endpoint list.
       try {
         config.transport.registry = net::parse_tcp_address(argv[++i]);
       } catch (const std::exception& e) {
@@ -87,8 +86,8 @@ int main(int argc, char** argv) {
                 << " [--registry H:P]\n"
                 << "                         [--watch-updates N]"
                 << " [--trace-sample N]\n"
-                << "  --registry H:P    lease endpoints + node map from a\n"
-                << "                    fleet registry instead of --tcp\n"
+                << "  --registry H:P    take the node map from a fleet\n"
+                << "                    registry instead of --tcp\n"
                 << "  --watch-updates N after the backup, wait for N observed\n"
                 << "                    fleet-view changes (membership test\n"
                 << "                    hook; exits 1 on a 30s timeout)\n"
@@ -142,7 +141,6 @@ int main(int argc, char** argv) {
       const auto view = dedupe.cluster().fleet_view();
       seen_version = view ? view->version : 0;
       std::cout << "REGISTRY nodes=" << (view ? view->nodes.size() : 0)
-                << " base=" << dedupe.cluster().client_endpoint_base()
                 << " version=" << seen_version << std::endl;
     }
     std::cout << "running over TCP against " << dedupe.cluster().size()

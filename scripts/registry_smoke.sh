@@ -7,10 +7,10 @@
 #
 #   1. baseline  — static-map wiring, the report every other leg must hit
 #   2. registry  — same workload discovered via --registry: REGISTERED
-#                  daemons, a leased client range, bit-identical report,
+#                  daemons, a fleet-view client, bit-identical report,
 #                  fleet_stats --registry scrape, and a membership change
 #                  (daemon joins, then leaves) that a watcher client pulls
-#                  within one heartbeat interval (ttl/3, ~1.7 s)
+#                  within one pull interval (ttl/3, ~1.7 s)
 #   3. kill      — SIGKILL the registry while a client is mid-backup: the
 #                  client finishes on its cached view with the identical
 #                  report, and the daemons stay up
@@ -90,15 +90,14 @@ grep -q "REGISTERED registry=127.0.0.1:$RPORT" "$WORK/d1.log" || {
 grep -q "REGISTERED registry=127.0.0.1:$RPORT" "$WORK/d2.log" || {
   echo "FAIL: daemon 2 did not register"; cat "$WORK/d2.log"; exit 1; }
 
-timeout 120 "$CLIENT" --registry "127.0.0.1:$RPORT" > "$WORK/leased.log"
-grep -q "(verified)" "$WORK/leased.log" || {
-  echo "FAIL: registry-mode restore not verified"; cat "$WORK/leased.log"; exit 1; }
-# The client leased its endpoint range — the base came from the registry,
-# and the 4-node map from the fleet view.
-grep -q "REGISTRY nodes=4" "$WORK/leased.log" || {
-  echo "FAIL: expected a 4-node fleet view"; cat "$WORK/leased.log"; exit 1; }
-report_of "$WORK/leased.log" > "$WORK/leased.report"
-diff -u "$WORK/baseline.report" "$WORK/leased.report" || {
+timeout 120 "$CLIENT" --registry "127.0.0.1:$RPORT" > "$WORK/discovered.log"
+grep -q "(verified)" "$WORK/discovered.log" || {
+  echo "FAIL: registry-mode restore not verified"; cat "$WORK/discovered.log"; exit 1; }
+# The client took its 4-node map from the fleet view.
+grep -q "REGISTRY nodes=4" "$WORK/discovered.log" || {
+  echo "FAIL: expected a 4-node fleet view"; cat "$WORK/discovered.log"; exit 1; }
+report_of "$WORK/discovered.log" > "$WORK/discovered.report"
+diff -u "$WORK/baseline.report" "$WORK/discovered.report" || {
   echo "FAIL: registry-mode report differs from static baseline"; exit 1; }
 echo "registry-mode report is identical to the static baseline"
 
@@ -115,15 +114,15 @@ print("fleet_stats --registry: %d daemons, %d requests served"
       % (len(doc["daemons"]), served))
 PY
 
-echo "== membership change reaches a leased client"
+echo "== membership change reaches a watching client"
 timeout 120 "$CLIENT" --registry "127.0.0.1:$RPORT" --watch-updates 2 \
     > "$WORK/watch.log" 2>&1 &
 WATCH_PID=$!
 PIDS+=($WATCH_PID)
-wait_for "REGISTRY nodes=4" "$WORK/watch.log" "watcher lease"
+wait_for "REGISTRY nodes=4" "$WORK/watch.log" "watcher view"
 
-# A third daemon joins: the watcher's next heartbeat reply shows a newer
-# view version, and it fetches the grown view.
+# A third daemon joins: the watcher's next view pull brings the grown
+# view.
 start_daemon "$WORK/d3.log" 104 --registry "127.0.0.1:$RPORT"
 D3_PID=${PIDS[-1]}
 wait_for "FLEET-UPDATE.*nodes=6" "$WORK/watch.log" "join observed"
@@ -148,9 +147,9 @@ K2_PID=${PIDS[-1]}
 timeout 120 "$CLIENT" --registry "127.0.0.1:$R2PORT" > "$WORK/killed.log" 2>&1 &
 KCLIENT_PID=$!
 PIDS+=($KCLIENT_PID)
-# The REGISTRY line is flushed the moment the client holds its lease and
-# cached view — kill the registry before the backup finishes.
-wait_for "REGISTRY nodes=4" "$WORK/killed.log" "client lease"
+# The REGISTRY line is flushed the moment the client holds its cached
+# view — kill the registry before the backup finishes.
+wait_for "REGISTRY nodes=4" "$WORK/killed.log" "client view"
 kill -9 "$R2_PID"
 wait "$KCLIENT_PID" || {
   echo "FAIL: client died after the registry was killed"; cat "$WORK/killed.log"; exit 1; }

@@ -18,13 +18,6 @@
 #include "service/wire_protocol.h"
 
 namespace sigma {
-namespace {
-
-/// Endpoint ids a registry-mode cluster leases. One covers the cluster's
-/// single RpcEndpoint; the rest is slack for future per-stream endpoints.
-constexpr std::uint32_t kLeasedClientEndpoints = 16;
-
-}  // namespace
 
 /// Everything the TCP deployment adds on the client side: the transport,
 /// the shared client endpoint with its stubs dialed at the node map, and
@@ -43,7 +36,6 @@ struct Cluster::TransportRuntime {
       : timeout(config.rpc_timeout_ms),
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
     net::TcpTransportConfig tcp;
-    tcp.endpoint_base = config.tcp_client_endpoint_base;
     tcp.metrics = &metrics;
     for (const auto& node : config.tcp_nodes) {
       tcp.remote_endpoints.emplace(node.endpoint, node.address);
@@ -145,27 +137,23 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   if (config_.transport.registry &&
       config_.transport.mode == TransportMode::kTcp) {
-    // Registry mode: lease this client's endpoint range and take the
-    // node map from the fleet view, instead of trusting hand-wired
-    // values. Must run before anything sized from num_nodes.
+    // Registry mode: take the node map from the fleet view instead of
+    // trusting hand-wired values. Must run before anything sized from
+    // num_nodes.
     ctrl::RegistryClientConfig rc;
     rc.registry = *config_.transport.registry;
     rc.rpc_timeout_ms = config_.transport.registry_timeout_ms;
     rc.metrics = metrics_.get();
     registry_client_ = std::make_unique<ctrl::RegistryClient>(rc);
-    const service::LeaseEndpointsReply lease =
-        registry_client_->lease_endpoints(kLeasedClientEndpoints);
-    if (lease.view.nodes.empty()) {
+    const service::FleetView view = registry_client_->watch_fleet();
+    if (view.nodes.empty()) {
       throw std::runtime_error(
           "Cluster: registry at " + config_.transport.registry->to_string() +
           " has no registered node daemons");
     }
-    config_.transport.tcp_nodes = lease.view.nodes;
-    config_.transport.tcp_client_endpoint_base = lease.endpoint_base;
-    config_.num_nodes = lease.view.nodes.size();
-    SIGMA_LOG_INFO << "cluster: leased client endpoints base "
-                   << lease.endpoint_base << " (+" << kLeasedClientEndpoints
-                   << "), fleet view v" << lease.view.version << " with "
+    config_.transport.tcp_nodes = view.nodes;
+    config_.num_nodes = view.nodes.size();
+    SIGMA_LOG_INFO << "cluster: fleet view v" << view.version << " with "
                    << config_.num_nodes << " nodes";
   }
   if (config_.transport.mode == TransportMode::kTcp) {
@@ -187,15 +175,14 @@ Cluster::Cluster(const ClusterConfig& config)
             std::to_string(node.endpoint) +
             " in tcp_nodes (give each daemon a distinct --first-endpoint)");
       }
-      // This client's endpoint base landing inside (or below) a daemon
-      // range would alias client ids to node services — refuse at
-      // construction instead of surfacing as runtime route conflicts.
-      if (node.endpoint >= config_.transport.tcp_client_endpoint_base) {
+      // A service id in the client range would alias this client's own
+      // endpoint ids to a node service — refuse at construction.
+      if (node.endpoint >= net::kClientEndpointBase) {
         throw std::invalid_argument(
             "Cluster: node endpoint " + std::to_string(node.endpoint) +
-            " overlaps this client's endpoint range (base " +
-            std::to_string(config_.transport.tcp_client_endpoint_base) +
-            ") — daemon service ids must stay below every client base");
+            " overlaps the client endpoint range (base " +
+            std::to_string(net::kClientEndpointBase) +
+            ") — daemon service ids must stay below it");
       }
     }
     runtime_ = std::make_unique<TransportRuntime>(config_.transport, *metrics_);

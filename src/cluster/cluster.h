@@ -64,16 +64,12 @@ struct TransportConfig {
   /// tcp_nodes.size(). See net::parse_tcp_nodes for "host:port[:endpoint]"
   /// string form.
   std::vector<net::TcpNodeAddress> tcp_nodes;
-  /// kTcp only: this client's endpoint id range. Give each client process
-  /// sharing a fleet a distinct base.
-  net::EndpointId tcp_client_endpoint_base = net::kClientEndpointBase;
-  /// kTcp only: fetch the node map from a fleet registry and LEASE this
-  /// client's endpoint range from it, instead of wiring tcp_nodes /
-  /// tcp_client_endpoint_base by hand (both are overwritten from the
-  /// lease reply; num_nodes follows the fleet view). The static map stays
-  /// the fallback when unset. If the registry later dies, the cluster
-  /// degrades gracefully: heartbeats log the outage and the fleet keeps
-  /// serving from the view cached here at construction.
+  /// kTcp only: fetch the node map from a fleet registry instead of
+  /// wiring tcp_nodes by hand (tcp_nodes is overwritten from the fleet
+  /// view; num_nodes follows it). The static map stays the fallback when
+  /// unset. If the registry later dies, the cluster degrades gracefully:
+  /// the periodic view pulls log the outage and the fleet keeps serving
+  /// from the view cached here at construction.
   std::optional<net::TcpAddress> registry;
   std::uint32_t registry_timeout_ms = 5000;
 };
@@ -158,8 +154,8 @@ class Cluster {
   /// direct mode.
   obs::MetricsSnapshot stats_snapshot(NodeId node) const;
 
-  /// Registry mode only: the latest fleet view (the lease-time view until
-  /// a heartbeat observes a membership change and pulls the new one).
+  /// Registry mode only: the latest fleet view (the construction-time
+  /// view until a periodic pull brings a newer one).
   /// Empty optional under static wiring. NOTE: the cluster keeps its
   /// wired node map until restarted — an observed change updates this
   /// view (and logs) so operators and tests see it; dynamic rewiring is
@@ -170,16 +166,9 @@ class Cluster {
   /// degraded-mode probe). True under static wiring.
   bool registry_healthy() const;
 
-  /// The registry stub (lease id, latest view); null under static
-  /// wiring.
+  /// The registry stub (health, latest view); null under static wiring.
   const ctrl::RegistryClient* registry_client() const {
     return registry_client_.get();
-  }
-
-  /// This client's endpoint base — the leased one in registry mode, the
-  /// wired/default one otherwise.
-  net::EndpointId client_endpoint_base() const {
-    return config_.transport.tcp_client_endpoint_base;
   }
 
   /// Process one backup generation in trace form (no payloads).

@@ -1,22 +1,10 @@
 #include "ctrl/registry_client.h"
 
-#include <random>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace sigma::ctrl {
-namespace {
-
-/// Random endpoint id in the bootstrap band (see the header comment).
-net::EndpointId random_bootstrap_base() {
-  std::random_device rd;
-  std::uniform_int_distribution<net::EndpointId> dist(
-      net::kRegistryBootstrapBase, 0xFFFFFF00u);
-  return dist(rd);
-}
-
-}  // namespace
 
 RegistryClient::RegistryClient(const RegistryClientConfig& config)
     : config_(config),
@@ -28,7 +16,6 @@ RegistryClient::RegistryClient(const RegistryClientConfig& config)
       m_reregisters_(metrics_->counter("registry_client.reregisters")) {
   net::TcpTransportConfig tcp;
   tcp.remote_endpoints[net::kRegistryEndpoint] = config_.registry;
-  tcp.endpoint_base = random_bootstrap_base();
   transport_ = std::make_unique<net::TcpTransport>(std::move(tcp));
   rpc_ = std::make_unique<net::RpcEndpoint>(*transport_, metrics_.get());
 }
@@ -70,27 +57,17 @@ service::LeaseGrant RegistryClient::register_node(
   return grant;
 }
 
-service::LeaseEndpointsReply RegistryClient::lease_endpoints(
-    std::uint32_t num_endpoints) {
-  service::LeaseEndpointsRequest req;
-  req.num_endpoints = num_endpoints;
-  const Buffer body = rpc_->call_sync(
-      net::kRegistryEndpoint, net::MessageType::kLeaseEndpoints,
-      service::encode_lease_endpoints_request(req),
-      std::chrono::milliseconds(config_.rpc_timeout_ms));
-  service::LeaseEndpointsReply reply =
-      service::decode_lease_endpoints_reply(
-          ByteView{body.data(), body.size()});
+service::FleetView RegistryClient::watch_fleet() {
+  const service::FleetView view = fetch_fleet();
   {
     MutexLock lock(mu_);
-    lease_id_ = reply.grant.lease_id;
-    ttl_ms_ = reply.grant.ttl_ms;
+    ttl_ms_ = view.ttl_ms;
     is_node_ = false;
     healthy_ = true;
-    latest_view_ = reply.view;
+    latest_view_ = view;
   }
   start_heartbeat();
-  return reply;
+  return view;
 }
 
 service::FleetView RegistryClient::fetch_fleet() {
@@ -149,90 +126,99 @@ void RegistryClient::start_heartbeat() {
 void RegistryClient::heartbeat_loop() {
   for (;;) {
     std::uint64_t id = 0;
-    std::uint32_t interval_ms = 0;
+    bool is_node = false;
     {
       MutexLock lock(mu_);
-      interval_ms = config_.heartbeat_interval_ms > 0
-                        ? config_.heartbeat_interval_ms
-                        : std::max<std::uint32_t>(ttl_ms_ / 3, 1);
+      const std::uint32_t interval_ms =
+          config_.heartbeat_interval_ms > 0
+              ? config_.heartbeat_interval_ms
+              : std::max<std::uint32_t>(ttl_ms_ / 3, 1);
       // A leave() that ran before this thread first got here has already
       // notified: check before waiting, or the stop sleeps a whole interval.
       if (!stop_) cv_.wait_for(mu_, std::chrono::milliseconds(interval_ms));
       if (stop_) return;
       id = lease_id_;
+      is_node = is_node_;
     }
-    if (id == 0) continue;
-    std::uint64_t version = 0;
-    try {
-      const Buffer reply = rpc_->call_sync(
-          net::kRegistryEndpoint, net::MessageType::kRegistryHeartbeat,
-          service::encode_u64(id),
-          std::chrono::milliseconds(config_.rpc_timeout_ms));
-      version = service::decode_u64(ByteView{reply.data(), reply.size()});
-      m_heartbeats_.inc();
-      note_heartbeat_result(true, {});
-    } catch (const std::exception& e) {
-      // An RpcError, or a reply that does not decode.
-      m_heartbeat_failures_.inc();
-      const std::string what = e.what();
-      const bool unknown_lease =
-          what.find("unknown lease") != std::string::npos;
-      bool try_reregister = false;
-      {
-        MutexLock lock(mu_);
-        try_reregister = unknown_lease && is_node_;
-        if (unknown_lease && !is_node_) {
-          // A client's lease is gone (partition outlived the TTL, or the
-          // registry restarted): its leased range may be re-issued. Keep
-          // serving from the cached view — re-leasing would hand back a
-          // different endpoint base mid-flight — but say so.
-          lease_id_ = 0;
-        }
-      }
-      note_heartbeat_result(false, what);
-      if (try_reregister) {
-        // The registry forgot us (restart / expiry): a daemon's range is
-        // its identity, so re-registering is always safe — identical
-        // re-registration replaces, anything else is refused loudly.
-        net::TcpAddress advertise;
-        net::EndpointId first = 0;
-        std::uint32_t count = 0;
-        {
-          MutexLock lock(mu_);
-          advertise = advertise_;
-          first = first_endpoint_;
-          count = num_endpoints_;
-        }
-        try {
-          service::RegisterNodeRequest req;
-          req.host = advertise.host;
-          req.port = advertise.port;
-          req.first_endpoint = first;
-          req.num_endpoints = count;
-          const Buffer reply = rpc_->call_sync(
-              net::kRegistryEndpoint, net::MessageType::kRegisterNode,
-              service::encode_register_node_request(req),
-              std::chrono::milliseconds(config_.rpc_timeout_ms));
-          const service::LeaseGrant grant = service::decode_lease_grant(
-              ByteView{reply.data(), reply.size()});
-          {
-            MutexLock lock(mu_);
-            lease_id_ = grant.lease_id;
-            ttl_ms_ = grant.ttl_ms;
-          }
-          m_reregisters_.inc();
-          note_heartbeat_result(true, {});
-          SIGMA_LOG_INFO << "registry client: re-registered "
-                         << advertise.to_string() << " after lease loss";
-        } catch (const net::RpcError& re) {
-          SIGMA_LOG_WARN << "registry client: re-register failed: "
-                         << re.what();
-        }
-      }
-      continue;
+    if (is_node) {
+      heartbeat(id);
+    } else {
+      pull_view();
     }
-    refresh_view(version);
   }
+}
+
+void RegistryClient::heartbeat(std::uint64_t id) {
+  try {
+    rpc_->call_sync(net::kRegistryEndpoint,
+                    net::MessageType::kRegistryHeartbeat,
+                    service::encode_u64(id),
+                    std::chrono::milliseconds(config_.rpc_timeout_ms));
+    m_heartbeats_.inc();
+    note_heartbeat_result(true, {});
+    return;
+  } catch (const std::exception& e) {
+    m_heartbeat_failures_.inc();
+    note_heartbeat_result(false, e.what());
+    if (std::string(e.what()).find("unknown lease") == std::string::npos) {
+      return;
+    }
+  }
+  // The registry forgot us (restart / expiry): a daemon's range is its
+  // identity, so re-registering is always safe — identical
+  // re-registration replaces, anything else is refused loudly.
+  service::RegisterNodeRequest req;
+  {
+    MutexLock lock(mu_);
+    req.host = advertise_.host;
+    req.port = advertise_.port;
+    req.first_endpoint = first_endpoint_;
+    req.num_endpoints = num_endpoints_;
+  }
+  try {
+    const Buffer reply = rpc_->call_sync(
+        net::kRegistryEndpoint, net::MessageType::kRegisterNode,
+        service::encode_register_node_request(req),
+        std::chrono::milliseconds(config_.rpc_timeout_ms));
+    const service::LeaseGrant grant =
+        service::decode_lease_grant(ByteView{reply.data(), reply.size()});
+    {
+      MutexLock lock(mu_);
+      lease_id_ = grant.lease_id;
+      ttl_ms_ = grant.ttl_ms;
+    }
+    m_reregisters_.inc();
+    note_heartbeat_result(true, {});
+    SIGMA_LOG_INFO << "registry client: re-registered "
+                   << net::TcpAddress{req.host, req.port}.to_string()
+                   << " after lease loss";
+  } catch (const std::exception& e) {
+    // An RpcError, or a grant that does not decode.
+    SIGMA_LOG_WARN << "registry client: re-register failed: " << e.what();
+  }
+}
+
+void RegistryClient::pull_view() {
+  service::FleetView view;
+  try {
+    view = fetch_fleet();
+  } catch (const std::exception& e) {
+    // An RpcError, or a reply that does not decode.
+    m_heartbeat_failures_.inc();
+    note_heartbeat_result(false, e.what());
+    return;
+  }
+  m_heartbeats_.inc();
+  note_heartbeat_result(true, {});
+  {
+    MutexLock lock(mu_);
+    ttl_ms_ = view.ttl_ms;
+    if (view.version <= latest_view_.version) return;
+    latest_view_ = view;
+  }
+  m_updates_.inc();
+  SIGMA_LOG_WARN << "registry client: fleet view v" << view.version
+                 << " now has " << view.nodes.size() << " nodes";
 }
 
 void RegistryClient::note_heartbeat_result(bool ok,
@@ -253,30 +239,6 @@ void RegistryClient::note_heartbeat_result(bool ok,
                    << " is unreachable (" << error
                    << ") — continuing on cached fleet state";
   }
-}
-
-void RegistryClient::refresh_view(std::uint64_t version) {
-  {
-    MutexLock lock(mu_);
-    if (is_node_ || version <= latest_view_.version) return;
-  }
-  service::FleetView view;
-  try {
-    view = fetch_fleet();
-  } catch (const std::exception& e) {
-    // The next heartbeat sees the same newer version and retries.
-    SIGMA_LOG_WARN << "registry client: fleet view fetch failed: "
-                   << e.what();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    if (view.version <= latest_view_.version) return;
-    latest_view_ = view;
-  }
-  m_updates_.inc();
-  SIGMA_LOG_WARN << "registry client: fleet view v" << view.version
-                 << " now has " << view.nodes.size() << " nodes";
 }
 
 }  // namespace sigma::ctrl

@@ -1,33 +1,24 @@
 // Client stub for the fleet registry (see registry_server.h): owns a
 // private transport dialing the registry's well-known endpoint, speaks
-// the control-plane ops, and runs the heartbeat that keeps the granted
-// lease alive.
+// the control-plane ops, and runs one background thread at ttl/3.
 //
 // Two roles share this class:
 //
 //   * a node daemon calls register_node() with its advertised address and
-//     endpoint range (refused up front on overlap — the id-collision bug
-//     class dies here, at registration, not at runtime route conflicts);
-//   * a backup client calls lease_endpoints() and wires its Cluster from
-//     the returned endpoint base + fleet view. Each heartbeat reply
-//     carries the registry's view version; when it is newer than the
-//     client's view, the client pulls the new view with kFleetFetch, so
-//     latest_view() trails a membership change by at most one heartbeat
-//     interval. A daemon ignores the version.
+//     endpoint range (refused up front on overlap), and the thread
+//     heartbeats the granted lease;
+//   * a backup client calls watch_fleet() and wires its Cluster from the
+//     returned fleet view; the thread then pulls the view with kFleetFetch
+//     every ttl/3 (the TTL the view carries), so latest_view() trails a
+//     membership change by at most one pull interval. A client holds no
+//     lease.
 //
-// Degraded mode: if the registry dies, heartbeats fail — the client logs
-// ONE warning per transition, keeps its lease state (the data plane is
-// untouched: daemons keep serving, clients keep their cached view) and
-// keeps probing at the heartbeat cadence. A daemon whose heartbeat is
-// answered with "unknown lease" (registry restarted, or the lease
-// expired during a partition) re-registers automatically.
-//
-// Bootstrap endpoint ids: this transport never listens, but its outgoing
-// endpoint id must not collide with another client's in the registry's
-// learned routes *before* any lease exists. It therefore self-assigns a
-// random id in the reserved kRegistryBootstrapBase band (collision odds
-// ~2^-30 per pair; a collision degrades to one refused message, never to
-// cross-delivery).
+// Degraded mode: if the registry dies, heartbeats and pulls fail — the
+// stub logs ONE warning per transition, keeps its state (the data plane
+// is untouched: daemons keep serving, clients keep their cached view) and
+// keeps probing at the same cadence. A daemon whose heartbeat is answered
+// with "unknown lease" (registry restarted, or the lease expired during a
+// partition) re-registers automatically.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +42,14 @@ struct RegistryClientConfig {
   /// Per-RPC timeout against the registry.
   std::uint32_t rpc_timeout_ms = 5000;
 
-  /// Heartbeat cadence; 0 = a third of the granted lease TTL.
+  /// Heartbeat (daemon) or view-pull (client) cadence; 0 = a third of
+  /// the registry's lease TTL.
   std::uint32_t heartbeat_interval_ms = 0;
 
   /// Metrics plane (must outlive the client): registry_client.*
   /// heartbeat / failure / update counters and the stub's rpc.* series
-  /// (registry_client.updates counts the newer views pulled after a
-  /// heartbeat).
+  /// (a client's periodic pulls count as heartbeats; registry_client.updates
+  /// counts the pulls that brought a newer view).
   /// Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
@@ -81,36 +73,40 @@ class RegistryClient {
                                     std::uint32_t num_endpoints)
       SIGMA_EXCLUDES(mu_);
 
-  /// Client role: lease `num_endpoints` ids. Starts the heartbeat, which
-  /// keeps latest_view() current.
-  service::LeaseEndpointsReply lease_endpoints(std::uint32_t num_endpoints)
-      SIGMA_EXCLUDES(mu_);
+  /// Client role: fetch the fleet view and start pulling it every ttl/3,
+  /// which keeps latest_view() current. Throws net::RpcError if the
+  /// registry is unreachable.
+  service::FleetView watch_fleet() SIGMA_EXCLUDES(mu_);
 
-  /// One-shot fleet view fetch (no lease needed — fleet CLIs use this).
+  /// One-shot fleet view fetch (fleet CLIs use this).
   service::FleetView fetch_fleet();
 
-  /// Release the lease cleanly and stop the heartbeat. Idempotent; a
-  /// dead registry makes this a no-op (logged, not thrown).
+  /// Stop the background thread and release a daemon's lease cleanly.
+  /// Idempotent; a dead registry makes this a no-op (logged, not thrown).
   void leave() SIGMA_EXCLUDES(mu_);
 
-  /// False while the registry is unreachable (heartbeats failing). The
-  /// fleet keeps serving from cached state — this is the degraded-mode
-  /// probe for operators and tests.
+  /// False while the registry is unreachable (heartbeats or pulls
+  /// failing). The fleet keeps serving from cached state — this is the
+  /// degraded-mode probe for operators and tests.
   bool healthy() const SIGMA_EXCLUDES(mu_);
 
   std::uint64_t lease_id() const SIGMA_EXCLUDES(mu_);
   std::uint32_t ttl_ms() const SIGMA_EXCLUDES(mu_);
 
-  /// Client role: the lease-time view, or the newest one pulled since.
+  /// Client role: the view watch_fleet() returned, or the newest one
+  /// pulled since.
   service::FleetView latest_view() const SIGMA_EXCLUDES(mu_);
 
  private:
   void start_heartbeat() SIGMA_EXCLUDES(mu_);
   void heartbeat_loop() SIGMA_EXCLUDES(mu_);
+  /// Daemon role: extend lease `id`, re-registering if the registry
+  /// forgot it.
+  void heartbeat(std::uint64_t id) SIGMA_EXCLUDES(mu_);
+  /// Client role: pull the view and keep it if it is newer than ours.
+  void pull_view() SIGMA_EXCLUDES(mu_);
   void note_heartbeat_result(bool ok, const std::string& error)
       SIGMA_EXCLUDES(mu_);
-  /// Client role: pull the view when `version` is newer than ours.
-  void refresh_view(std::uint64_t version) SIGMA_EXCLUDES(mu_);
 
   RegistryClientConfig config_;
   obs::RegistryRef metrics_;

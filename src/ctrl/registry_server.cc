@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/logging.h"
 #include "obs/metrics_wire.h"
@@ -30,13 +29,12 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
     : config_(config) {
   m_registrations_ = &registry_.counter("registry.registrations");
   m_register_refusals_ = &registry_.counter("registry.register_refusals");
-  m_leases_ = &registry_.counter("registry.client_leases");
   m_heartbeats_ = &registry_.counter("registry.heartbeats");
   m_unknown_leases_ = &registry_.counter("registry.unknown_leases");
   m_lease_expiries_ = &registry_.counter("registry.lease_expiries");
   m_leaves_ = &registry_.counter("registry.leaves");
   m_nodes_ = &registry_.gauge("registry.nodes");
-  m_clients_ = &registry_.gauge("registry.clients");
+  view_.ttl_ms = config_.lease_ttl_ms;
 
   net::TcpTransportConfig tcp;
   tcp.listen = config_.listen;
@@ -59,17 +57,7 @@ service::FleetView RegistryServer::fleet_view() {
 std::size_t RegistryServer::node_lease_count() {
   MutexLock lock(mu_);
   expire_due();
-  std::size_t n = 0;
-  for (const auto& [id, lease] : leases_) n += lease.is_node ? 1 : 0;
-  return n;
-}
-
-std::size_t RegistryServer::client_lease_count() {
-  MutexLock lock(mu_);
-  expire_due();
-  std::size_t n = 0;
-  for (const auto& [id, lease] : leases_) n += lease.is_node ? 0 : 1;
-  return n;
+  return leases_.size();
 }
 
 obs::MetricsSnapshot RegistryServer::metrics_snapshot() {
@@ -102,8 +90,6 @@ Buffer RegistryServer::answer(const net::Message& request) {
   switch (request.type) {
     case MessageType::kRegisterNode:
       return handle_register_node(request);
-    case MessageType::kLeaseEndpoints:
-      return handle_lease_endpoints(request);
     case MessageType::kRegistryHeartbeat: {
       const std::uint64_t id = service::decode_u64(
           ByteView{request.body.data(), request.body.size()});
@@ -117,23 +103,16 @@ Buffer RegistryServer::answer(const net::Message& request) {
       it->second.expires_at = std::chrono::steady_clock::now() +
                               std::chrono::milliseconds(config_.lease_ttl_ms);
       m_heartbeats_->inc();
-      // The version lets a client see that its view is stale and pull the
-      // new one with kFleetFetch.
-      return service::encode_u64(view_.version);
+      return Buffer{};
     }
     case MessageType::kRegistryLeave: {
       const std::uint64_t id = service::decode_u64(
           ByteView{request.body.data(), request.body.size()});
       auto it = leases_.find(id);
       if (it != leases_.end()) {
-        const bool was_node = it->second.is_node;
         leases_.erase(it);
         m_leaves_->inc();
-        if (was_node) {
-          rebuild_view();
-        } else {
-          m_clients_->sub(1);
-        }
+        rebuild_view();
       }
       // Leaving twice (or after expiry) is not an error: the desired
       // state — no lease — already holds.
@@ -179,7 +158,6 @@ Buffer RegistryServer::handle_register_node(const net::Message& request) {
   bool replaced = false;
   for (auto it = leases_.begin(); it != leases_.end(); ++it) {
     const Lease& held = it->second;
-    if (!held.is_node) continue;
     if (held.address == address && held.base == req.first_endpoint &&
         held.count == req.num_endpoints) {
       // The same daemon re-registering (restart, or a heartbeat that hit
@@ -202,7 +180,6 @@ Buffer RegistryServer::handle_register_node(const net::Message& request) {
 
   Lease lease;
   lease.id = next_lease_id_++;
-  lease.is_node = true;
   lease.address = address;
   lease.base = req.first_endpoint;
   lease.count = req.num_endpoints;
@@ -221,72 +198,17 @@ Buffer RegistryServer::handle_register_node(const net::Message& request) {
   return service::encode_lease_grant({lease.id, config_.lease_ttl_ms});
 }
 
-Buffer RegistryServer::handle_lease_endpoints(const net::Message& request) {
-  const auto req = service::decode_lease_endpoints_request(
-      ByteView{request.body.data(), request.body.size()});
-  if (req.num_endpoints == 0 || req.num_endpoints > 65536) {
-    throw std::runtime_error(
-        "registry: client endpoint lease must cover 1..65536 ids, asked "
-        "for " +
-        std::to_string(req.num_endpoints));
-  }
-
-  // First-fit from kClientEndpointBase: freed ranges are reused, and the
-  // band below kRegistryBootstrapBase bounds the space. Client ranges can
-  // never meet daemon ranges — registration refuses anything reaching
-  // kClientEndpointBase.
-  std::vector<std::pair<net::EndpointId, std::uint32_t>> held;
-  for (const auto& [id, lease] : leases_) {
-    if (!lease.is_node) held.emplace_back(lease.base, lease.count);
-  }
-  std::sort(held.begin(), held.end());
-  std::uint64_t base = net::kClientEndpointBase;
-  for (const auto& [b, n] : held) {
-    if (base + req.num_endpoints <= b) break;
-    base = std::max(base, static_cast<std::uint64_t>(b) + n);
-  }
-  if (base + req.num_endpoints > net::kRegistryBootstrapBase) {
-    throw std::runtime_error("registry: client endpoint space exhausted");
-  }
-
-  Lease lease;
-  lease.id = next_lease_id_++;
-  lease.is_node = false;
-  lease.base = static_cast<net::EndpointId>(base);
-  lease.count = req.num_endpoints;
-  lease.expires_at = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(config_.lease_ttl_ms);
-  leases_.emplace(lease.id, lease);
-  m_leases_->inc();
-  m_clients_->add(1);
-  SIGMA_LOG_INFO << "registry: client leased endpoints "
-                 << range_string(lease.base, lease.count);
-
-  service::LeaseEndpointsReply reply;
-  reply.grant = {lease.id, config_.lease_ttl_ms};
-  reply.endpoint_base = lease.base;
-  reply.view = view_;
-  return service::encode_lease_endpoints_reply(reply);
-}
-
 void RegistryServer::expire_due() {
   bool membership_changed = false;
   const auto now = std::chrono::steady_clock::now();
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (it->second.expires_at <= now) {
       m_lease_expiries_->inc();
-      SIGMA_LOG_WARN << "registry: lease " << it->second.id << " ("
-                     << (it->second.is_node
-                             ? "daemon " + it->second.address.to_string()
-                             : "client")
-                     << ", endpoints "
+      SIGMA_LOG_WARN << "registry: lease " << it->second.id << " (daemon "
+                     << it->second.address.to_string() << ", endpoints "
                      << range_string(it->second.base, it->second.count)
                      << ") expired without a heartbeat";
-      if (it->second.is_node) {
-        membership_changed = true;
-      } else {
-        m_clients_->sub(1);
-      }
+      membership_changed = true;
       it = leases_.erase(it);
     } else {
       ++it;
@@ -297,10 +219,7 @@ void RegistryServer::expire_due() {
 
 void RegistryServer::rebuild_view() {
   view_.nodes.clear();
-  std::int64_t node_leases = 0;
   for (const auto& [id, lease] : leases_) {
-    if (!lease.is_node) continue;
-    ++node_leases;
     for (std::uint32_t i = 0; i < lease.count; ++i) {
       view_.nodes.push_back({lease.address, lease.base + i});
     }
@@ -310,7 +229,7 @@ void RegistryServer::rebuild_view() {
               return a.endpoint < b.endpoint;
             });
   ++view_.version;
-  m_nodes_->set(node_leases);
+  m_nodes_->set(static_cast<std::int64_t>(leases_.size()));
 }
 
 }  // namespace sigma::ctrl

@@ -1,23 +1,20 @@
-// Fleet registry: the control-plane daemon that kills the id-collision
-// bug class at the root. Instead of wiring the fleet by hand — a static
-// node-map string per Cluster, client endpoint bases guessed and merely
-// refused on collision at runtime — daemons REGISTER their endpoint range
-// here and clients LEASE one:
+// Fleet registry: the control-plane daemon that replaces hand-wired node
+// maps. Daemons REGISTER their endpoint range here; clients FETCH the
+// fleet view instead of carrying a static node-map string:
 //
 //   node_server --registry H:P   ->  kRegisterNode {host, port, range}
 //                                    (overlapping ranges refused up front)
-//   Cluster    {--registry H:P}  ->  kLeaseEndpoints {count}
-//                                    -> granted base + the fleet view
-//   both                         ->  kRegistryHeartbeat every ttl/3
-//                                    -> the current view version
+//                                ->  kRegistryHeartbeat every ttl/3
 //                                    (a lapsed lease expires: the range is
 //                                    freed and the fleet view drops it)
+//   Cluster    {--registry H:P}  ->  kFleetFetch once, then every ttl/3
+//                                    -> the fleet view + the lease TTL
 //
-// Membership changes — a daemon joining, a lease expiring, a clean
-// kRegistryLeave — bump the view version. The registry never calls a
-// client: each heartbeat reply carries the version, and a client holding
-// an older view pulls the new one with kFleetFetch, so a change reaches
-// every client within one heartbeat interval.
+// Clients hold no lease and need no endpoint ids of their own: a daemon
+// answers each request over the connection that carried it. Membership
+// changes — a daemon joining, a lease expiring, a clean kRegistryLeave —
+// bump the view version. The registry never calls a client, so a change
+// reaches every client with its next pull, within ttl/3.
 //
 // The server runs on its transport's event loop: handle() is the
 // endpoint handler, so requests are serialized by the loop itself and the
@@ -51,8 +48,9 @@ namespace sigma::ctrl {
 struct RegistryServerConfig {
   net::TcpAddress listen{"127.0.0.1", 0};
 
-  /// Lease TTL granted to every registrant. Holders heartbeat at ttl/3;
-  /// a lease with no heartbeat for a full TTL expires.
+  /// Lease TTL granted to every daemon. Daemons heartbeat and clients
+  /// pull the fleet view at ttl/3; a lease with no heartbeat for a full
+  /// TTL expires.
   std::uint32_t lease_ttl_ms = 5000;
 
   std::size_t max_body_bytes = 4u << 20;
@@ -80,15 +78,13 @@ class RegistryServer {
   service::FleetView fleet_view() SIGMA_EXCLUDES(mu_);
 
   std::size_t node_lease_count() SIGMA_EXCLUDES(mu_);
-  std::size_t client_lease_count() SIGMA_EXCLUDES(mu_);
 
   obs::MetricsSnapshot metrics_snapshot() SIGMA_EXCLUDES(mu_);
 
  private:
   struct Lease {
     std::uint64_t id = 0;
-    bool is_node = false;
-    /// Node leases: the daemon's advertised dial address.
+    /// The daemon's advertised dial address.
     net::TcpAddress address;
     net::EndpointId base = 0;
     std::uint32_t count = 0;
@@ -101,13 +97,11 @@ class RegistryServer {
   Buffer answer(const net::Message& request) SIGMA_REQUIRES(mu_);
   Buffer handle_register_node(const net::Message& request)
       SIGMA_REQUIRES(mu_);
-  Buffer handle_lease_endpoints(const net::Message& request)
-      SIGMA_REQUIRES(mu_);
 
   /// The registry.* instruments plus the process's trace counters.
   obs::MetricsSnapshot scrape() const;
 
-  /// Drop leases past their TTL; rebuilds the view if a node left.
+  /// Drop leases past their TTL; rebuilds the view if any lapsed.
   void expire_due() SIGMA_REQUIRES(mu_);
 
   /// Rebuild the view from the node leases and bump its version.
@@ -117,13 +111,11 @@ class RegistryServer {
   obs::Registry registry_;
   obs::Counter* m_registrations_;
   obs::Counter* m_register_refusals_;
-  obs::Counter* m_leases_;
   obs::Counter* m_heartbeats_;
   obs::Counter* m_unknown_leases_;
   obs::Counter* m_lease_expiries_;
   obs::Counter* m_leaves_;
   obs::Gauge* m_nodes_;
-  obs::Gauge* m_clients_;
 
   /// The loop serializes handle(); mu_ is for the accessors, which
   /// tests and CLIs call from other threads.

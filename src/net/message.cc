@@ -22,8 +22,6 @@ const char* to_string(MessageType type) {
       return "TraceDump";
     case MessageType::kRegisterNode:
       return "RegisterNode";
-    case MessageType::kLeaseEndpoints:
-      return "LeaseEndpoints";
     case MessageType::kRegistryHeartbeat:
       return "RegistryHeartbeat";
     case MessageType::kRegistryLeave:

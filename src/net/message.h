@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/bytes.h"
 #include "obs/trace_context.h"
@@ -17,6 +18,9 @@ namespace sigma::net {
 
 /// Address of one transport endpoint (a node service or a client).
 using EndpointId = std::uint32_t;
+
+/// One TCP connection of a TcpTransport (net/tcp/reactor.h).
+struct TcpConn;
 
 /// The wire operations of the node service protocol.
 enum class MessageType : std::uint8_t {
@@ -37,12 +41,10 @@ enum class MessageType : std::uint8_t {
   // these to a registry_server; a node service answers them with an error.
   kRegisterNode,       // host + port + endpoint range -> lease id + TTL
                        // (daemon announces its service endpoints)
-  kLeaseEndpoints,     // endpoint count -> lease id + TTL + leased base
-                       // + current fleet view
-  kRegistryHeartbeat,  // lease id -> view version : extend the lease
+  kRegistryHeartbeat,  // lease id -> () : extend the lease
   kRegistryLeave,      // lease id -> () : clean leave, frees the range
-  kFleetFetch,         // () -> fleet view (no lease needed; a client
-                       // pulls it when a heartbeat shows a newer version)
+  kFleetFetch,         // () -> fleet view + lease TTL (no lease needed; a
+                       // client pulls it every ttl/3)
 };
 
 /// Highest valid op byte — the TCP frame decoder rejects anything above
@@ -73,6 +75,12 @@ struct Message {
   /// sender's across process boundaries.
   obs::TraceContext trace;
   Buffer body;
+  /// In-process only, never on the wire: the connection a TcpTransport
+  /// received this request on. response_to()/error_to() copy it, and
+  /// TcpTransport::send() puts a message carrying it on that connection
+  /// and nowhere else — so send a reply through the transport that
+  /// delivered its request. Empty for locally originated messages.
+  std::weak_ptr<TcpConn> conn;
 
   /// Fixed header size a socket framing would use (type + kind + flags +
   /// correlation id + src + dst + body length).
@@ -104,6 +112,7 @@ struct Message {
     m.src = request.dst;
     m.dst = request.src;
     m.body = std::move(body);
+    m.conn = request.conn;
     return m;
   }
 

@@ -41,9 +41,13 @@ inline constexpr std::uint32_t kFrameMagic = 0x314D4753;
 /// gone — kRoutingProbe is the one probe op — so every later op byte
 /// shifts down by two. v7: the registry sends no request to a client —
 /// clients pull the view with kFleetFetch, prompted by the version in the
-/// kRegistryHeartbeat reply — so the push op is gone and kLeaseEndpoints
-/// loses its flag byte.
-inline constexpr std::uint8_t kProtocolVersion = 7;
+/// kRegistryHeartbeat reply — so the push op is gone and the client
+/// endpoint-lease op loses its flag byte. v8: a reply rides the connection
+/// that carried its request, so clients lease no endpoint ids — the
+/// endpoint-lease op is gone (later op bytes shift down by one), the
+/// kRegistryHeartbeat reply is empty, and the kFleetFetch reply carries
+/// the lease TTL.
+inline constexpr std::uint8_t kProtocolVersion = 8;
 
 /// Peer roles exchanged in the HELLO (informational, for diagnostics).
 enum class PeerRole : std::uint8_t { kClient = 0, kServer = 1 };

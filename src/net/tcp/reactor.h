@@ -63,8 +63,8 @@ void consume_sent(std::deque<OutFrame>& queue, std::size_t& offset,
 /// a struct guarded by its transport's mutex, so the split is documented
 /// here and enforced by the TSan lane):
 ///   * loop-thread-only: fd, address, hello_*, decoder, attempts,
-///     retry_at, last_frame_us, was_established, epoll_events — touched
-///     exclusively by the loop once the conn is registered;
+///     retry_at, was_established, epoll_events — touched exclusively by
+///     the loop once the conn is registered;
 ///   * guarded by the transport's mu_: state, outbox, out_offset,
 ///     outbox_bytes, awaiting_response, stalled, dead — the producer/loop
 ///     handoff.
@@ -106,10 +106,6 @@ struct TcpConn {
   // Connect retry state.
   std::uint32_t attempts = 0;
   std::chrono::steady_clock::time_point retry_at{};
-
-  /// When this connection last received a frame (steady-clock µs) — the
-  /// freshness that defends its learned routes against takeover.
-  std::int64_t last_frame_us = 0;
 
   /// Whether this connection ever completed a handshake — a later dial
   /// of the same conn is a reconnect, not a first connect (metrics).

@@ -27,19 +27,11 @@ inline constexpr EndpointId kRegistryEndpoint = 1;
 /// of a daemon lives at first_endpoint + i; defaults to this base).
 inline constexpr EndpointId kServiceEndpointBase = 100;
 
-/// Default endpoint base for client transports. Far above any service id
-/// so client and service address ranges never collide. Processes sharing
-/// one daemon should use distinct bases — or, better, lease a range from
-/// a registry_server (--registry) instead of hand-assigning one. The
-/// registry allocates client leases from this base upward.
+/// Endpoint base of every client transport. Far above any service id so
+/// client and service address ranges never collide. Clients need not
+/// differ: a daemon answers each request over the connection that
+/// carried it, so any number of clients may share these ids.
 inline constexpr EndpointId kClientEndpointBase = 0x40000000;
-
-/// Bootstrap band for registry *clients*: the private transport a
-/// RegistryClient dials the registry with picks a random endpoint id at
-/// or above this base, so concurrent clients talking to one registry
-/// never collide in its learned routes before they hold a lease. The
-/// registry never allocates leases here (client leases stop below it).
-inline constexpr EndpointId kRegistryBootstrapBase = 0x80000000;
 
 /// A TCP endpoint address. Port 0 means "pick an ephemeral port" when
 /// listening (read the bound port back with TcpTransport::listen_port()).

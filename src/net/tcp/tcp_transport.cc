@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace sigma::net {
@@ -33,10 +32,12 @@ Message header_of(const Message& m) {
 /// and a handler on one loop may send through another.
 thread_local bool t_on_loop_thread = false;
 
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Whether `m` carries a connection tag at all — one whose connection is
+/// already gone still counts (the owner-based comparison sees the tag's
+/// control block even after the TcpConn itself is destroyed).
+bool has_conn_tag(const Message& m) {
+  const std::weak_ptr<TcpConn> none;
+  return m.conn.owner_before(none) || none.owner_before(m.conn);
 }
 
 /// The epoll events a connection wants, given its state machine position.
@@ -79,9 +80,6 @@ TcpCounters::TcpCounters(obs::Registry& metrics)
       bytes_received(metrics.counter("tcp.bytes_received")),
       bounced_requests(metrics.counter("tcp.bounced_requests")),
       wakeups(metrics.counter("tcp.wakeups")),
-      route_conflicts(metrics.counter("tcp.route_conflicts")),
-      route_takeovers(metrics.counter("tcp.route_takeovers")),
-      route_expired(metrics.counter("tcp.route_expired")),
       connects(metrics.counter("tcp.connects")),
       reconnects(metrics.counter("tcp.reconnects")),
       handshake_failures(metrics.counter("tcp.handshake_failures")),
@@ -104,9 +102,6 @@ TcpTransportStats TcpCounters::read() const {
   s.bytes_received = bytes_received.value();
   s.bounced_requests = bounced_requests.value();
   s.wakeups = wakeups.value();
-  s.route_conflicts = route_conflicts.value();
-  s.route_takeovers = route_takeovers.value();
-  s.route_expired = route_expired.value();
   return s;
 }
 
@@ -199,6 +194,10 @@ void TcpTransport::bounce_request(const Message& header,
 // ---- Producer side ---------------------------------------------------------
 
 void TcpTransport::send(Message&& m) {
+  if (has_conn_tag(m)) {
+    send_reply(std::move(m));
+    return;
+  }
   const Message header = header_of(m);
   const bool is_request = m.kind == MessageKind::kRequest;
 
@@ -234,8 +233,7 @@ void TcpTransport::send(Message&& m) {
     return;
   }
 
-  // The learned return route wins (how a daemon answers client
-  // endpoints); otherwise the static peer map names the connection.
+  // The static peer map names the connection.
   const auto pit = config_.remote_endpoints.find(m.dst);
   const bool mapped = pit != config_.remote_endpoints.end();
   std::pair<std::string, std::uint16_t> key;
@@ -244,9 +242,7 @@ void TcpTransport::send(Message&& m) {
   {
     MutexLock lock(mu_);
     if (stop_) return;  // swallowed: the transport is shutting down
-    if (const auto rit = routes_.find(m.dst); rit != routes_.end()) {
-      conn = rit->second;
-    } else if (mapped) {
+    if (mapped) {
       const auto oit = outbound_.find(key);
       if (oit != outbound_.end()) conn = oit->second;
     }
@@ -292,6 +288,25 @@ void TcpTransport::send(Message&& m) {
   // connection's queue is past the high watermark. A dying connection
   // clears its queue; a peer that stays wedged past the stall timeout is
   // failed (the loop owns the fd), so this always unblocks.
+  if (!t_on_loop_thread) backpressure_wait(conn);
+}
+
+void TcpTransport::send_reply(Message&& m) {
+  const ConnPtr conn = m.conn.lock();
+  {
+    MutexLock lock(mu_);
+    if (stop_) return;  // swallowed: the transport is shutting down
+    // A closed inbound connection is dead; a closed outbound one has left
+    // kEstablished (a later re-dial reaches the same peer address). An
+    // oversized reply is dropped too: the peer would drop the connection.
+    if (!conn || conn->dead || conn->state != TcpConn::State::kEstablished ||
+        m.body.size() > config_.max_body_bytes) {
+      counters_.net.dropped.inc();
+      return;
+    }
+    push_frame(conn, std::move(m), /*track=*/false);
+  }
+  wake();
   if (!t_on_loop_thread) backpressure_wait(conn);
 }
 
@@ -350,69 +365,6 @@ void TcpTransport::drain_wake_fd() {
   (void)!::read(wake_fd_.get(), &v, sizeof(v));  // resets the counter
 }
 
-// ---- Learned routes --------------------------------------------------------
-
-TcpTransport::RouteClaim TcpTransport::learn_route(EndpointId src,
-                                                   const ConnPtr& conn) {
-  if (src == 0) return RouteClaim::kOk;
-  {
-    MutexLock lock(ep_mu_);
-    // A local endpoint id never becomes a remote route.
-    if (endpoints_.count(src) > 0) return RouteClaim::kOk;
-  }
-  // The first registration holds while its connection stays active: a
-  // *different* connection claiming an already-routed endpoint is a
-  // collision (two peers sharing an endpoint id), and silently
-  // re-pointing the route would leak one peer's responses to the other —
-  // the collider is refused deterministically instead. Once the owning
-  // connection has been silent past route_stale_ms (a drop this side
-  // never observed — close_conn erases routes on the drops it does
-  // observe), the new claimant takes the route over, so a re-dialing
-  // peer is locked out for at most the stale window.
-  MutexLock lock(mu_);
-  const auto [it, inserted] = routes_.try_emplace(src, conn);
-  if (inserted || it->second == conn) return RouteClaim::kOk;
-  const std::int64_t stale_cutoff_us =
-      conn->last_frame_us -
-      static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
-  if (it->second->last_frame_us <= stale_cutoff_us) {
-    counters_.route_takeovers.inc();
-    it->second = conn;
-    return RouteClaim::kTakeover;
-  }
-  counters_.route_conflicts.inc();
-  return RouteClaim::kConflict;
-}
-
-void TcpTransport::forget_routes(const ConnPtr& conn) {
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = (it->second == conn) ? routes_.erase(it) : std::next(it);
-  }
-}
-
-void TcpTransport::sweep_stale_routes() {
-  const std::int64_t now_us = steady_now_us();
-  if (now_us < next_route_sweep_us_) return;
-  // Scan at a quarter of the stale window: reclamation lags an idle
-  // departure by at most ~1.25x route_stale_ms without scanning every
-  // route on every loop iteration. (Expiring a route is cheap to get
-  // wrong in the safe direction — a live peer's next frame re-learns it.)
-  next_route_sweep_us_ =
-      now_us +
-      std::max<std::int64_t>(
-          static_cast<std::int64_t>(config_.route_stale_ms) * 1000 / 4, 1000);
-  const std::int64_t cutoff_us =
-      now_us - static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    if (it->second->last_frame_us <= cutoff_us) {
-      counters_.route_expired.inc();
-      it = routes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 // ---- Event loop ------------------------------------------------------------
 
 int TcpTransport::prepare_iteration(std::vector<ConnPtr>& to_dial,
@@ -466,7 +418,6 @@ int TcpTransport::prepare_iteration(std::vector<ConnPtr>& to_dial,
       }
     }
   }
-  sweep_stale_routes();
   return timeout_ms;
 }
 
@@ -687,9 +638,6 @@ void TcpTransport::close_conn(const ConnPtr& conn, const std::string& reason) {
     } else {
       conn->dead = true;
     }
-    // Under the same lock as the route lookup in send(): a producer never
-    // queues on a closed inbound connection through a stale route.
-    forget_routes(conn);
     write_cv_.notify_all();
   }
   const std::string text =
@@ -849,31 +797,10 @@ void TcpTransport::loop_dispatch(const ConnPtr& conn, Message&& m) {
           it->second.queued_at);
       conn->awaiting_response.erase(it);
     }
+  } else {
+    m.conn = conn;  // the reply rides back on this connection
   }
 
-  // Learn the return route for the peer's endpoint.
-  conn->last_frame_us = steady_now_us();
-  const RouteClaim claim = learn_route(m.src, conn);
-  if (claim == RouteClaim::kTakeover) {
-    SIGMA_LOG_WARN << "tcp: endpoint " << m.src
-                   << " return route taken over by a new connection (old "
-                      "one silent past the stale window)";
-  }
-  if (claim == RouteClaim::kConflict) {
-    SIGMA_LOG(LogLevel::kError)
-        << "tcp: endpoint " << m.src
-        << " re-registered by a different peer connection while its route "
-           "is active — refusing the message (endpoint-id collision; give "
-           "each client a distinct endpoint base)";
-    counters_.net.dropped.inc();
-    if (header.kind == MessageKind::kRequest) {
-      bounce_over_wire(conn, header,
-                       "endpoint " + std::to_string(header.src) +
-                           " already routed to another peer (endpoint-id "
-                           "collision)");
-    }
-    return;
-  }
   if (deliver_local(std::move(m))) {
     if (trace_ctx.sampled) {
       // One span per delivered frame: decode to handler return on the

@@ -10,10 +10,11 @@
 //                                                        │ epoll
 //                                      listener + conns {a, b, c, ...}
 //
-// send() resolves the destination (local endpoint, learned route, or
-// peer map) and queues the frame on that connection's write queue; the
-// loop writev()s the queues, reads and decodes inbound frames, and
-// dispatches them to local endpoint handlers on its own thread.
+// send() resolves the destination (the request's connection for a reply,
+// else a local endpoint or the peer map) and queues the frame on that
+// connection's write queue; the loop writev()s the queues, reads and
+// decodes inbound frames, and dispatches them to local endpoint handlers
+// on its own thread.
 //
 // Per-peer connection state machine (outbound connections are dialed
 // lazily, on the first send toward that peer's address):
@@ -33,17 +34,20 @@
 //
 // Addressing: local endpoints get sequential ids from endpoint_base —
 // node daemons use low well-known ids (kServiceEndpointBase + i), clients
-// high ones (kClientEndpointBase) so the two ranges never collide. Remote
-// endpoints are resolved through the static peer map (endpoint id ->
-// host:port, for clients dialing node services) or through learned routes
-// (a server answers a client endpoint over the connection that carried
-// its request).
+// high ones (kClientEndpointBase) so the two ranges never collide. A
+// request is sent to an endpoint id, resolved through the static peer
+// map (endpoint id -> host:port, for clients dialing node services). A
+// reply is not addressed by id at all: each request the loop delivers is
+// tagged with the connection it arrived on (Message::conn), the reply
+// copies the tag, and send() puts it on that connection and nowhere
+// else. So any number of clients may share endpoint ids, and a reply
+// whose connection has closed is dropped (its requester is gone).
 //
 // Locking: the loop mutex mu_ guards the producer/loop handoff — every
-// connection's write queue and request tracking, the connection tables
-// and the learned-route directory — so send() looks up a route and
-// queues on it under one lock. The endpoint table has its own mutex
-// (ep_mu_). The two are never nested, and handlers run with neither held.
+// connection's write queue and request tracking, and the connection
+// tables — so send() picks a connection and queues on it under one
+// lock. The endpoint table has its own mutex (ep_mu_). The two are never
+// nested, and handlers run with neither held.
 //
 // Backpressure: each connection's write queue is capped; send() from a
 // thread that is not a transport loop blocks once the queue passes the
@@ -116,14 +120,6 @@ struct TcpTransportConfig {
   /// only costs the fast-fail bounce, the RPC timeout still fires).
   std::uint32_t request_track_ttl_ms = 120000;
 
-  /// Learned-return-route takeover threshold: a route whose owning
-  /// connection has received nothing for this long is considered stale
-  /// and may be claimed by a different connection presenting the same
-  /// endpoint id (a peer re-dialing after an asymmetric connection drop
-  /// the server never saw). While the owner is fresher than this, a
-  /// different claimant is a collision and is refused.
-  std::uint32_t route_stale_ms = 15000;
-
   /// Metrics plane (must outlive the transport): the `net.*` and `tcp.*`
   /// counters behind stats()/tcp_stats(), per-op RPC latency histograms
   /// (send to response), backpressure-stall counts, a write-queue depth
@@ -145,19 +141,6 @@ struct TcpTransportStats {
   /// Event-loop wakeup pokes (eventfd writes): producers signalling the
   /// loop that new work is queued.
   std::uint64_t wakeups = 0;
-  /// Messages refused because their source endpoint's return route is
-  /// already owned by a different, recently-active connection — two
-  /// peers sharing an endpoint id (e.g. clients started with the same
-  /// endpoint base).
-  std::uint64_t route_conflicts = 0;
-  /// Stale learned routes re-pointed to a new connection (peer re-dialed
-  /// after a connection drop this side never observed).
-  std::uint64_t route_takeovers = 0;
-  /// Learned routes reclaimed by the periodic sweep: the owning
-  /// connection sat silent past route_stale_ms and no collider ever
-  /// dialed in to take the route over (a departed client). Without the
-  /// sweep these would linger forever and count against lease reuse.
-  std::uint64_t route_expired = 0;
 };
 
 /// The registry instruments of one transport: `net.*` (NetStats), `tcp.*`
@@ -178,9 +161,6 @@ struct TcpCounters {
   obs::Counter& bytes_received;
   obs::Counter& bounced_requests;
   obs::Counter& wakeups;
-  obs::Counter& route_conflicts;
-  obs::Counter& route_takeovers;
-  obs::Counter& route_expired;
   obs::Counter& connects;
   obs::Counter& reconnects;
   obs::Counter& handshake_failures;
@@ -216,8 +196,6 @@ class TcpTransport final : public Transport {
     int active_deliveries = 0;
   };
 
-  enum class RouteClaim { kOk, kConflict, kTakeover };
-
   /// Deliver to a local endpoint handler; false when the endpoint is not
   /// registered. Any thread, no lock held.
   bool deliver_local(Message&& m);
@@ -226,6 +204,9 @@ class TcpTransport final : public Transport {
   void bounce_request(const Message& header, const std::string& text);
 
   // ---- Producer side (any thread) ---------------------------------------
+  /// send() for a reply: queue it on the connection its request arrived
+  /// on, or drop it if that connection has closed.
+  void send_reply(Message&& m);
   /// Queue a frame on `conn`: encode, account, track our own requests.
   void push_frame(const ConnPtr& conn, Message&& m, bool track)
       SIGMA_REQUIRES(mu_);
@@ -238,26 +219,14 @@ class TcpTransport final : public Transport {
   // ---- Event loop (loop thread only) ------------------------------------
   void loop();
   /// One pass over shared state at the top of a loop iteration: reap dead
-  /// inbound conns, sweep stale request tracking and learned routes,
-  /// collect stalled conns and due dials. Returns the epoll_wait timeout
+  /// inbound conns, sweep stale request tracking, collect stalled conns
+  /// and due dials. Returns the epoll_wait timeout
   /// in ms, or -1 once stop was requested.
   int prepare_iteration(std::vector<ConnPtr>& to_dial,
                         std::vector<ConnPtr>& to_fail);
   /// Reconcile one connection's epoll registration with its desired
   /// interest set (mu_ held for the interest computation).
   void epoll_update(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
-  /// Reclaim learned routes whose owning connection has been silent past
-  /// the stale window (a departed peer whose drop this side never
-  /// observed, and no collider ever dialed in to take the route over).
-  /// Throttled to one scan per quarter of the window.
-  void sweep_stale_routes() SIGMA_REQUIRES(mu_);
-  /// Learn (or contest) the return route for remote endpoint `src` over
-  /// `conn`. kConflict = the endpoint is owned by a different, fresh
-  /// connection (refuse the message); kTakeover = a stale owner was
-  /// displaced.
-  RouteClaim learn_route(EndpointId src, const ConnPtr& conn);
-  /// Drop every learned route pointing at `conn` (connection closed).
-  void forget_routes(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
   void loop_accept();
   void loop_dial(const ConnPtr& conn);
   void loop_connect_ready(const ConnPtr& conn);
@@ -271,8 +240,8 @@ class TcpTransport final : public Transport {
   /// Handle one connection's epoll events (EPOLLIN/OUT/ERR/HUP).
   void handle_conn_events(const ConnPtr& conn, std::uint32_t events);
   /// Tear down a connection: bounce requests awaiting responses, drop the
-  /// queue, forget learned routes. Outbound conns return to kIdle (a
-  /// later send re-dials); inbound conns are reaped.
+  /// queue. Outbound conns return to kIdle (a later send re-dials);
+  /// inbound conns are reaped.
   void close_conn(const ConnPtr& conn, const std::string& reason);
   /// Drop `conn`'s queued frames and take their bytes off the
   /// write-queue gauge.
@@ -306,11 +275,6 @@ class TcpTransport final : public Transport {
       SIGMA_GUARDED_BY(mu_);
   /// Accepted connections.
   std::vector<ConnPtr> inbound_ SIGMA_GUARDED_BY(mu_);
-  /// Remote endpoint id -> connection that carried its last message (how
-  /// a daemon answers client endpoints).
-  std::unordered_map<EndpointId, ConnPtr> routes_ SIGMA_GUARDED_BY(mu_);
-  /// Next time sweep_stale_routes() actually scans.
-  std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(mu_) = 0;
 
   SocketFd listen_fd_;
   std::uint16_t listen_port_ = 0;

@@ -71,7 +71,12 @@ class Transport {
   /// returned, so the handler's captures may be destroyed afterwards.
   virtual void unregister_endpoint(EndpointId id) = 0;
 
-  /// Deliver one message to `m.dst`.
+  /// Deliver one message to `m.dst`. A reply (Message::response_to or
+  /// error_to of a request this transport delivered) goes back to the
+  /// requester: TcpTransport puts it on the connection that carried the
+  /// request — dropped, and counted in `net.dropped`, if that connection
+  /// has closed — and LoopbackTransport, where every endpoint is local,
+  /// delivers it to `m.dst`.
   virtual void send(Message&& m) = 0;
 
   /// This transport's `net.*` counters.

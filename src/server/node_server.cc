@@ -40,10 +40,9 @@ NodeServer::NodeServer(const NodeServerConfig& config) : config_(config) {
   if (config_.num_nodes == 0) {
     throw std::invalid_argument("NodeServer: need at least one node");
   }
-  // Refuse a bad endpoint range at construction instead of surfacing it
-  // later as runtime route_conflicts: the daemon's service ids must stay
-  // clear of the registry's well-known endpoint below and of the client
-  // band above.
+  // Refuse a bad endpoint range at construction: the daemon's service ids
+  // must stay clear of the registry's well-known endpoint below and of
+  // the client band above.
   if (config_.first_endpoint <= net::kRegistryEndpoint) {
     throw std::invalid_argument(
         "NodeServer: first endpoint " +

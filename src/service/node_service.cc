@@ -61,7 +61,6 @@ bool NodeService::is_probe(MessageType type) {
     case MessageType::kFlush:
       return false;
     case MessageType::kRegisterNode:
-    case MessageType::kLeaseEndpoints:
     case MessageType::kRegistryHeartbeat:
     case MessageType::kRegistryLeave:
     case MessageType::kFleetFetch:
@@ -214,8 +213,7 @@ Message NodeService::handle(const Message& request) {
         return Message::response_to(request, obs::encode_span_dump(dump));
       }
       case MessageType::kRegisterNode:
-      case MessageType::kLeaseEndpoints:
-      case MessageType::kRegistryHeartbeat:
+        case MessageType::kRegistryHeartbeat:
       case MessageType::kRegistryLeave:
       case MessageType::kFleetFetch:
         // Control-plane ops are served by a registry_server, not a node:

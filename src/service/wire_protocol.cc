@@ -215,27 +215,31 @@ std::optional<Buffer> decode_read_response(ByteView body) {
 
 namespace {
 
-// Fleet-view entries nest inside the lease reply, so the view codec is
-// split into writer/reader halves the top-level codecs share.
-
 /// Minimum wire bytes of one node entry: host length prefix + port +
 /// endpoint (an empty host is malformed anyway, but this only feeds the
 /// count() bound).
 constexpr std::size_t kMinNodeEntryBytes = 4 + 4 + 4;
 
-void write_fleet_view(WireWriter& w, const FleetView& view) {
+}  // namespace
+
+Buffer encode_fleet_view(const FleetView& view) {
+  WireWriter w(16 + view.nodes.size() * 32);
   w.u64(view.version);
+  w.u32(view.ttl_ms);
   w.u32(static_cast<std::uint32_t>(view.nodes.size()));
   for (const auto& node : view.nodes) {
     w.bytes(as_bytes(node.address.host));
     w.u32(node.address.port);
     w.u32(node.endpoint);
   }
+  return w.take();
 }
 
-FleetView read_fleet_view(WireReader& r) {
+FleetView decode_fleet_view(ByteView body) {
+  WireReader r(body);
   FleetView view;
   view.version = r.u64();
+  view.ttl_ms = r.u32();
   const std::uint32_t n = r.count(kMinNodeEntryBytes);
   view.nodes.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -247,20 +251,6 @@ FleetView read_fleet_view(WireReader& r) {
     node.endpoint = r.u32();
     view.nodes.push_back(std::move(node));
   }
-  return view;
-}
-
-}  // namespace
-
-Buffer encode_fleet_view(const FleetView& view) {
-  WireWriter w(12 + view.nodes.size() * 32);
-  write_fleet_view(w, view);
-  return w.take();
-}
-
-FleetView decode_fleet_view(ByteView body) {
-  WireReader r(body);
-  FleetView view = read_fleet_view(r);
   r.expect_done();
   return view;
 }
@@ -300,40 +290,6 @@ LeaseGrant decode_lease_grant(ByteView body) {
   grant.ttl_ms = r.u32();
   r.expect_done();
   return grant;
-}
-
-Buffer encode_lease_endpoints_request(const LeaseEndpointsRequest& req) {
-  WireWriter w(4);
-  w.u32(req.num_endpoints);
-  return w.take();
-}
-
-LeaseEndpointsRequest decode_lease_endpoints_request(ByteView body) {
-  WireReader r(body);
-  LeaseEndpointsRequest req;
-  req.num_endpoints = r.u32();
-  r.expect_done();
-  return req;
-}
-
-Buffer encode_lease_endpoints_reply(const LeaseEndpointsReply& reply) {
-  WireWriter w(28 + reply.view.nodes.size() * 32);
-  w.u64(reply.grant.lease_id);
-  w.u32(reply.grant.ttl_ms);
-  w.u32(reply.endpoint_base);
-  write_fleet_view(w, reply.view);
-  return w.take();
-}
-
-LeaseEndpointsReply decode_lease_endpoints_reply(ByteView body) {
-  WireReader r(body);
-  LeaseEndpointsReply reply;
-  reply.grant.lease_id = r.u64();
-  reply.grant.ttl_ms = r.u32();
-  reply.endpoint_base = r.u32();
-  reply.view = read_fleet_view(r);
-  r.expect_done();
-  return reply;
 }
 
 }  // namespace sigma::service

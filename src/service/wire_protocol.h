@@ -93,9 +93,12 @@ std::optional<Buffer> decode_read_response(ByteView body);
 /// The registry's node map: every live daemon service endpoint with the
 /// address of the daemon hosting it, sorted by endpoint id (so a client
 /// wiring a Cluster from it gets a stable node order). `version` bumps on
-/// every membership change — join, clean leave, lease expiry.
+/// every membership change — join, clean leave, lease expiry. `ttl_ms` is
+/// the registry's lease TTL: a client pulls the view every ttl/3, the
+/// cadence daemons heartbeat at.
 struct FleetView {
   std::uint64_t version = 0;
+  std::uint32_t ttl_ms = 0;
   std::vector<net::TcpNodeAddress> nodes;
 };
 
@@ -124,29 +127,8 @@ struct LeaseGrant {
 Buffer encode_lease_grant(const LeaseGrant& grant);
 LeaseGrant decode_lease_grant(ByteView body);
 
-/// kLeaseEndpoints request: a client asks for `num_endpoints` contiguous
-/// endpoint ids.
-struct LeaseEndpointsRequest {
-  std::uint32_t num_endpoints = 0;
-};
-
-Buffer encode_lease_endpoints_request(const LeaseEndpointsRequest& req);
-LeaseEndpointsRequest decode_lease_endpoints_request(ByteView body);
-
-/// kLeaseEndpoints reply: the grant, the leased base, and the fleet view
-/// at grant time (the client wires its node map from it).
-struct LeaseEndpointsReply {
-  LeaseGrant grant;
-  net::EndpointId endpoint_base = 0;
-  FleetView view;
-};
-
-Buffer encode_lease_endpoints_reply(const LeaseEndpointsReply& reply);
-LeaseEndpointsReply decode_lease_endpoints_reply(ByteView body);
-
-// kRegistryHeartbeat / kRegistryLeave requests carry encode_u64(lease_id).
-// The heartbeat reply is encode_u64(view version); kRegistryLeave's reply
-// and kFleetFetch's request are empty bodies. kFleetFetch's reply is
-// encode_fleet_view().
+// kRegistryHeartbeat / kRegistryLeave requests carry encode_u64(lease_id);
+// their replies and kFleetFetch's request are empty bodies. kFleetFetch's
+// reply is encode_fleet_view().
 
 }  // namespace sigma::service

@@ -344,7 +344,6 @@ TEST(StatsScrapeTest, TcpFleetScrapeMatchesInProcessRegistries) {
 
   // Scrape each daemon once over a fresh client transport.
   net::TcpTransportConfig scrape_cfg;
-  scrape_cfg.endpoint_base = net::kClientEndpointBase + 5000;
   for (const auto& node : cfg.transport.tcp_nodes) {
     scrape_cfg.remote_endpoints.emplace(node.endpoint, node.address);
   }

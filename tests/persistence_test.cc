@@ -6,6 +6,7 @@
 // paper's fleet only makes sense if node state survives restarts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -23,9 +24,13 @@ namespace {
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A parameterised test's name holds a '/': flatten it, so the dir is
+    // one level under the temp dir and TearDown removes all of it.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '-');
     dir_ = std::filesystem::temp_directory_path() /
-           ("sigma-persist-" + std::to_string(::getpid()) + "-" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("sigma-persist-" + std::to_string(::getpid()) + "-" + name);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -1,13 +1,11 @@
-// Fleet registry acceptance: the control plane that kills the
-// id-collision bug class at the root. Daemons register endpoint ranges
-// (overlaps refused at the source), clients lease ranges instead of
-// guessing bases, clients pull membership changes within one heartbeat,
-// and the data plane wired through the registry is bit-identical to the
-// hand-written static map. The registry runs on its transport's one
-// thread and expires leases lazily. Plus the failure modes: a dead
-// registry degrades the fleet gracefully (cached view, backups keep
-// verifying), and a heartbeat lapse expires the lease and the pulled view
-// drops it.
+// Fleet registry acceptance: daemons register endpoint ranges (overlaps
+// refused at the source), clients fetch the fleet view and pull
+// membership changes within one pull interval (ttl/3), and the data
+// plane wired through the registry is bit-identical to the hand-written
+// static map. The registry runs on its transport's one thread and
+// expires leases lazily. Plus the failure modes: a dead registry
+// degrades the fleet gracefully (cached view, backups keep verifying),
+// and a heartbeat lapse expires the lease and the pulled view drops it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -66,13 +64,15 @@ TEST(RegistryTest, RegisterLeaseFetchRoundTrip) {
   EXPECT_EQ(view.nodes[0].address.port, 7001u);
   EXPECT_GT(view.version, 0u);
 
-  // A client lease starts at the well-known client base — no hand-picked
-  // base anywhere — and carries the same view.
+  // A client watches the same view, with the TTL it pulls at, and holds
+  // no lease of its own.
   ctrl::RegistryClient client(client_config(reg));
-  const auto lease = client.lease_endpoints(8);
-  EXPECT_EQ(lease.endpoint_base, net::kClientEndpointBase);
-  EXPECT_EQ(lease.view.nodes.size(), 2u);
-  EXPECT_EQ(reg.client_lease_count(), 1u);
+  const auto watched = client.watch_fleet();
+  EXPECT_EQ(watched.version, view.version);
+  EXPECT_EQ(watched.nodes.size(), 2u);
+  EXPECT_EQ(watched.ttl_ms, grant.ttl_ms);
+  EXPECT_EQ(client.lease_id(), 0u);
+  EXPECT_EQ(reg.node_lease_count(), 1u);
 
   const auto fetched = client.fetch_fleet();
   EXPECT_EQ(fetched.version, view.version);
@@ -125,26 +125,6 @@ TEST(RegistryTest, BadRangesRefused) {
   EXPECT_EQ(reg.node_lease_count(), 0u);
 }
 
-TEST(RegistryTest, ClientLeasesAreDisjointAndFreedRangesReused) {
-  ctrl::RegistryServer reg({});
-
-  auto a = std::make_unique<ctrl::RegistryClient>(client_config(reg));
-  ctrl::RegistryClient b(client_config(reg));
-  const auto lease_a = a->lease_endpoints(16);
-  const auto lease_b = b.lease_endpoints(16);
-  EXPECT_EQ(lease_a.endpoint_base, net::kClientEndpointBase);
-  EXPECT_EQ(lease_b.endpoint_base, net::kClientEndpointBase + 16);
-  EXPECT_EQ(reg.client_lease_count(), 2u);
-
-  // A clean leave frees the range; the next lease reuses it (first fit),
-  // so long-running fleets do not leak endpoint space.
-  a.reset();
-  EXPECT_EQ(reg.client_lease_count(), 1u);
-  ctrl::RegistryClient c(client_config(reg));
-  const auto lease_c = c.lease_endpoints(8);
-  EXPECT_EQ(lease_c.endpoint_base, net::kClientEndpointBase);
-}
-
 TEST(RegistryTest, OneRegistryIsOneThread) {
   // The registry answers on its transport's loop: constructing one adds
   // exactly that thread, and destroying it takes it away again.
@@ -179,7 +159,6 @@ TEST(RegistryTest, LapsedLeaseIsNeverSeenLive) {
   // A heartbeat that arrives late cannot revive it.
   net::TcpTransportConfig tcp;
   tcp.remote_endpoints[net::kRegistryEndpoint] = {"127.0.0.1", reg.port()};
-  tcp.endpoint_base = net::kRegistryBootstrapBase;
   net::TcpTransport transport(std::move(tcp));
   net::RpcEndpoint rpc(transport);
   try {
@@ -207,16 +186,14 @@ TEST(RegistryTest, HeartbeatLapseExpiresLeaseAndClientsPullUpdatedView) {
   daemon.register_node({"127.0.0.1", 7001}, 100, 2);
   EXPECT_EQ(reg.node_lease_count(), 1u);
 
-  // Two clients (the default cadence, ttl/3 = 100 ms, keeps their own
-  // leases alive) each learn from a heartbeat reply that the view moved
-  // on, and pull it.
+  // Two clients pull the view at the default cadence, ttl/3 = 100 ms.
   ctrl::RegistryClient a(client_config(reg));
   ctrl::RegistryClient b(client_config(reg));
-  EXPECT_EQ(a.lease_endpoints(1).view.nodes.size(), 2u);
-  EXPECT_EQ(b.lease_endpoints(1).view.nodes.size(), 2u);
+  EXPECT_EQ(a.watch_fleet().nodes.size(), 2u);
+  EXPECT_EQ(b.watch_fleet().nodes.size(), 2u);
 
-  // The lease lapses at 300 ms; a client's next heartbeat (<= 100 ms
-  // later) expires it and reports the new version, and the fetch follows.
+  // The lease lapses at 300 ms; a client's next pull (<= 100 ms later)
+  // expires it and brings back the shrunken view.
   const auto heartbeat_plus_slack = 300ms + 100ms + 1000ms;
   EXPECT_TRUE(eventually([&] { return a.latest_view().nodes.empty(); },
                          heartbeat_plus_slack));
@@ -231,7 +208,7 @@ TEST(RegistryTest, HeartbeatLapseExpiresLeaseAndClientsPullUpdatedView) {
 
 TEST(RegistryTest, CleanLeaveReachesClientsWithinOneHeartbeat) {
   ctrl::RegistryServerConfig cfg;
-  cfg.lease_ttl_ms = 300;  // clients heartbeat every 100 ms
+  cfg.lease_ttl_ms = 300;  // clients pull every 100 ms
   ctrl::RegistryServer reg(cfg);
 
   auto daemon = std::make_unique<ctrl::RegistryClient>(client_config(reg));
@@ -239,8 +216,8 @@ TEST(RegistryTest, CleanLeaveReachesClientsWithinOneHeartbeat) {
 
   ctrl::RegistryClient a(client_config(reg));
   ctrl::RegistryClient b(client_config(reg));
-  a.lease_endpoints(1);
-  b.lease_endpoints(1);
+  a.watch_fleet();
+  b.watch_fleet();
   ASSERT_EQ(a.latest_view().nodes.size(), 2u);
 
   daemon.reset();  // destructor leaves cleanly
@@ -299,7 +276,7 @@ TEST(RegistryTest, ClusterRefusesNodeEndpointInsideClientRange) {
 
 /// A fleet whose daemons found each other through a registry: the
 /// registry, two 2-node daemons registered with it, and a ClusterConfig
-/// that discovers everything via --registry (no tcp_nodes, no base).
+/// that discovers everything via --registry (no tcp_nodes).
 class RegistryFleet {
  public:
   explicit RegistryFleet(std::uint32_t lease_ttl_ms = 5000) {
@@ -318,7 +295,7 @@ class RegistryFleet {
 
   ClusterConfig cluster_config(RoutingScheme scheme) const {
     ClusterConfig cfg;
-    cfg.num_nodes = 4;  // overwritten by the lease reply
+    cfg.num_nodes = 4;  // overwritten from the fleet view
     cfg.scheme = scheme;
     cfg.super_chunk_bytes = 64 * 1024;
     cfg.transport.mode = TransportMode::kTcp;
@@ -348,9 +325,9 @@ class RegistrySchemeIdentity
 
 TEST_P(RegistrySchemeIdentity, RegistryWiringMatchesDirectReport) {
   // The control plane must be invisible to the data plane: a cluster
-  // wired through the registry (leased base, discovered node map)
-  // produces exactly the report of a direct-call cluster — same bytes,
-  // same Fig. 7 probe counts — for every routing scheme.
+  // wired through the registry (discovered node map) produces exactly
+  // the report of a direct-call cluster — same bytes, same Fig. 7 probe
+  // counts — for every routing scheme.
   const RoutingScheme scheme = GetParam();
   const Dataset trace = small_linux_trace();
 
@@ -364,15 +341,14 @@ TEST_P(RegistrySchemeIdentity, RegistryWiringMatchesDirectReport) {
   const auto d = direct.report();
 
   RegistryFleet fleet;
-  Cluster leased(fleet.cluster_config(scheme));
-  EXPECT_EQ(leased.size(), 4u);
-  EXPECT_EQ(leased.client_endpoint_base(), net::kClientEndpointBase);
-  ASSERT_TRUE(leased.fleet_view().has_value());
-  EXPECT_EQ(leased.fleet_view()->nodes.size(), 4u);
-  leased.backup_dataset(trace);
-  leased.flush();
+  Cluster discovered(fleet.cluster_config(scheme));
+  EXPECT_EQ(discovered.size(), 4u);
+  ASSERT_TRUE(discovered.fleet_view().has_value());
+  EXPECT_EQ(discovered.fleet_view()->nodes.size(), 4u);
+  discovered.backup_dataset(trace);
+  discovered.flush();
 
-  const auto t = leased.report();
+  const auto t = discovered.report();
   EXPECT_EQ(d.logical_bytes, t.logical_bytes);
   EXPECT_EQ(d.physical_bytes, t.physical_bytes);
   EXPECT_EQ(d.node_usage, t.node_usage);
@@ -404,21 +380,21 @@ TEST(RegistryTest, RegistryDeathMidBackupDegradesGracefully) {
   const auto d = direct.report();
 
   RegistryFleet fleet(/*lease_ttl_ms=*/300);  // fast heartbeats
-  Cluster leased(fleet.cluster_config(RoutingScheme::kSigma));
-  EXPECT_TRUE(leased.registry_healthy());
-  const auto cached = leased.fleet_view();
+  Cluster discovered(fleet.cluster_config(RoutingScheme::kSigma));
+  EXPECT_TRUE(discovered.registry_healthy());
+  const auto cached = discovered.fleet_view();
   ASSERT_TRUE(cached.has_value());
 
   fleet.kill_registry();
 
   // The cached view survives, heartbeats flag the outage...
-  EXPECT_TRUE(eventually([&] { return !leased.registry_healthy(); }));
-  EXPECT_EQ(leased.fleet_view()->version, cached->version);
+  EXPECT_TRUE(eventually([&] { return !discovered.registry_healthy(); }));
+  EXPECT_EQ(discovered.fleet_view()->version, cached->version);
 
   // ...and the data plane never noticed: bit-identical report.
-  leased.backup_dataset(trace);
-  leased.flush();
-  const auto t = leased.report();
+  discovered.backup_dataset(trace);
+  discovered.flush();
+  const auto t = discovered.report();
   EXPECT_EQ(d.logical_bytes, t.logical_bytes);
   EXPECT_EQ(d.physical_bytes, t.physical_bytes);
   EXPECT_EQ(d.node_usage, t.node_usage);

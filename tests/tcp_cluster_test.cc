@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -149,6 +150,76 @@ TEST_P(SchemeIdentity, TransportReportEqualsDirectReport) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
+
+class SharedClientEndpointIdentity
+    : public ::testing::TestWithParam<RoutingScheme> {};
+
+TEST_P(SharedClientEndpointIdentity, ConcurrentClustersOnOneDaemonMatchDirect) {
+  // Two clusters back up at the same time through one 8-node daemon, both
+  // on the default client endpoint base: A uses nodes 100-103, B uses
+  // 104-107, so the daemon's transport sees two connections carrying the
+  // same source endpoint id. Each reply rides the connection of its
+  // request, so both reports are bit-identical to a direct-mode run.
+  const RoutingScheme scheme = GetParam();
+  const Dataset trace = small_linux_trace();
+
+  Cluster direct(direct_config(scheme, 4));
+  direct.backup_dataset(trace);
+  direct.flush();
+  const auto d = direct.report();
+
+  TcpFleet fleet(1, 8);
+  const TransportConfig all = fleet.transport();
+  ASSERT_EQ(all.tcp_nodes.size(), 8u);
+  auto half = [&](std::size_t first) {
+    ClusterConfig cfg = tcp_config(scheme, fleet);
+    cfg.num_nodes = 4;
+    cfg.transport.tcp_nodes.assign(all.tcp_nodes.begin() + first,
+                                   all.tcp_nodes.begin() + first + 4);
+    return cfg;
+  };
+  const ClusterConfig cfg_a = half(0);
+  const ClusterConfig cfg_b = half(4);
+  ASSERT_EQ(cfg_a.transport.tcp_nodes.front().endpoint,
+            net::kServiceEndpointBase);
+  ASSERT_EQ(cfg_b.transport.tcp_nodes.front().endpoint,
+            net::kServiceEndpointBase + 4);
+  Cluster a(cfg_a);
+  Cluster b(cfg_b);
+
+  auto run = [&](Cluster& cluster, std::string& error) {
+    try {
+      cluster.backup_dataset(trace);
+      cluster.flush();
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  };
+  std::string error_a;
+  std::string error_b;
+  std::thread ta([&] { run(a, error_a); });
+  std::thread tb([&] { run(b, error_b); });
+  ta.join();
+  tb.join();
+  ASSERT_EQ(error_a, "");
+  ASSERT_EQ(error_b, "");
+
+  for (const Cluster* c : {&a, &b}) {
+    const auto t = c->report();
+    EXPECT_EQ(d.logical_bytes, t.logical_bytes);
+    EXPECT_EQ(d.physical_bytes, t.physical_bytes);
+    EXPECT_EQ(d.node_usage, t.node_usage);
+    EXPECT_EQ(d.messages.pre_routing, t.messages.pre_routing);
+    EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, SharedClientEndpointIdentity,
                          ::testing::Values(RoutingScheme::kSigma,
                                            RoutingScheme::kStateless,
                                            RoutingScheme::kStateful,

@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/rpc.h"
 #include "net/tcp/frame.h"
@@ -579,141 +581,95 @@ TEST(TcpTransportTest, NoRouteBouncesImmediately) {
   EXPECT_EQ(client.tcp_stats().bounced_requests, 1u);
 }
 
-TEST(TcpTransportTest, CollidingClientEndpointIsRefusedNotHijacked) {
-  // Two client transports sharing one endpoint base register the same
-  // endpoint id. The server learns the first client's return route; the
-  // second (colliding) client must be refused deterministically — a fast
-  // error, a route_conflicts tick — and must NOT hijack the first
-  // client's route (first registration wins).
-  TcpPair pair;
-  RpcEndpoint rpc_a(*pair.client);
-
-  TcpTransportConfig collider_cfg;
-  collider_cfg.endpoint_base = kClientEndpointBase;  // same base as client A
-  collider_cfg.remote_endpoints.emplace(
-      pair.echo_id, TcpAddress{"127.0.0.1", pair.server->listen_port()});
-  TcpTransport collider(collider_cfg);
-  RpcEndpoint rpc_b(collider);
-  ASSERT_EQ(rpc_a.id(), rpc_b.id());  // the collision under test
-
-  // A talks first: its route is learned.
-  EXPECT_EQ(rpc_a.call_sync(pair.echo_id, MessageType::kFlush, Buffer{1},
-                            5000ms),
-            Buffer{1});
-
-  // B's request must fail fast with the collision error, not time out
-  // (and not steal A's route).
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    rpc_b.call_sync(pair.echo_id, MessageType::kFlush, Buffer{2}, 30000ms);
-    FAIL() << "expected RpcError for colliding endpoint";
-  } catch (const RpcTimeoutError&) {
-    FAIL() << "expected collision error, got timeout";
-  } catch (const RpcError& e) {
-    EXPECT_NE(std::string(e.what()).find("collision"), std::string::npos);
-  }
-  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
-  EXPECT_GE(pair.server->tcp_stats().route_conflicts, 1u);
-
-  // A keeps working: its learned route was not overwritten.
-  EXPECT_EQ(rpc_a.call_sync(pair.echo_id, MessageType::kFlush, Buffer{3},
-                            5000ms),
-            Buffer{3});
-}
-
-TEST(TcpTransportTest, StaleRouteIsTakenOverAfterSilentWindow) {
-  // An asymmetric connection drop (the server never sees FIN/RST) leaves
-  // the learned route pointing at a half-open connection. A new
-  // connection presenting the same endpoint id must claim it once the
-  // old one has been silent past route_stale_ms — a re-dialing client is
-  // locked out for at most the stale window, never forever. Depending on
-  // loop timing the stale route is either taken over on B's dial-in or
-  // already reclaimed by the periodic sweep; both count.
+TEST(TcpTransportTest, ReplyRidesRequestConnectionNotEndpointId) {
+  // The client's RpcEndpoint id is also the id of a second endpoint on
+  // the server. A reply is addressed by the connection its request came
+  // on, never by id, so it reaches the client — not the server's own
+  // endpoint of the same id.
   TcpTransportConfig server_cfg;
   server_cfg.listen = TcpAddress{"127.0.0.1", 0};
   server_cfg.endpoint_base = kServiceEndpointBase;
-  server_cfg.route_stale_ms = 200;
   TcpTransport server(server_cfg);
   const EndpointId echo = server.register_endpoint([&](Message&& m) {
     if (m.kind == MessageKind::kRequest) {
       server.send(Message::response_to(m, Buffer(m.body)));
     }
   });
+  std::atomic<int> decoy_deliveries{0};
+  const EndpointId decoy =
+      server.register_endpoint([&](Message&&) { ++decoy_deliveries; });
 
-  auto make_client = [&] {
-    TcpTransportConfig cfg;
-    cfg.endpoint_base = kClientEndpointBase;  // both clients collide
-    cfg.remote_endpoints.emplace(echo,
-                                 TcpAddress{"127.0.0.1", server.listen_port()});
-    return std::make_unique<TcpTransport>(cfg);
-  };
+  TcpTransportConfig client_cfg;
+  client_cfg.endpoint_base = decoy;
+  client_cfg.remote_endpoints.emplace(
+      echo, TcpAddress{"127.0.0.1", server.listen_port()});
+  TcpTransport client(client_cfg);
+  RpcEndpoint rpc(client);
+  ASSERT_EQ(rpc.id(), decoy);  // the shared id under test
 
-  auto client_a = make_client();
-  RpcEndpoint rpc_a(*client_a);
-  EXPECT_EQ(rpc_a.call_sync(echo, MessageType::kFlush, Buffer{1}, 5000ms),
-            Buffer{1});
-
-  std::this_thread::sleep_for(400ms);  // age A's route past the window
-
-  auto client_b = make_client();
-  RpcEndpoint rpc_b(*client_b);
-  EXPECT_EQ(rpc_b.call_sync(echo, MessageType::kFlush, Buffer{2}, 5000ms),
-            Buffer{2});
-  const auto stats = server.tcp_stats();
-  EXPECT_GE(stats.route_takeovers + stats.route_expired, 1u);
+  EXPECT_EQ(rpc.call_sync(echo, MessageType::kFlush, Buffer{7}, 5000ms),
+            Buffer{7});
+  EXPECT_EQ(decoy_deliveries.load(), 0);
+  EXPECT_EQ(server.stats().dropped, 0u);
 }
 
-TEST(TcpTransportTest, StaleRouteIsSweptWithoutAColliderDialingIn) {
-  // The kill -> re-lease regression: client A holds an endpoint id, goes
-  // permanently silent (its connection stays open — the half-open-peer
-  // shape the server cannot distinguish from a live-but-idle one), and
-  // NOBODY collides with its id for a while. Before the periodic sweep,
-  // the learned route lingered until a collider happened to dial in; now
-  // the sweep reclaims it on its own, so a client B re-leasing the same
-  // endpoint range later starts clean — no conflict, no takeover, just a
-  // fresh route.
+TEST(TcpTransportTest, ReplyAfterRequesterTransportIsGoneIsDropped) {
+  // The handler holds its requests and answers only after the client's
+  // transport has been destroyed. The replies have no connection left to
+  // ride: they are dropped and counted — no crash, no dial.
+  obs::Registry metrics;
   TcpTransportConfig server_cfg;
   server_cfg.listen = TcpAddress{"127.0.0.1", 0};
   server_cfg.endpoint_base = kServiceEndpointBase;
-  server_cfg.route_stale_ms = 200;
+  server_cfg.metrics = &metrics;
   TcpTransport server(server_cfg);
-  const EndpointId echo = server.register_endpoint([&](Message&& m) {
-    if (m.kind == MessageKind::kRequest) {
-      server.send(Message::response_to(m, Buffer(m.body)));
-    }
+  std::mutex held_mu;
+  std::vector<Message> held;
+  const EndpointId slow = server.register_endpoint([&](Message&& m) {
+    std::lock_guard<std::mutex> lock(held_mu);
+    held.push_back(std::move(m));
   });
-
-  auto make_client = [&] {
-    TcpTransportConfig cfg;
-    cfg.endpoint_base = kClientEndpointBase;  // same leased range
-    cfg.remote_endpoints.emplace(echo,
-                                 TcpAddress{"127.0.0.1", server.listen_port()});
-    return std::make_unique<TcpTransport>(cfg);
+  auto held_count = [&] {
+    std::lock_guard<std::mutex> lock(held_mu);
+    return held.size();
   };
 
-  auto client_a = make_client();
-  RpcEndpoint rpc_a(*client_a);
-  EXPECT_EQ(rpc_a.call_sync(echo, MessageType::kFlush, Buffer{1}, 5000ms),
-            Buffer{1});
+  {
+    TcpTransportConfig client_cfg;
+    client_cfg.remote_endpoints.emplace(
+        slow, TcpAddress{"127.0.0.1", server.listen_port()});
+    TcpTransport client(client_cfg);
+    RpcEndpoint rpc(client);
+    PendingCall first = rpc.call(slow, MessageType::kFlush, Buffer{1});
+    PendingCall second = rpc.call(slow, MessageType::kFlush, Buffer{2});
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (held_count() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+    }
+    ASSERT_EQ(held_count(), 2u);
+  }  // the client's endpoint and transport go; its connection closes
 
-  // A goes silent but stays connected. The sweep alone must reclaim the
-  // route — no second client has dialed in yet.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (server.tcp_stats().route_expired == 0 &&
+  while (server.tcp_stats().connections_lost == 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(25ms);
+    std::this_thread::sleep_for(5ms);
   }
-  EXPECT_GE(server.tcp_stats().route_expired, 1u);
+  ASSERT_EQ(server.tcp_stats().connections_lost, 1u);
 
-  // B re-leases A's endpoint range: a clean start, not a collision and
-  // not a takeover.
-  auto client_b = make_client();
-  RpcEndpoint rpc_b(*client_b);
-  EXPECT_EQ(rpc_b.call_sync(echo, MessageType::kFlush, Buffer{2}, 5000ms),
-            Buffer{2});
-  const auto stats = server.tcp_stats();
-  EXPECT_EQ(stats.route_conflicts, 0u);
-  EXPECT_EQ(stats.route_takeovers, 0u);
+  // One reply right after the close, one after the loop has had time to
+  // reap the closed connection.
+  std::vector<Message> requests;
+  {
+    std::lock_guard<std::mutex> lock(held_mu);
+    requests.swap(held);
+  }
+  server.send(Message::response_to(requests[0], Buffer{1}));
+  std::this_thread::sleep_for(500ms);
+  server.send(Message::response_to(requests[1], Buffer{2}));
+
+  EXPECT_EQ(server.stats().dropped, 2u);
+  EXPECT_EQ(server.stats().messages_sent, 0u);
+  EXPECT_EQ(metrics.counter("tcp.connects").value(), 0u);
 }
 
 TEST(TcpTransportTest, ReconnectsAfterServerRestart) {

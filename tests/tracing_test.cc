@@ -453,7 +453,6 @@ TEST(TraceE2ETest, TcpScrapeJoinsClientAndServiceSpans) {
 
   // Scrape the daemon's flight recorder the way fleet_trace does.
   net::TcpTransportConfig scrape_cfg;
-  scrape_cfg.endpoint_base = net::kClientEndpointBase + 7000;
   for (const auto& node : cfg.transport.tcp_nodes) {
     scrape_cfg.remote_endpoints.emplace(node.endpoint, node.address);
   }
@@ -562,7 +561,7 @@ TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
 
   Buffer hello = net::encode_hello({net::PeerRole::kClient});
   ASSERT_EQ(hello[4], net::kProtocolVersion);
-  ASSERT_EQ(net::kProtocolVersion, 7);
+  ASSERT_EQ(net::kProtocolVersion, 8);
   hello[4] = 3;
   ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
             static_cast<ssize_t>(hello.size()));

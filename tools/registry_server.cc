@@ -1,6 +1,6 @@
 // Standalone fleet registry daemon: the control plane node daemons
-// register their endpoint ranges with and clients lease client endpoint
-// ranges from (see src/ctrl/registry_server.h).
+// register their endpoint ranges with and clients fetch the fleet view
+// from (see src/ctrl/registry_server.h).
 //
 //   $ registry_server --port 7000
 //   READY port=7000 ttl_ms=5000
@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
 
     const obs::MetricsSnapshot final_snapshot = server.metrics_snapshot();
     std::cerr << "registry_server: shutting down (nodes="
-              << server.node_lease_count()
-              << " clients=" << server.client_lease_count() << ")\n"
+              << server.node_lease_count() << ")\n"
               << obs::render_text(final_snapshot);
     return 0;
   } catch (const std::exception& e) {
