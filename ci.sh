@@ -2,7 +2,8 @@
 # Tier-1 verify: full build + test suite, exactly as CI runs it, plus the
 # multi-process TCP smoke test (node_server daemons + client over sockets),
 # the persistence smoke test (file-backed daemons: store, SIGKILL, restart,
-# recover, read back), a clang-tidy pass (skipped when the tool is absent),
+# recover, read back), the fleetbench gate self-test (builds the benchmark
+# client), a clang-tidy pass (skipped when the tool is absent),
 # and two sanitizer lanes — ASan+UBSan and TSan+lock-ranks, both over the
 # full test suite, TSan additionally over both smoke tests (set
 # SIGMA_SKIP_SANITIZERS=1 to skip the sanitizer lanes for a quick local
@@ -17,6 +18,11 @@ ctest --output-on-failure -j"$(nproc)" --test-dir build
 scripts/tcp_smoke.sh build
 scripts/persist_smoke.sh build
 scripts/registry_smoke.sh build
+
+# The benchmark client must build against the library and its
+# correctness gate must hold: one corrupted and one clean 1-second
+# fleetbench run, each built from this checkout.
+python3 fleetbench/test_gate.py
 
 # Static analysis (no-op exit 0 on machines without clang-tidy).
 scripts/run_clang_tidy.sh build

@@ -57,7 +57,6 @@ BackupSummary BackupClient::backup(const ContentBackup& session,
                                    StreamId stream) {
   Stopwatch timer;
   BackupSummary summary;
-  const std::uint64_t physical_before = cluster_.report().physical_bytes;
 
   const auto chunker = make_chunker(config_.chunking, config_.chunk_bytes);
 
@@ -98,12 +97,20 @@ BackupSummary BackupClient::backup(const ContentBackup& session,
   std::size_t window_start = 0;
   SuperChunkBuilder builder(config_.super_chunk_bytes);
 
+  // Transferred bytes are the payloads this session's placements hand
+  // over: over a transport, those the duplicate test found absent; in
+  // direct mode, those the node pulls as unique. The provider runs inside
+  // place_super_chunk on this thread, so the count is this session's
+  // alone, however many streams share the cluster.
   auto dispatch = [&](SuperChunk&& sc, std::size_t end) {
     if (sc.chunks.empty()) return;
     const std::size_t base = window_start;
     const NodeId target = cluster_.place_super_chunk(
-        sc, stream,
-        [&chunks, base](std::size_t i) { return chunks[base + i].payload; });
+        sc, stream, [&chunks, &summary, base](std::size_t i) {
+          const ByteView payload = chunks[base + i].payload;
+          summary.transferred_bytes += payload.size();
+          return payload;
+        });
     for (std::size_t i = window_start; i < end; ++i) chunk_node[i] = target;
     ++summary.super_chunk_count;
     window_start = end;
@@ -128,10 +135,8 @@ BackupSummary BackupClient::backup(const ContentBackup& session,
     director_.record_file(session.session, std::move(recipe));
   }
 
-  // Transferred bytes = unique payloads actually stored this session
-  // (source dedup: duplicates never cross the wire).
-  summary.transferred_bytes =
-      cluster_.report().physical_bytes - physical_before;
+  // A returned backup() means every write of the session is acknowledged.
+  cluster_.drain_writes();
   summary.elapsed_seconds = timer.seconds();
   return summary;
 }

@@ -5,8 +5,9 @@
 //   * groups consecutive chunks of the session stream into super-chunks
 //     and routes each one via the cluster's routing scheme (data routing
 //     module),
-//   * sends the super-chunk's fingerprints as one batched duplicate-test
-//     query and transfers only unique chunk payloads, and
+//   * has the super-chunk's fingerprints tested at the node as one
+//     batched duplicate-test query (riding the routing probe where the
+//     scheme sends one) and transfers only unique chunk payloads, and
 //   * records file recipes with the director for restore.
 #pragma once
 
@@ -36,7 +37,9 @@ struct BackupClientConfig {
 /// Outcome of one backup session from the client's perspective.
 struct BackupSummary {
   std::uint64_t logical_bytes = 0;
-  std::uint64_t transferred_bytes = 0;  // unique payloads only
+  /// Payload bytes this session shipped (unique chunks only); other
+  /// streams' concurrent traffic is not counted.
+  std::uint64_t transferred_bytes = 0;
   std::uint64_t chunk_count = 0;
   std::uint64_t super_chunk_count = 0;
   double elapsed_seconds = 0.0;
@@ -57,7 +60,8 @@ class BackupClient {
                Director& director);
 
   /// Back up one session of files. `stream` identifies this client's data
-  /// stream for per-stream open containers on the nodes.
+  /// stream for per-stream open containers on the nodes. Returns once
+  /// every write of the session is acknowledged.
   BackupSummary backup(const ContentBackup& session, StreamId stream = 0);
 
   /// Restore one file from its recipe. Reads a window of recipe entries

@@ -243,14 +243,17 @@ NodeId Cluster::route_unit(const std::vector<ChunkRecord>& unit,
 
 void Cluster::submit_write(NodeId target, StreamId stream,
                            const SuperChunk& sc,
-                           const DedupNode::PayloadProvider& payloads) {
+                           const DedupNode::PayloadProvider& payloads,
+                           const std::optional<std::vector<bool>>& present) {
   if (runtime_) {
-    // The stub serializes the request (running the wire duplicate test in
-    // payload mode) synchronously, then the store travels asynchronously:
-    // the pipeline slot frees when the node's response arrives.
+    // The stub serializes the request synchronously — in payload mode
+    // with the probe's duplicate bitmap, or after a separate duplicate
+    // test when the scheme sent no probe — then the store travels
+    // asynchronously: the pipeline slot frees when the node's response
+    // arrives.
     runtime_->in_flight.push_back(
         runtime_->clients[target]->write_super_chunk_async(stream, sc,
-                                                           payloads));
+                                                           payloads, present));
   } else {
     nodes_[target]->write_super_chunk(stream, sc, payloads);
   }
@@ -384,11 +387,19 @@ NodeId Cluster::place_super_chunk(const SuperChunk& super_chunk,
   // descend from this span.
   obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
   RouteContext ctx;
+  if (runtime_ && payloads) {
+    // The duplicate test rides the probe round: the write below then
+    // ships its unique payloads without another round trip.
+    ctx.duplicate_test.reserve(super_chunk.chunks.size());
+    for (const auto& c : super_chunk.chunks) {
+      ctx.duplicate_test.push_back(c.fp);
+    }
+  }
   const NodeId target = route_unit(super_chunk.chunks, ctx);
   messages_.pre_routing += ctx.pre_routing_messages;
   messages_.after_routing += super_chunk.chunks.size();
   logical_bytes_ += super_chunk.logical_size();
-  submit_write(target, stream, super_chunk, payloads);
+  submit_write(target, stream, super_chunk, payloads, ctx.present);
   return target;
 }
 
@@ -430,6 +441,11 @@ std::vector<std::optional<Buffer>> Cluster::read_chunks(
 std::optional<Buffer> Cluster::read_chunk(NodeId node,
                                           const Fingerprint& fp) const {
   return std::move(read_chunks({{node, fp}}).front());
+}
+
+void Cluster::drain_writes() {
+  MutexLock lock(route_mu_);
+  if (runtime_) runtime_->drain();
 }
 
 void Cluster::flush() {

@@ -4,9 +4,11 @@
 // The cluster owns N deduplication nodes and a routing scheme. Backups are
 // processed exactly as the paper describes: the client-side stream is cut
 // into routing units (super-chunks, files, or chunks depending on the
-// scheme), each unit is routed, the unit's chunk fingerprints are sent to
-// the target node as one batched duplicate-test query, and only unique
-// chunks are stored.
+// scheme), each unit is routed, the unit's chunk fingerprints are tested
+// at the target node as one batched duplicate-test query, and only unique
+// chunks are stored. Over a transport in payload mode, a scheme that
+// probes (Sigma, EMC stateful) sends that query inside the routing probe,
+// so a placement costs one round trip before its write.
 //
 // Message accounting follows Fig. 7's metric: one message = one chunk
 // fingerprint looked up at one node, split into pre-routing (probe) and
@@ -155,7 +157,7 @@ class Cluster {
   obs::MetricsSnapshot stats_snapshot(NodeId node) const;
 
   /// Registry mode only: the latest fleet view (the construction-time
-  /// view until a periodic pull brings a newer one).
+  /// view until a periodic pull brings a changed one).
   /// Empty optional under static wiring. NOTE: the cluster keeps its
   /// wired node map until restarted — an observed change updates this
   /// view (and logs) so operators and tests see it; dynamic rewiring is
@@ -202,6 +204,10 @@ class Cluster {
   std::optional<Buffer> read_chunk(NodeId node, const Fingerprint& fp) const
       SIGMA_EXCLUDES(route_mu_);
 
+  /// Write barrier: block until every write issued so far is
+  /// acknowledged (kTcp; direct-mode writes are synchronous already).
+  void drain_writes() SIGMA_EXCLUDES(route_mu_);
+
   /// Seal all open containers on every node.
   void flush() SIGMA_EXCLUDES(route_mu_);
 
@@ -222,9 +228,12 @@ class Cluster {
       SIGMA_REQUIRES(route_mu_);
 
   /// Dispatch one super-chunk write to `target` (direct call or pipelined
-  /// transport write).
-  void submit_write(NodeId target, StreamId stream, const SuperChunk& sc,
-                    const DedupNode::PayloadProvider& payloads = {})
+  /// transport write). `present` is the target's duplicate bitmap from
+  /// the routing probe, when the probe carried the test.
+  void submit_write(
+      NodeId target, StreamId stream, const SuperChunk& sc,
+      const DedupNode::PayloadProvider& payloads = {},
+      const std::optional<std::vector<bool>>& present = std::nullopt)
       SIGMA_REQUIRES(route_mu_);
 
   ClusterConfig config_;

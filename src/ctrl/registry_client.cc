@@ -213,7 +213,12 @@ void RegistryClient::pull_view() {
   {
     MutexLock lock(mu_);
     ttl_ms_ = view.ttl_ms;
-    if (view.version <= latest_view_.version) return;
+    // Any difference is news, not only a higher version: a restarted
+    // registry numbers its views from 0 again.
+    if (view.version == latest_view_.version &&
+        view.nodes == latest_view_.nodes) {
+      return;
+    }
     latest_view_ = view;
   }
   m_updates_.inc();

@@ -49,7 +49,7 @@ struct RegistryClientConfig {
   /// Metrics plane (must outlive the client): registry_client.*
   /// heartbeat / failure / update counters and the stub's rpc.* series
   /// (a client's periodic pulls count as heartbeats; registry_client.updates
-  /// counts the pulls that brought a newer view).
+  /// counts the pulls that brought a changed view).
   /// Null = a private registry.
   obs::Registry* metrics = nullptr;
 };
@@ -93,7 +93,7 @@ class RegistryClient {
   std::uint64_t lease_id() const SIGMA_EXCLUDES(mu_);
   std::uint32_t ttl_ms() const SIGMA_EXCLUDES(mu_);
 
-  /// Client role: the view watch_fleet() returned, or the newest one
+  /// Client role: the view watch_fleet() returned, or the latest one
   /// pulled since.
   service::FleetView latest_view() const SIGMA_EXCLUDES(mu_);
 
@@ -103,7 +103,8 @@ class RegistryClient {
   /// Daemon role: extend lease `id`, re-registering if the registry
   /// forgot it.
   void heartbeat(std::uint64_t id) SIGMA_EXCLUDES(mu_);
-  /// Client role: pull the view and keep it if it is newer than ours.
+  /// Client role: pull the view and keep it if it differs from ours in
+  /// version or nodes (a restarted registry counts versions from 0).
   void pull_view() SIGMA_EXCLUDES(mu_);
   void note_heartbeat_result(bool ok, const std::string& error)
       SIGMA_EXCLUDES(mu_);

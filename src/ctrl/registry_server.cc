@@ -1,6 +1,7 @@
 #include "ctrl/registry_server.h"
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -35,6 +36,16 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
   m_leaves_ = &registry_.counter("registry.leaves");
   m_nodes_ = &registry_.gauge("registry.nodes");
   view_.ttl_ms = config_.lease_ttl_ms;
+  {
+    // Lease ids start at a random point (odd, so never 0, and 2^63 ids
+    // from wrapping): a restarted registry must not hand a surviving
+    // daemon's old id to another daemon, or that daemon's heartbeats
+    // would keep the other's lease alive and it would never re-register.
+    std::random_device rd;
+    MutexLock lock(mu_);
+    next_lease_id_ =
+        ((static_cast<std::uint64_t>(rd()) << 32 | rd()) >> 1) | 1;
+  }
 
   net::TcpTransportConfig tcp;
   tcp.listen = config_.listen;

@@ -121,7 +121,7 @@ class RegistryServer {
   /// tests and CLIs call from other threads.
   Mutex mu_{LockRank::kRegistryCtrl};
   std::map<std::uint64_t, Lease> leases_ SIGMA_GUARDED_BY(mu_);
-  std::uint64_t next_lease_id_ SIGMA_GUARDED_BY(mu_) = 1;
+  std::uint64_t next_lease_id_ SIGMA_GUARDED_BY(mu_) = 0;  // random start
   service::FleetView view_ SIGMA_GUARDED_BY(mu_);
 
   /// Declared last: destroyed first, so the loop stops before the state

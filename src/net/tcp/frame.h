@@ -46,8 +46,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x314D4753;
 /// that carried its request, so clients lease no endpoint ids — the
 /// endpoint-lease op is gone (later op bytes shift down by one), the
 /// kRegistryHeartbeat reply is empty, and the kFleetFetch reply carries
-/// the lease TTL.
-inline constexpr std::uint8_t kProtocolVersion = 8;
+/// the lease TTL. v9: the kRoutingProbe request carries a second
+/// fingerprint list (the duplicate test) and its reply a bitmap, so a
+/// placement's duplicate test rides its routing probe.
+inline constexpr std::uint8_t kProtocolVersion = 9;
 
 /// Peer roles exchanged in the HELLO (informational, for diagnostics).
 enum class PeerRole : std::uint8_t { kClient = 0, kServer = 1 };

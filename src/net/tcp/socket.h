@@ -49,6 +49,9 @@ struct TcpAddress {
 struct TcpNodeAddress {
   TcpAddress address;
   EndpointId endpoint = 0;
+
+  friend bool operator==(const TcpNodeAddress&,
+                         const TcpNodeAddress&) = default;
 };
 
 /// Strict numeric parse: the whole string, within [0, max]. Throws

@@ -9,9 +9,12 @@
 // in-process nodes (DirectProbeSet over NodeProbe, which DedupNode
 // implements); the message-passing stack puts one fused kRoutingProbe
 // RPC per candidate in flight together (service::ClientProbeSet), ~1
-// round-trip per decision. Probe *message* accounting stays in the
-// routing layer (RouteContext), so Fig. 7's metric is identical in both
-// modes.
+// round-trip per decision. In payload mode that same message carries the
+// routing unit's duplicate test, so the chosen node's "which chunks do
+// you already hold?" answer arrives with the probe and the write follows
+// at once: one round trip per placement. Probe *message* accounting
+// stays in the routing layer (RouteContext), so Fig. 7's metric is
+// identical in both modes.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +60,12 @@ struct ProbeRound {
   std::vector<std::size_t> matches;
   /// stored_bytes for every node in the cluster, indexed by NodeId.
   std::vector<std::uint64_t> usage;
+  /// The fused duplicate test, parallel to `candidates`: which of the
+  /// `duplicate_test` fingerprints passed to gather() each candidate
+  /// already stores. Empty when none were passed, and always empty from
+  /// DirectProbeSet (in-process nodes pull payloads; there is no wire to
+  /// spare).
+  std::vector<std::vector<bool>> present;
 };
 
 /// Scatter-gather probe plane over a fleet of nodes. Implementations:
@@ -73,11 +82,14 @@ class ProbeSet {
 
   /// One scatter-gather round: ask each node in `candidates` for its
   /// match count against `fps` (`kind` selects the index) and every node
-  /// for its stored bytes. Candidate ids must be < size(); throws
-  /// std::out_of_range otherwise.
-  virtual ProbeRound gather(ProbeKind kind,
-                            std::span<const NodeId> candidates,
-                            const std::vector<Fingerprint>& fps) const = 0;
+  /// for its stored bytes. A non-empty `duplicate_test` (the routing
+  /// unit's chunk fingerprints) rides each candidate's probe, and the
+  /// answers come back in ProbeRound::present. Candidate ids must be
+  /// < size(); throws std::out_of_range otherwise.
+  virtual ProbeRound gather(
+      ProbeKind kind, std::span<const NodeId> candidates,
+      const std::vector<Fingerprint>& fps,
+      std::span<const Fingerprint> duplicate_test) const = 0;
 
  protected:
   /// Enforces the candidate-id precondition; implementations call this

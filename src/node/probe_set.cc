@@ -2,9 +2,10 @@
 
 namespace sigma {
 
-ProbeRound DirectProbeSet::gather(ProbeKind kind,
-                                  std::span<const NodeId> candidates,
-                                  const std::vector<Fingerprint>& fps) const {
+ProbeRound DirectProbeSet::gather(
+    ProbeKind kind, std::span<const NodeId> candidates,
+    const std::vector<Fingerprint>& fps,
+    std::span<const Fingerprint> /*duplicate_test*/) const {
   validate_candidates(candidates);
   ProbeRound round;
   round.usage.reserve(nodes_.size());

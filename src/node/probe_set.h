@@ -18,8 +18,12 @@ class DirectProbeSet final : public ProbeSet {
 
   std::size_t size() const override { return nodes_.size(); }
 
+  /// Leaves ProbeRound::present empty: a direct-mode write pulls exactly
+  /// the unique payloads, so there is no duplicate test to answer.
   ProbeRound gather(ProbeKind kind, std::span<const NodeId> candidates,
-                    const std::vector<Fingerprint>& fps) const override;
+                    const std::vector<Fingerprint>& fps,
+                    std::span<const Fingerprint> duplicate_test)
+      const override;
 
  private:
   std::span<const NodeProbe* const> nodes_;

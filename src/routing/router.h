@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,9 +25,18 @@ namespace sigma {
 /// What a scheme routes as one unit.
 enum class RoutingGranularity { kChunk, kSuperChunk, kFile };
 
-/// Per-call accounting out-parameter.
+/// Per-call accounting and the fused duplicate test.
 struct RouteContext {
+  /// In: the unit's chunk fingerprints when the caller wants the
+  /// duplicate test to ride the probe round (payload mode over a
+  /// transport); empty = no test.
+  std::vector<Fingerprint> duplicate_test;
+  /// Out: Fig. 7 pre-routing lookups.
   std::uint64_t pre_routing_messages = 0;
+  /// Out: which of `duplicate_test` the chosen node already stores. Set
+  /// only by a scheme whose probe round reached the chosen node with the
+  /// test; otherwise the write runs its own duplicate test.
+  std::optional<std::vector<bool>> present;
 };
 
 /// Abstract data-routing scheme.
@@ -40,7 +50,9 @@ class Router {
   /// Select the target node for `unit` (its chunk records, in stream
   /// order). `probes` is the cluster's scatter-gather probe plane;
   /// stateful schemes issue their whole probe round through one
-  /// ProbeSet::gather() call and must account probe messages in `ctx`.
+  /// ProbeSet::gather() call — handing it ctx.duplicate_test and the
+  /// chosen node's answer back in ctx.present — and must account probe
+  /// messages in `ctx`.
   virtual NodeId route(const std::vector<ChunkRecord>& unit,
                        const ProbeSet& probes, RouteContext& ctx) = 0;
 

@@ -34,14 +34,14 @@ NodeId SigmaRouter::route(const std::vector<ChunkRecord>& unit,
 
   // Algorithm 1 step 2 as one scatter-gather round: every candidate's
   // resemblance count and every node's usage, all in flight together.
-  const ProbeRound round =
-      probes.gather(ProbeKind::kResemblance, candidates, handprint);
+  const ProbeRound round = probes.gather(ProbeKind::kResemblance, candidates,
+                                        handprint, ctx.duplicate_test);
 
   // Step 3+4: discounted-resemblance argmax; ties (notably the all-zero
   // resemblance case for fresh data) break toward the least-loaded
   // candidate, which yields balanced placement of new data.
   const double avg = routing_detail::average_usage(round.usage);
-  NodeId best = candidates.front();
+  std::size_t best_i = 0;
   double best_score = -1.0;
   std::uint64_t best_usage = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -60,10 +60,11 @@ NodeId SigmaRouter::route(const std::vector<ChunkRecord>& unit,
          usage < best_usage)) {
       best_score = score;
       best_usage = usage;
-      best = cand;
+      best_i = i;
     }
   }
-  return best;
+  if (!round.present.empty()) ctx.present = round.present[best_i];
+  return candidates[best_i];
 }
 
 }  // namespace sigma

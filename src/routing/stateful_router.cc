@@ -39,8 +39,8 @@ NodeId StatefulRouter::route(const std::vector<ChunkRecord>& unit,
     all_nodes_.resize(probes.size());
     std::iota(all_nodes_.begin(), all_nodes_.end(), NodeId{0});
   }
-  const ProbeRound round =
-      probes.gather(ProbeKind::kChunkMatch, all_nodes_, sample_fps);
+  const ProbeRound round = probes.gather(ProbeKind::kChunkMatch, all_nodes_,
+                                        sample_fps, ctx.duplicate_test);
 
   const double avg = routing_detail::average_usage(round.usage);
   NodeId best = 0;
@@ -58,6 +58,7 @@ NodeId StatefulRouter::route(const std::vector<ChunkRecord>& unit,
       best = static_cast<NodeId>(i);
     }
   }
+  if (!round.present.empty()) ctx.present = round.present[best];
   return best;
 }
 

@@ -23,9 +23,10 @@ net::PendingCall NodeClient::stored_bytes_async() const {
 }
 
 net::PendingCall NodeClient::routing_probe_async(
-    ProbeKind kind, const std::vector<Fingerprint>& fps) const {
+    ProbeKind kind, const std::vector<Fingerprint>& fps,
+    std::span<const Fingerprint> duplicate_test) const {
   return rpc_.call(service_, MessageType::kRoutingProbe,
-                   encode_routing_probe_request(kind, fps));
+                   encode_routing_probe_request(kind, fps, duplicate_test));
 }
 
 std::vector<bool> NodeClient::test_duplicates(
@@ -38,28 +39,34 @@ std::vector<bool> NodeClient::test_duplicates(
 
 net::PendingCall NodeClient::write_super_chunk_async(
     StreamId stream, const SuperChunk& super_chunk,
-    const DedupNode::PayloadProvider& payloads) const {
+    const DedupNode::PayloadProvider& payloads,
+    const std::optional<std::vector<bool>>& present) const {
   WriteRequest req;
   req.stream = stream;
   req.chunks = super_chunk.chunks;
   if (payloads) {
-    // Batched duplicate test, then ship payloads only for absent chunks:
-    // duplicate data never crosses the wire (source dedup, Section 3.1).
-    std::vector<Fingerprint> fps;
-    fps.reserve(super_chunk.chunks.size());
-    for (const auto& c : super_chunk.chunks) fps.push_back(c.fp);
-    const std::vector<bool> present = test_duplicates(fps);
-    if (present.size() != fps.size()) {
+    // Ship payloads only for absent chunks: duplicate data never crosses
+    // the wire (source dedup, Section 3.1). The bitmap came with the
+    // routing probe; a scheme that sent none pays a separate test here.
+    std::vector<bool> tested;
+    if (!present) {
+      std::vector<Fingerprint> fps;
+      fps.reserve(super_chunk.chunks.size());
+      for (const auto& c : super_chunk.chunks) fps.push_back(c.fp);
+      tested = test_duplicates(fps);
+    }
+    const std::vector<bool>& bits = present ? *present : tested;
+    if (bits.size() != super_chunk.chunks.size()) {
       throw net::RpcError("duplicate test: bitmap size " +
-                          std::to_string(present.size()) + " != queried " +
-                          std::to_string(fps.size()));
+                          std::to_string(bits.size()) + " != queried " +
+                          std::to_string(super_chunk.chunks.size()));
     }
     // A fingerprint repeated within the batch ships one payload: the node
     // processes the batch in order, so only the first occurrence can be
     // judged unique — later ones dedupe against it locally.
     std::unordered_set<Fingerprint> shipped;
     for (std::size_t i = 0; i < super_chunk.chunks.size(); ++i) {
-      if (!present[i] && shipped.insert(super_chunk.chunks[i].fp).second) {
+      if (!bits[i] && shipped.insert(super_chunk.chunks[i].fp).second) {
         const ByteView payload = payloads(i);
         req.payloads.emplace_back(static_cast<std::uint32_t>(i),
                                   to_buffer(payload));

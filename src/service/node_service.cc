@@ -131,6 +131,9 @@ Message NodeService::handle(const Message& request) {
                             ? node_.resemblance_count(req.fingerprints)
                             : node_.chunk_match_count(req.fingerprints);
         reply.stored_bytes = node_.stored_bytes();
+        if (!req.duplicate_test.empty()) {
+          reply.present = node_.test_duplicates(req.duplicate_test);
+        }
         return Message::response_to(request,
                                     encode_routing_probe_reply(reply));
       }
@@ -147,7 +150,8 @@ Message NodeService::handle(const Message& request) {
         std::vector<const Buffer*> by_index;
         if (!req.payloads.empty()) {
           // Sparse payload lookup: the client sent bytes only for chunks
-          // its duplicate test reported absent; the node asks for a
+          // its duplicate test (fused into the routing probe, or a
+          // separate kDuplicateTest) reported absent; the node asks for a
           // payload only when it decides a chunk is unique, and unique-at-
           // store implies absent-at-test, so every ask is answerable.
           by_index.assign(sc.chunks.size(), nullptr);

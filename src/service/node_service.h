@@ -7,13 +7,13 @@
 // run in parallel on their own threads.
 //
 // Two queues: writes (super-chunk stores, flushes) take the FIFO write
-// queue; read-only requests — routing probes, duplicate tests, chunk
-// reads, scrapes — take the probe queue, and the thread always pops a
-// queued probe before the next write. A probe is therefore answered after
-// at most the one write in progress rather than behind the whole queued
-// write backlog. That recovers same-node pipelining for the payload-mode
-// write path (whose duplicate test is a synchronous RPC between pipelined
-// stores). The reordering is safe: stores only ever add chunks, so a
+// queue; read-only requests — routing probes (with their fused duplicate
+// test), stand-alone duplicate tests, chunk reads, scrapes — take the
+// probe queue, and the thread always pops a queued probe before the next
+// write. A probe is therefore answered after at most the one write in
+// progress rather than behind the whole queued write backlog, so a
+// placement's one synchronous round trip does not wait out the pipelined
+// stores. The reordering is safe: stores only ever add chunks, so a
 // probe that runs early can at worst under-report presence — the client
 // ships a few extra payload bytes and the store path re-checks;
 // present-at-test can never un-store.

@@ -6,9 +6,10 @@
 
 namespace sigma::service {
 
-ProbeRound ClientProbeSet::gather(ProbeKind kind,
-                                  std::span<const NodeId> candidates,
-                                  const std::vector<Fingerprint>& fps) const {
+ProbeRound ClientProbeSet::gather(
+    ProbeKind kind, std::span<const NodeId> candidates,
+    const std::vector<Fingerprint>& fps,
+    std::span<const Fingerprint> duplicate_test) const {
   // Child of the routing-decision span; the per-node probe RPC spans
   // issued below nest under it in turn.
   obs::SpanScope span("probe.gather");
@@ -23,9 +24,10 @@ ProbeRound ClientProbeSet::gather(ProbeKind kind,
   std::vector<net::PendingCall> calls;
   calls.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    calls.push_back(is_candidate[i]
-                        ? clients_[i]->routing_probe_async(kind, fps)
-                        : clients_[i]->stored_bytes_async());
+    calls.push_back(
+        is_candidate[i]
+            ? clients_[i]->routing_probe_async(kind, fps, duplicate_test)
+            : clients_[i]->stored_bytes_async());
   }
 
   // Gather: one drain for the whole round (first failure rethrows after
@@ -36,18 +38,30 @@ ProbeRound ClientProbeSet::gather(ProbeKind kind,
   ProbeRound round;
   round.usage.resize(n, 0);
   std::vector<std::size_t> matches_by_node(n, 0);
+  std::vector<std::vector<bool>> present_by_node(n);
   for (std::size_t i = 0; i < n; ++i) {
     const ByteView body{bodies[i].data(), bodies[i].size()};
     if (is_candidate[i]) {
-      const RoutingProbeReply reply = decode_routing_probe_reply(body);
+      RoutingProbeReply reply = decode_routing_probe_reply(body);
+      if (reply.present.size() != duplicate_test.size()) {
+        throw net::RpcError("routing probe: bitmap size " +
+                            std::to_string(reply.present.size()) +
+                            " != queried " +
+                            std::to_string(duplicate_test.size()));
+      }
       matches_by_node[i] = static_cast<std::size_t>(reply.matches);
       round.usage[i] = reply.stored_bytes;
+      present_by_node[i] = std::move(reply.present);
     } else {
       round.usage[i] = decode_u64(body);
     }
   }
   round.matches.reserve(candidates.size());
   for (NodeId c : candidates) round.matches.push_back(matches_by_node[c]);
+  if (!duplicate_test.empty()) {
+    round.present.reserve(candidates.size());
+    for (NodeId c : candidates) round.present.push_back(present_by_node[c]);
+  }
   return round;
 }
 

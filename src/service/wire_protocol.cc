@@ -7,19 +7,61 @@ namespace sigma::service {
 using net::WireReader;
 using net::WireWriter;
 
-Buffer encode_fingerprints(const std::vector<Fingerprint>& fps) {
-  WireWriter w(4 + fps.size() * Fingerprint::kSize);
+namespace {
+
+/// One bit per entry, LSB first, behind a u32 count — the duplicate-test
+/// answer, standalone (kDuplicateTest) or at the tail of a fused probe.
+void put_bitmap(WireWriter& w, const std::vector<bool>& bits) {
+  w.u32(static_cast<std::uint32_t>(bits.size()));
+  std::uint8_t acc = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) acc |= static_cast<std::uint8_t>(1u << (i % 8));
+    if (i % 8 == 7) {
+      w.u8(acc);
+      acc = 0;
+    }
+  }
+  if (bits.size() % 8 != 0) w.u8(acc);
+}
+
+std::vector<bool> get_bitmap(WireReader& r) {
+  const std::uint32_t n = r.u32();
+  if (r.remaining() < (static_cast<std::size_t>(n) + 7) / 8) {
+    throw net::WireError("bitmap: count exceeds message body");
+  }
+  std::vector<bool> bits(n, false);
+  std::uint8_t acc = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i % 8 == 0) acc = r.u8();
+    bits[i] = (acc >> (i % 8)) & 1u;
+  }
+  return bits;
+}
+
+void put_fingerprints(WireWriter& w, std::span<const Fingerprint> fps) {
   w.u32(static_cast<std::uint32_t>(fps.size()));
   for (const auto& fp : fps) w.fingerprint(fp);
+}
+
+std::vector<Fingerprint> get_fingerprints(WireReader& r) {
+  const std::uint32_t n = r.count(Fingerprint::kSize);
+  std::vector<Fingerprint> fps;
+  fps.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) fps.push_back(r.fingerprint());
+  return fps;
+}
+
+}  // namespace
+
+Buffer encode_fingerprints(const std::vector<Fingerprint>& fps) {
+  WireWriter w(4 + fps.size() * Fingerprint::kSize);
+  put_fingerprints(w, fps);
   return w.take();
 }
 
 std::vector<Fingerprint> decode_fingerprints(ByteView body) {
   WireReader r(body);
-  const std::uint32_t n = r.count(Fingerprint::kSize);
-  std::vector<Fingerprint> fps;
-  fps.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) fps.push_back(r.fingerprint());
+  std::vector<Fingerprint> fps = get_fingerprints(r);
   r.expect_done();
   return fps;
 }
@@ -39,46 +81,31 @@ std::uint64_t decode_u64(ByteView body) {
 
 Buffer encode_bitmap(const std::vector<bool>& bits) {
   WireWriter w(4 + bits.size() / 8 + 1);
-  w.u32(static_cast<std::uint32_t>(bits.size()));
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      w.u8(acc);
-      acc = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) w.u8(acc);
+  put_bitmap(w, bits);
   return w.take();
 }
 
 std::vector<bool> decode_bitmap(ByteView body) {
   WireReader r(body);
-  const std::uint32_t n = r.u32();
-  if (r.remaining() < (static_cast<std::size_t>(n) + 7) / 8) {
-    throw net::WireError("bitmap: count exceeds message body");
-  }
-  std::vector<bool> bits(n, false);
-  std::uint8_t acc = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (i % 8 == 0) acc = r.u8();
-    bits[i] = (acc >> (i % 8)) & 1u;
-  }
+  std::vector<bool> bits = get_bitmap(r);
   r.expect_done();
   return bits;
 }
 
-Buffer encode_routing_probe_request(ProbeKind kind,
-                                    std::span<const Fingerprint> fps) {
-  WireWriter w(1 + 4 + fps.size() * Fingerprint::kSize);
+Buffer encode_routing_probe_request(
+    ProbeKind kind, std::span<const Fingerprint> fps,
+    std::span<const Fingerprint> duplicate_test) {
+  WireWriter w(1 + 8 + (fps.size() + duplicate_test.size()) *
+                           Fingerprint::kSize);
   w.u8(static_cast<std::uint8_t>(kind));
-  w.u32(static_cast<std::uint32_t>(fps.size()));
-  for (const auto& fp : fps) w.fingerprint(fp);
+  put_fingerprints(w, fps);
+  put_fingerprints(w, duplicate_test);
   return w.take();
 }
 
 Buffer encode_routing_probe_request(const RoutingProbeRequest& req) {
-  return encode_routing_probe_request(req.kind, req.fingerprints);
+  return encode_routing_probe_request(req.kind, req.fingerprints,
+                                      req.duplicate_test);
 }
 
 RoutingProbeRequest decode_routing_probe_request(ByteView body) {
@@ -90,19 +117,17 @@ RoutingProbeRequest decode_routing_probe_request(ByteView body) {
                          std::to_string(kind));
   }
   req.kind = static_cast<ProbeKind>(kind);
-  const std::uint32_t n = r.count(Fingerprint::kSize);
-  req.fingerprints.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    req.fingerprints.push_back(r.fingerprint());
-  }
+  req.fingerprints = get_fingerprints(r);
+  req.duplicate_test = get_fingerprints(r);
   r.expect_done();
   return req;
 }
 
 Buffer encode_routing_probe_reply(const RoutingProbeReply& reply) {
-  WireWriter w(16);
+  WireWriter w(16 + 4 + reply.present.size() / 8 + 1);
   w.u64(reply.matches);
   w.u64(reply.stored_bytes);
+  put_bitmap(w, reply.present);
   return w.take();
 }
 
@@ -111,6 +136,7 @@ RoutingProbeReply decode_routing_probe_reply(ByteView body) {
   RoutingProbeReply reply;
   reply.matches = r.u64();
   reply.stored_bytes = r.u64();
+  reply.present = get_bitmap(r);
   r.expect_done();
   return reply;
 }

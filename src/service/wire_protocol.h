@@ -38,26 +38,33 @@ std::vector<bool> decode_bitmap(ByteView body);
 
 // ---- Fused routing probe (scatter-gather probe plane) ---------------------
 
-/// Request: which index to query (ProbeKind) plus the fingerprints. One
-/// message carries a candidate's whole share of a routing decision.
+/// Request: which index to query (ProbeKind) plus the fingerprints, and —
+/// in payload mode — the whole routing unit's chunk fingerprints for the
+/// duplicate test (empty = no test). One message carries a candidate's
+/// whole share of a routing decision, duplicate test included.
 struct RoutingProbeRequest {
   ProbeKind kind = ProbeKind::kResemblance;
   std::vector<Fingerprint> fingerprints;
+  std::vector<Fingerprint> duplicate_test;
 };
 
-/// Span overload: encodes straight from the caller's fingerprint list —
+/// Span overload: encodes straight from the caller's fingerprint lists —
 /// the per-candidate hot path copies nothing.
-Buffer encode_routing_probe_request(ProbeKind kind,
-                                    std::span<const Fingerprint> fps);
+Buffer encode_routing_probe_request(
+    ProbeKind kind, std::span<const Fingerprint> fps,
+    std::span<const Fingerprint> duplicate_test);
 Buffer encode_routing_probe_request(const RoutingProbeRequest& req);
 RoutingProbeRequest decode_routing_probe_request(ByteView body);
 
 /// Response: the match count plus the node's stored bytes, so one
 /// round-trip answers both the resemblance/match step and the
-/// balance-discount usage step of a routing decision.
+/// balance-discount usage step of a routing decision; plus one bit per
+/// duplicate-test fingerprint (empty when none was asked), set when the
+/// node already stores that chunk.
 struct RoutingProbeReply {
   std::uint64_t matches = 0;
   std::uint64_t stored_bytes = 0;
+  std::vector<bool> present;
 };
 
 Buffer encode_routing_probe_reply(const RoutingProbeReply& reply);
@@ -67,7 +74,8 @@ RoutingProbeReply decode_routing_probe_reply(ByteView body);
 
 /// The store half of the batched duplicate-test + store operation: the
 /// super-chunk's chunk records plus payload bytes for exactly the chunks
-/// the preceding duplicate test reported absent (sparse, by chunk index).
+/// the duplicate test (fused into the routing probe, or a separate
+/// kDuplicateTest) reported absent (sparse, by chunk index).
 struct WriteRequest {
   StreamId stream = 0;
   std::vector<ChunkRecord> chunks;

@@ -230,6 +230,51 @@ TEST(RegistryTest, CleanLeaveReachesClientsWithinOneHeartbeat) {
   EXPECT_EQ(a.latest_view().version, reg.fleet_view().version);
 }
 
+TEST(RegistryTest, RestartedRegistryViewReachesClientsWithinOnePull) {
+  // A restarted registry numbers its views from 0 again. A watching
+  // client must take the new registry's view even though its version is
+  // below the one it cached from the old registry.
+  ctrl::RegistryServerConfig cfg;
+  cfg.lease_ttl_ms = 300;  // daemons heartbeat, clients pull, every 100 ms
+  auto reg = std::make_unique<ctrl::RegistryServer>(cfg);
+  cfg.listen.port = reg->port();
+
+  auto daemon = [&](net::EndpointId first) {
+    auto d = std::make_unique<ctrl::RegistryClient>(client_config(*reg));
+    d->register_node({"127.0.0.1", static_cast<std::uint16_t>(first)},
+                     first, 2);
+    return d;
+  };
+  auto a = daemon(100);
+  auto b = daemon(102);
+  daemon(104).reset();  // joins and leaves cleanly: two more versions
+
+  ctrl::RegistryClient client(client_config(*reg));
+  client.watch_fleet();
+  const service::FleetView old_view = client.latest_view();
+  ASSERT_EQ(old_view.nodes.size(), 4u);
+  ASSERT_EQ(old_view.version, 4u);
+
+  reg.reset();
+  reg = std::make_unique<ctrl::RegistryServer>(cfg);
+  // The survivors' heartbeats hear "unknown lease" and re-register; a
+  // new daemon joins. Three joins: the new registry stops at version 3.
+  ASSERT_TRUE(eventually([&] { return reg->node_lease_count() == 2; }));
+  auto c = daemon(106);
+  const service::FleetView new_view = reg->fleet_view();
+  ASSERT_EQ(new_view.nodes.size(), 6u);
+  ASSERT_LT(new_view.version, old_view.version);
+
+  const auto pull_plus_slack = 100ms + 1000ms;
+  EXPECT_TRUE(eventually(
+      [&] { return client.latest_view().nodes == new_view.nodes; },
+      pull_plus_slack))
+      << "client still holds v" << client.latest_view().version << " with "
+      << client.latest_view().nodes.size() << " nodes";
+  EXPECT_EQ(client.latest_view().version, new_view.version);
+  EXPECT_TRUE(client.healthy());
+}
+
 TEST(RegistryTest, NodeServerRegistersOnStartupAndLeavesOnShutdown) {
   ctrl::RegistryServer reg({});
 

@@ -334,7 +334,7 @@ TEST_F(RoutingFixture, GatherAnswersMatchPerNodeProbes) {
 
   DirectProbeSet probes(views_);
   const ProbeRound res =
-      probes.gather(ProbeKind::kResemblance, candidates, hp);
+      probes.gather(ProbeKind::kResemblance, candidates, hp, {});
   ASSERT_EQ(res.matches.size(), candidates.size());
   ASSERT_EQ(res.usage.size(), views_.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -348,7 +348,7 @@ TEST_F(RoutingFixture, GatherAnswersMatchPerNodeProbes) {
   std::vector<Fingerprint> fps;
   for (const auto& c : unit) fps.push_back(c.fp);
   const ProbeRound chunk_res =
-      probes.gather(ProbeKind::kChunkMatch, candidates, fps);
+      probes.gather(ProbeKind::kChunkMatch, candidates, fps, {});
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(chunk_res.matches[i],
               views_[candidates[i]]->chunk_match_count(fps));
@@ -358,7 +358,7 @@ TEST_F(RoutingFixture, GatherAnswersMatchPerNodeProbes) {
 TEST_F(RoutingFixture, GatherRejectsOutOfRangeCandidate) {
   DirectProbeSet probes(views_);
   const std::vector<NodeId> bad{0, static_cast<NodeId>(views_.size())};
-  EXPECT_THROW(probes.gather(ProbeKind::kResemblance, bad, {}),
+  EXPECT_THROW(probes.gather(ProbeKind::kResemblance, bad, {}, {}),
                std::out_of_range);
 }
 

@@ -153,7 +153,7 @@ TEST(WireProtocolTest, RoutingProbeRoundTripsAndRejectsBadKind) {
                    ByteView{body.data(), body.size()}),
                net::WireError);
 
-  service::RoutingProbeReply reply{42, 1 << 20};
+  service::RoutingProbeReply reply{42, 1 << 20, {}};
   const Buffer rbody = service::encode_routing_probe_reply(reply);
   const auto rgot = service::decode_routing_probe_reply(
       ByteView{rbody.data(), rbody.size()});
@@ -163,6 +163,91 @@ TEST(WireProtocolTest, RoutingProbeRoundTripsAndRejectsBadKind) {
   EXPECT_THROW(service::decode_routing_probe_reply(
                    ByteView{junk.data(), junk.size()}),
                net::WireError);
+}
+
+service::RoutingProbeRequest fused_probe_request() {
+  service::RoutingProbeRequest req;
+  req.kind = ProbeKind::kResemblance;
+  for (std::uint64_t i = 0; i < 3; ++i) req.fingerprints.push_back(rec(i).fp);
+  for (std::uint64_t i = 0; i < 11; ++i) {
+    req.duplicate_test.push_back(rec(100 + i).fp);
+  }
+  return req;
+}
+
+service::RoutingProbeReply fused_probe_reply() {
+  service::RoutingProbeReply reply{7, 99, {}};
+  for (std::size_t i = 0; i < 11; ++i) reply.present.push_back(i % 3 == 0);
+  return reply;
+}
+
+TEST(WireProtocolTest, FusedRoutingProbeRoundTrips) {
+  const auto req = fused_probe_request();
+  const Buffer body = service::encode_routing_probe_request(req);
+  const auto got = service::decode_routing_probe_request(
+      ByteView{body.data(), body.size()});
+  EXPECT_EQ(got.kind, req.kind);
+  EXPECT_EQ(got.fingerprints, req.fingerprints);
+  EXPECT_EQ(got.duplicate_test, req.duplicate_test);
+
+  const auto reply = fused_probe_reply();
+  const Buffer rbody = service::encode_routing_probe_reply(reply);
+  const auto rgot = service::decode_routing_probe_reply(
+      ByteView{rbody.data(), rbody.size()});
+  EXPECT_EQ(rgot.matches, 7u);
+  EXPECT_EQ(rgot.stored_bytes, 99u);
+  EXPECT_EQ(rgot.present, reply.present);
+}
+
+TEST(WireProtocolTest, FusedRoutingProbeRejectsTruncationAtEveryByte) {
+  const Buffer body =
+      service::encode_routing_probe_request(fused_probe_request());
+  for (std::size_t n = 0; n < body.size(); ++n) {
+    EXPECT_THROW(
+        service::decode_routing_probe_request(ByteView{body.data(), n}),
+        net::WireError)
+        << "request cut at " << n << " of " << body.size();
+  }
+  const Buffer rbody = service::encode_routing_probe_reply(fused_probe_reply());
+  for (std::size_t n = 0; n < rbody.size(); ++n) {
+    EXPECT_THROW(
+        service::decode_routing_probe_reply(ByteView{rbody.data(), n}),
+        net::WireError)
+        << "reply cut at " << n << " of " << rbody.size();
+  }
+}
+
+TEST(WireProtocolTest, FusedRoutingProbeRejectsCountsThatDisagreeWithBody) {
+  auto set_u32 = [](Buffer& b, std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  // Reply: matches + stored bytes (16 bytes), then the bitmap count over
+  // two bytes of bits for 11 entries.
+  const Buffer rbody = service::encode_routing_probe_reply(fused_probe_reply());
+  ASSERT_EQ(rbody.size(), 16u + 4u + 2u);
+  for (const std::uint32_t count : {0u, 3u, 8u, 17u, 0xFFFFFFFFu}) {
+    Buffer bad = rbody;
+    set_u32(bad, 16, count);
+    EXPECT_THROW(
+        service::decode_routing_probe_reply(ByteView{bad.data(), bad.size()}),
+        net::WireError)
+        << "bitmap count " << count;
+  }
+  // Request: kind + 3 probe fingerprints, then the duplicate-test count
+  // over 11 fingerprints.
+  const Buffer body =
+      service::encode_routing_probe_request(fused_probe_request());
+  const std::size_t at = 1 + 4 + 3 * Fingerprint::kSize;
+  for (const std::uint32_t count : {0u, 10u, 12u, 0xFFFFFFFFu}) {
+    Buffer bad = body;
+    set_u32(bad, at, count);
+    EXPECT_THROW(service::decode_routing_probe_request(
+                     ByteView{bad.data(), bad.size()}),
+                 net::WireError)
+        << "duplicate-test count " << count;
+  }
 }
 
 // --- Probes over the wire -----------------------------------------------------
@@ -192,6 +277,16 @@ TEST_F(ServiceFixture, FusedRoutingProbeMatchesDirectCalls) {
       service::decode_routing_probe_reply(ByteView{body.data(), body.size()});
   EXPECT_EQ(reply.matches, node_.chunk_match_count(fps));
   EXPECT_EQ(reply.matches, 64u);
+  EXPECT_TRUE(reply.present.empty());
+
+  // With the duplicate test riding along, the same message answers it.
+  call = client_.routing_probe_async(ProbeKind::kResemblance, hp, fps);
+  body = call.get(5000ms);
+  reply =
+      service::decode_routing_probe_reply(ByteView{body.data(), body.size()});
+  EXPECT_EQ(reply.matches, node_.resemblance_count(hp));
+  EXPECT_EQ(reply.present, node_.test_duplicates(fps));
+  EXPECT_FALSE(reply.present.back());
 }
 
 TEST_F(ServiceFixture, ProbesMatchDirectCalls) {
@@ -380,51 +475,116 @@ TEST_F(ServiceFixture, ConcurrentProbesAndWritesStayConsistent) {
 
 // --- Scatter-gather probe plane over the service stack ------------------------
 
+/// Nodes behind services on one loopback transport, one client stub each.
+struct LoopbackFleet {
+  explicit LoopbackFleet(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes.push_back(std::make_unique<DedupNode>(static_cast<NodeId>(i),
+                                                  DedupNodeConfig{}));
+      services.push_back(
+          std::make_unique<service::NodeService>(*nodes.back(), transport));
+    }
+    for (auto& s : services) {
+      clients.push_back(std::make_unique<service::NodeClient>(
+          rpc, s->endpoint(), 5000ms));
+      stubs.push_back(clients.back().get());
+    }
+  }
+
+  net::LoopbackTransport transport;
+  std::vector<std::unique_ptr<DedupNode>> nodes;
+  std::vector<std::unique_ptr<service::NodeService>> services;
+  net::RpcEndpoint rpc{transport};
+  std::vector<std::unique_ptr<service::NodeClient>> clients;
+  std::vector<const service::NodeClient*> stubs;
+};
+
 TEST(ClientProbeSetTest, GatherMatchesPerNodeStateAcrossFleet) {
   // Three nodes behind services; one gather() answers candidates' match
   // counts and the whole fleet's usage, identical to per-node truth.
   constexpr std::size_t kNodes = 3;
-  net::LoopbackTransport transport;
-  std::vector<std::unique_ptr<DedupNode>> nodes;
-  std::vector<std::unique_ptr<service::NodeService>> services;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    nodes.push_back(
-        std::make_unique<DedupNode>(static_cast<NodeId>(i),
-                                    DedupNodeConfig{}));
-    services.push_back(std::make_unique<service::NodeService>(
-        *nodes.back(), transport));
-  }
-  net::RpcEndpoint rpc(transport);
-  std::vector<std::unique_ptr<service::NodeClient>> clients;
-  std::vector<const service::NodeClient*> stubs;
-  for (auto& s : services) {
-    clients.push_back(std::make_unique<service::NodeClient>(
-        rpc, s->endpoint(), 5000ms));
-    stubs.push_back(clients.back().get());
-  }
+  LoopbackFleet fleet(kNodes);
+  auto& nodes = fleet.nodes;
 
   const SuperChunk sc = make_super_chunk(50, 48);
   nodes[1]->write_super_chunk(0, sc);
 
-  service::ClientProbeSet probes(stubs, 5000ms);
+  service::ClientProbeSet probes(fleet.stubs, 5000ms);
   EXPECT_EQ(probes.size(), kNodes);
 
   const Handprint hp = compute_handprint(sc.chunks, 8);
   const std::vector<NodeId> candidates{0, 1};
   const ProbeRound round =
-      probes.gather(ProbeKind::kResemblance, candidates, hp);
+      probes.gather(ProbeKind::kResemblance, candidates, hp, {});
   ASSERT_EQ(round.matches.size(), 2u);
   ASSERT_EQ(round.usage.size(), kNodes);
   EXPECT_EQ(round.matches[0], nodes[0]->resemblance_count(hp));
   EXPECT_EQ(round.matches[1], nodes[1]->resemblance_count(hp));
   EXPECT_GT(round.matches[1], 0u);
+  EXPECT_TRUE(round.present.empty());
   for (std::size_t i = 0; i < kNodes; ++i) {
     EXPECT_EQ(round.usage[i], nodes[i]->stored_bytes());
   }
 
   const std::vector<NodeId> bad{kNodes};
-  EXPECT_THROW(probes.gather(ProbeKind::kChunkMatch, bad, {}),
+  EXPECT_THROW(probes.gather(ProbeKind::kChunkMatch, bad, {}, {}),
                std::out_of_range);
+}
+
+TEST(ClientProbeSetTest, FusedDuplicateTestAnswersEveryCandidate) {
+  // The duplicate test rides each candidate's probe: every candidate's
+  // bitmap equals its node's own answer, in candidate order.
+  LoopbackFleet fleet(3);
+  const SuperChunk sc = make_super_chunk(50, 48);
+  fleet.nodes[1]->write_super_chunk(0, sc);
+  SuperChunk half;
+  half.chunks.assign(sc.chunks.begin(), sc.chunks.begin() + 24);
+  fleet.nodes[2]->write_super_chunk(0, half);
+
+  std::vector<Fingerprint> fps;
+  for (const auto& c : sc.chunks) fps.push_back(c.fp);
+  fps.push_back(rec(424242).fp);  // stored nowhere
+
+  service::ClientProbeSet probes(fleet.stubs, 5000ms);
+  const std::vector<NodeId> candidates{2, 0, 1};
+  const ProbeRound round = probes.gather(
+      ProbeKind::kResemblance, candidates, compute_handprint(sc.chunks, 8),
+      fps);
+  ASSERT_EQ(round.present.size(), candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(round.present[i],
+              fleet.nodes[candidates[i]]->test_duplicates(fps))
+        << "candidate " << candidates[i];
+  }
+  EXPECT_TRUE(round.present[2][0]);
+  EXPECT_FALSE(round.present[2].back());
+}
+
+TEST(ClientProbeSetTest, BitmapOfWrongLengthIsRpcError) {
+  // A node whose probe reply carries one bit however many fingerprints
+  // it was asked about: the round must fail, not misplace payloads.
+  net::LoopbackTransport transport;
+  const net::EndpointId liar =
+      transport.register_endpoint([&transport](net::Message&& m) {
+        service::RoutingProbeReply reply{0, 0, {true}};
+        transport.send(net::Message::response_to(
+            m, service::encode_routing_probe_reply(reply)));
+      });
+  net::RpcEndpoint rpc(transport);
+  service::NodeClient client(rpc, liar, 5000ms);
+  service::ClientProbeSet probes({&client}, 5000ms);
+
+  const SuperChunk sc = make_super_chunk(0, 4);
+  std::vector<Fingerprint> fps;
+  for (const auto& c : sc.chunks) fps.push_back(c.fp);
+  const std::vector<NodeId> candidates{0};
+  const Handprint hp = compute_handprint(sc.chunks, 2);
+  EXPECT_THROW(probes.gather(ProbeKind::kResemblance, candidates, hp, fps),
+               net::RpcError);
+  // A bitmap nobody asked for is just as wrong.
+  EXPECT_THROW(probes.gather(ProbeKind::kResemblance, candidates, hp, {}),
+               net::RpcError);
+  transport.unregister_endpoint(liar);
 }
 
 // --- Event-loop behavior ------------------------------------------------------

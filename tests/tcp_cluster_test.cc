@@ -10,10 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "cluster/backup_client.h"
 #include "cluster/cluster.h"
 #include "common/random.h"
 #include "net/rpc.h"
@@ -225,6 +227,163 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SharedClientEndpointIdentity,
                                            RoutingScheme::kStateful,
                                            RoutingScheme::kExtremeBinning,
                                            RoutingScheme::kChunkDht));
+
+ContentBackup random_session(const std::string& name, std::uint64_t seed,
+                             int files, std::size_t file_size) {
+  Rng rng(seed);
+  ContentBackup b;
+  b.session = name;
+  for (int f = 0; f < files; ++f) {
+    ContentFile file;
+    file.path = "dir/f" + std::to_string(f);
+    file.data.resize(file_size);
+    for (auto& byte : file.data) byte = static_cast<std::uint8_t>(rng.next());
+    b.files.push_back(std::move(file));
+  }
+  return b;
+}
+
+/// Three payload-mode generations: fresh data, then edits that keep most
+/// chunks (so later sessions dedup across and within generations).
+std::vector<ContentBackup> payload_generations() {
+  std::vector<ContentBackup> gens;
+  gens.push_back(random_session("gen0", 91, 4, 96 * 1024));
+  ContentBackup gen1 = gens.back();
+  gen1.session = "gen1";
+  gen1.files[1].data.resize(140 * 1024, 0x5A);  // grown
+  gen1.files.push_back(gen1.files[0]);          // copied under a new name
+  gen1.files.back().path = "dir/copy";
+  gens.push_back(gen1);
+  ContentBackup gen2 = random_session("gen2", 92, 2, 64 * 1024);
+  for (auto& file : gen2.files) file.path = "new/" + file.path;
+  gen2.files.insert(gen2.files.end(), gen1.files.begin(), gen1.files.end());
+  gens.push_back(gen2);
+  return gens;
+}
+
+class PayloadSchemeIdentity : public ::testing::TestWithParam<RoutingScheme> {
+};
+
+TEST_P(PayloadSchemeIdentity, BackupClientMatchesDirectModeOverTcp) {
+  // The payload path end to end, direct mode against TCP at depth 1: the
+  // same sessions give the same summaries (elapsed time aside), the same
+  // reports after every session, and bit-exact restores. Schemes that
+  // probe (Sigma, stateful) fold the duplicate test into the routing
+  // probe and send no kDuplicateTest; the others send one per
+  // super-chunk.
+  const RoutingScheme scheme = GetParam();
+  BackupClientConfig bc;
+  bc.super_chunk_bytes = 64 * 1024;
+
+  Cluster direct(direct_config(scheme, 4));
+  Director direct_director;
+  BackupClient direct_client(bc, direct, direct_director);
+
+  TcpFleet fleet(2, 2);
+  obs::Registry metrics;
+  ClusterConfig cfg = tcp_config(scheme, fleet);
+  cfg.metrics = &metrics;
+  Cluster over_tcp(cfg);
+  Director tcp_director;
+  BackupClient tcp_client(bc, over_tcp, tcp_director);
+
+  const std::vector<ContentBackup> gens = payload_generations();
+  std::uint64_t super_chunks = 0;
+  std::vector<BackupSummary> summaries;
+  for (const ContentBackup& gen : gens) {
+    const BackupSummary d = direct_client.backup(gen);
+    const BackupSummary t = tcp_client.backup(gen);
+    summaries.push_back(t);
+    EXPECT_EQ(d.logical_bytes, t.logical_bytes) << gen.session;
+    EXPECT_EQ(d.transferred_bytes, t.transferred_bytes) << gen.session;
+    EXPECT_EQ(d.chunk_count, t.chunk_count) << gen.session;
+    EXPECT_EQ(d.super_chunk_count, t.super_chunk_count) << gen.session;
+    super_chunks += t.super_chunk_count;
+
+    const ClusterReport dr = direct.report();
+    const ClusterReport tr = over_tcp.report();
+    EXPECT_EQ(dr.logical_bytes, tr.logical_bytes) << gen.session;
+    EXPECT_EQ(dr.physical_bytes, tr.physical_bytes) << gen.session;
+    EXPECT_EQ(dr.node_usage, tr.node_usage) << gen.session;
+    EXPECT_EQ(dr.messages.pre_routing, tr.messages.pre_routing)
+        << gen.session;
+    EXPECT_EQ(dr.messages.after_routing, tr.messages.after_routing)
+        << gen.session;
+  }
+  // The first generation is all new, the second mostly old.
+  EXPECT_EQ(summaries[0].transferred_bytes, summaries[0].logical_bytes);
+  EXPECT_LT(summaries[1].transferred_bytes, summaries[1].logical_bytes / 2);
+
+  for (const ContentBackup& gen : gens) {
+    for (const ContentFile& file : gen.files) {
+      EXPECT_EQ(direct_client.restore(gen.session, file.path), file.data)
+          << gen.session << "/" << file.path;
+      EXPECT_EQ(tcp_client.restore(gen.session, file.path), file.data)
+          << gen.session << "/" << file.path;
+    }
+  }
+
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  const auto* dup_tests = snap.find_histogram("tcp.rpc_us.DuplicateTest");
+  ASSERT_NE(dup_tests, nullptr);
+  const bool probes = scheme == RoutingScheme::kSigma ||
+                      scheme == RoutingScheme::kStateful;
+  EXPECT_EQ(dup_tests->count, probes ? 0u : super_chunks);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, PayloadSchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
+
+TEST(TcpClusterTest, ConcurrentStreamsCountOnlyTheirOwnTransfer) {
+  // Two streams share one cluster at depth 1. B re-backs-up data it
+  // stored earlier while A writes new data: B shipped nothing, so it
+  // reports nothing, however many bytes A stored meanwhile.
+  TcpFleet fleet(1, 4);
+  Cluster cluster(tcp_config(RoutingScheme::kSigma, fleet));
+  Director director;
+  BackupClientConfig bc;
+  bc.super_chunk_bytes = 64 * 1024;
+  bc.hash_threads = 1;
+  BackupClient a(bc, cluster, director);
+  BackupClient b(bc, cluster, director);
+
+  const ContentBackup old_data = random_session("b0", 5, 8, 128 * 1024);
+  ASSERT_EQ(b.backup(old_data, 1).transferred_bytes, 8u * 128 * 1024);
+  ContentBackup again = old_data;
+  again.session = "b1";
+  // A's session is the smaller one, so its writes land while B's session
+  // is still under way.
+  const ContentBackup new_data = random_session("a0", 6, 4, 128 * 1024);
+
+  BackupSummary sa;
+  BackupSummary sb;
+  std::latch start(2);
+  std::thread ta([&] {
+    start.arrive_and_wait();
+    sa = a.backup(new_data, 0);
+  });
+  std::thread tb([&] {
+    start.arrive_and_wait();
+    sb = b.backup(again, 1);
+  });
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(sb.transferred_bytes, 0u);
+  EXPECT_EQ(sa.transferred_bytes, sa.logical_bytes);
+  EXPECT_EQ(cluster.report().physical_bytes,
+            sa.logical_bytes + 8u * 128 * 1024);
+  for (const ContentFile& file : again.files) {
+    EXPECT_EQ(b.restore("b1", file.path), file.data);
+  }
+  for (const ContentFile& file : new_data.files) {
+    EXPECT_EQ(a.restore("a0", file.path), file.data);
+  }
+}
 
 TEST(TcpClusterTest, BackupRestoreRoundTripsOverSockets) {
   // Full payload path through the facade: chunking, fingerprinting,
