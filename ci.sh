@@ -28,7 +28,9 @@ python3 fleetbench/test_gate.py
 scripts/run_clang_tidy.sh build
 
 # The gate benches must run end-to-end (small scale) and emit valid
-# machine-readable BENCH_<name>.json documents; the pipeline bench must
+# machine-readable BENCH_<name>.json documents (table1_schemes and
+# fig8_edr run every scheme's trace path, Extreme Binning and the chunk
+# DHT included, and print tables only); the pipeline bench must
 # also carry the metrics-plane and tracing-plane overhead A/B numbers,
 # and the tracing overhead (default 1/256 sampling vs off) is gated at
 # 2% — the trace plane must stay invisible when it isn't being read.
@@ -42,7 +44,7 @@ else
   trap 'rm -rf "$BENCH_OUT"' EXIT
 fi
 for b in fig_probe_latency fig_transport_pipeline fig7_messages \
-         fig4a_client_throughput table2_workloads; do
+         fig4a_client_throughput table2_workloads table1_schemes fig8_edr; do
   SIGMA_BENCH_SCALE="${SIGMA_BENCH_SCALE:-0.05}" \
       SIGMA_BENCH_JSON_DIR="$BENCH_OUT" "./build/bench/bench_$b"
 done

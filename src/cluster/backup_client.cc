@@ -9,14 +9,6 @@
 namespace sigma {
 namespace {
 
-/// One chunk of the session stream, with the view of its payload and the
-/// index of the file it belongs to.
-struct StreamChunk {
-  ChunkRecord record;
-  ByteView payload;
-  std::size_t file_index;
-};
-
 /// Recipe entries a restore reads per round: enough in flight to hide
 /// the per-chunk round trip, few enough to bound the buffered bytes.
 constexpr std::size_t kRestoreWindow = 64;
@@ -76,62 +68,50 @@ BackupSummary BackupClient::backup(const ContentBackup& session,
   // cap write-pipeline overlap. Stream order is positional, so the
   // parallel fill is deterministic. Payload views point into the
   // session's buffers, which outlive this call.
-  std::vector<StreamChunk> chunks;
+  std::vector<ChunkRecord> chunks;
+  std::vector<ByteView> payloads;
+  std::vector<std::size_t> file_ends;
+  file_ends.reserve(session.files.size());
   for (std::size_t f = 0; f < session.files.size(); ++f) {
     const auto& file = session.files[f];
     const ByteView data{file.data.data(), file.data.size()};
     for (const ChunkBoundary& b : boundaries[f]) {
-      chunks.push_back({{Fingerprint{}, b.size}, data.subspan(b.offset, b.size), f});
+      chunks.push_back({Fingerprint{}, b.size});
+      payloads.push_back(data.subspan(b.offset, b.size));
     }
+    file_ends.push_back(chunks.size());
   }
   parallel_over(chunks.size(), /*min_per_shard=*/16, [&](std::size_t i) {
-    chunks[i].record.fp = Fingerprint::of(chunks[i].payload, config_.hash);
+    chunks[i].fp = Fingerprint::of(payloads[i], config_.hash);
   });
   summary.chunk_count = chunks.size();
+  for (const auto& chunk : chunks) summary.logical_bytes += chunk.size;
 
-  // Super-chunk grouping over the session stream (file boundaries do not
-  // cut super-chunks; locality follows the stream). Each completed
-  // super-chunk is routed and written with its payload provider; the node
-  // id assigned to each chunk is recorded for the file recipes.
-  std::vector<NodeId> chunk_node(chunks.size());
-  std::size_t window_start = 0;
-  SuperChunkBuilder builder(config_.super_chunk_bytes);
-
+  // Placement: the cluster cuts the stream into its scheme's units, routes
+  // and writes each one, and reports every chunk's node for the recipes.
   // Transferred bytes are the payloads this session's placements hand
   // over: over a transport, those the duplicate test found absent; in
-  // direct mode, those the node pulls as unique. The provider runs inside
-  // place_super_chunk on this thread, so the count is this session's
-  // alone, however many streams share the cluster.
-  auto dispatch = [&](SuperChunk&& sc, std::size_t end) {
-    if (sc.chunks.empty()) return;
-    const std::size_t base = window_start;
-    const NodeId target = cluster_.place_super_chunk(
-        sc, stream, [&chunks, &summary, base](std::size_t i) {
-          const ByteView payload = chunks[base + i].payload;
-          summary.transferred_bytes += payload.size();
-          return payload;
-        });
-    for (std::size_t i = window_start; i < end; ++i) chunk_node[i] = target;
-    ++summary.super_chunk_count;
-    window_start = end;
-  };
-
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    summary.logical_bytes += chunks[i].record.size;
-    if (builder.add(chunks[i].record)) dispatch(builder.take(), i + 1);
-  }
-  dispatch(builder.flush(), chunks.size());
+  // direct mode, those the node pulls as unique. The provider runs on
+  // this thread, so the count is this session's alone, however many
+  // streams share the cluster.
+  const StreamPlacement placement = cluster_.place_stream(
+      chunks, file_ends, stream, config_.super_chunk_bytes,
+      [&payloads, &summary](std::size_t i) {
+        summary.transferred_bytes += payloads[i].size();
+        return payloads[i];
+      });
+  summary.super_chunk_count = placement.writes;
 
   // File recipes.
-  std::vector<FileRecipe> recipes(session.files.size());
+  std::size_t start = 0;
   for (std::size_t f = 0; f < session.files.size(); ++f) {
-    recipes[f].path = session.files[f].path;
-  }
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    recipes[chunks[i].file_index].chunks.push_back(
-        {chunks[i].record.fp, chunks[i].record.size, chunk_node[i]});
-  }
-  for (auto& recipe : recipes) {
+    FileRecipe recipe;
+    recipe.path = session.files[f].path;
+    for (std::size_t i = start; i < file_ends[f]; ++i) {
+      recipe.chunks.push_back(
+          {chunks[i].fp, chunks[i].size, placement.chunk_nodes[i]});
+    }
+    start = file_ends[f];
     director_.record_file(session.session, std::move(recipe));
   }
 

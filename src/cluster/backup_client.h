@@ -2,12 +2,13 @@
 // deduplication. For each backup session it
 //   * partitions every file's data into chunks (data partitioning module),
 //   * fingerprints each chunk (chunk fingerprinting module),
-//   * groups consecutive chunks of the session stream into super-chunks
-//     and routes each one via the cluster's routing scheme (data routing
-//     module),
-//   * has the super-chunk's fingerprints tested at the node as one
-//     batched duplicate-test query (riding the routing probe where the
-//     scheme sends one) and transfers only unique chunk payloads, and
+//   * hands the session's chunk stream and file boundaries to the
+//     cluster, which cuts it into the scheme's routing units —
+//     super-chunks, whole files (Extreme Binning) or single chunks (chunk
+//     DHT) — and routes each one (data routing module),
+//   * has each write's fingerprints tested at the node as one batched
+//     duplicate-test query (riding the routing probe where the scheme
+//     sends one) and transfers only unique chunk payloads, and
 //   * records file recipes with the director for restore.
 #pragma once
 
@@ -27,6 +28,7 @@ struct BackupClientConfig {
   ChunkingScheme chunking = ChunkingScheme::kStatic;
   std::uint32_t chunk_bytes = 4096;
   HashAlgorithm hash = HashAlgorithm::kSha1;
+  /// Routing-unit size handed to Cluster::place_stream().
   std::uint64_t super_chunk_bytes = 1ull << 20;
   /// Threads for client-side chunking + fingerprinting (the dominant
   /// client cost; serial it caps write-pipeline overlap around depth 4).
@@ -41,6 +43,8 @@ struct BackupSummary {
   /// streams' concurrent traffic is not counted.
   std::uint64_t transferred_bytes = 0;
   std::uint64_t chunk_count = 0;
+  /// Node writes the session issued (StreamPlacement::writes): one per
+  /// super-chunk, per Extreme Binning file piece, or per chunk-DHT batch.
   std::uint64_t super_chunk_count = 0;
   double elapsed_seconds = 0.0;
 

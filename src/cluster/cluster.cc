@@ -5,6 +5,7 @@
 #include <deque>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -13,6 +14,7 @@
 #include "net/tcp/tcp_transport.h"
 #include "node/probe_set.h"
 #include "obs/trace.h"
+#include "routing/extreme_binning_router.h"
 #include "service/node_client.h"
 #include "service/probe_set.h"
 #include "service/wire_protocol.h"
@@ -199,9 +201,6 @@ Cluster::Cluster(const ClusterConfig& config)
           metrics_.get()));
     }
   }
-  if (config_.scheme == RoutingScheme::kExtremeBinning) {
-    eb_state_.resize(config_.num_nodes);
-  }
   // The probe plane the routers gather through. kTcp issues the round as
   // concurrent pending calls (one fused probe per candidate); direct mode
   // loops over the nodes in the caller's thread.
@@ -238,40 +237,43 @@ NodeId Cluster::route_unit(const std::vector<ChunkRecord>& unit,
     route_probe_rounds_.inc();
     route_probe_msgs_.inc(ctx.pre_routing_messages);
   }
+  messages_.pre_routing += ctx.pre_routing_messages;
+  messages_.after_routing += unit.size();
+  for (const auto& c : unit) logical_bytes_ += c.size;
   return target;
 }
 
 void Cluster::submit_write(NodeId target, StreamId stream,
                            const SuperChunk& sc,
                            const DedupNode::PayloadProvider& payloads,
-                           const std::optional<std::vector<bool>>& present) {
+                           const std::optional<std::vector<bool>>& present,
+                           std::optional<std::uint64_t> bin) {
   if (runtime_) {
     // The stub serializes the request synchronously — in payload mode
     // with the probe's duplicate bitmap, or after a separate duplicate
     // test when the scheme sent no probe — then the store travels
     // asynchronously: the pipeline slot frees when the node's response
-    // arrives.
+    // arrives. A unit written in several pieces waits for a slot per
+    // piece, so at depth 1 each piece's test sees the pieces before it.
+    runtime_->wait_capacity(runtime_->pipeline_depth);
     runtime_->in_flight.push_back(
-        runtime_->clients[target]->write_super_chunk_async(stream, sc,
-                                                           payloads, present));
+        runtime_->clients[target]->write_super_chunk_async(
+            stream, sc, payloads, present, bin));
   } else {
-    nodes_[target]->write_super_chunk(stream, sc, payloads);
+    nodes_[target]->write_super_chunk(stream, sc, payloads, bin);
   }
 }
 
 void Cluster::backup(const TraceBackup& backup, StreamId stream) {
-  MutexLock lock(route_mu_);
-  switch (router_->granularity()) {
-    case RoutingGranularity::kSuperChunk:
-      backup_super_chunk_stream(backup, stream);
-      break;
-    case RoutingGranularity::kFile:
-      backup_files_extreme_binning(backup);
-      break;
-    case RoutingGranularity::kChunk:
-      backup_chunk_dht(backup, stream);
-      break;
+  std::vector<ChunkRecord> chunks;
+  chunks.reserve(backup.chunk_count());
+  std::vector<std::size_t> file_ends;
+  file_ends.reserve(backup.files.size());
+  for (const auto& file : backup.files) {
+    chunks.insert(chunks.end(), file.chunks.begin(), file.chunks.end());
+    file_ends.push_back(chunks.size());
   }
+  place_stream(chunks, file_ends, stream, config_.super_chunk_bytes);
 }
 
 void Cluster::backup_dataset(const Dataset& dataset, StreamId stream) {
@@ -284,91 +286,99 @@ void Cluster::backup_dataset(const Dataset& dataset, StreamId stream) {
   for (const auto& generation : dataset.backups) backup(generation, stream);
 }
 
-void Cluster::backup_super_chunk_stream(const TraceBackup& backup,
-                                        StreamId stream) {
-  // The backup session is one data stream: files are concatenated in
-  // stream order and cut into super-chunks irrespective of file
-  // boundaries, preserving stream locality (Section 3.2).
-  SuperChunkBuilder builder(config_.super_chunk_bytes);
-
-  auto dispatch = [&](SuperChunk&& sc) {
-    if (sc.chunks.empty()) return;
-    // Root sampling decision: one trace per super-chunk placement, from
-    // the routing decision through the write RPC to the daemon's store.
-    obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
-    RouteContext ctx;
-    const NodeId target = route_unit(sc.chunks, ctx);
-    messages_.pre_routing += ctx.pre_routing_messages;
-    messages_.after_routing += sc.chunks.size();
-    logical_bytes_ += sc.logical_size();
-    submit_write(target, stream, sc);
+StreamPlacement Cluster::place_stream(
+    const std::vector<ChunkRecord>& chunks,
+    const std::vector<std::size_t>& file_ends, StreamId stream,
+    std::uint64_t unit_bytes, const DedupNode::PayloadProvider& payloads) {
+  if (!std::is_sorted(file_ends.begin(), file_ends.end()) ||
+      (file_ends.empty() ? 0 : file_ends.back()) != chunks.size()) {
+    throw std::invalid_argument("Cluster: file ends do not cover the stream");
+  }
+  StreamPlacement out;
+  out.chunk_nodes.resize(chunks.size());
+  // A write's chunk i is stream chunk base + i.
+  auto from = [&payloads](std::size_t base) -> DedupNode::PayloadProvider {
+    if (!payloads) return {};
+    return [&payloads, base](std::size_t i) { return payloads(base + i); };
   };
-
-  for (const auto& file : backup.files) {
-    for (const auto& chunk : file.chunks) {
-      if (builder.add(chunk)) dispatch(builder.take());
+  std::size_t start = 0;
+  switch (router_->granularity()) {
+    case RoutingGranularity::kSuperChunk:
+      // Files are concatenated in stream order and cut into super-chunks
+      // irrespective of file boundaries, preserving stream locality
+      // (Section 3.2).
+      for (const SuperChunk& sc : build_super_chunks(chunks, unit_bytes)) {
+        const NodeId target = place_super_chunk(sc, stream, from(start));
+        std::fill_n(out.chunk_nodes.begin() + start, sc.chunks.size(), target);
+        start += sc.chunks.size();
+        ++out.writes;
+      }
+      break;
+    case RoutingGranularity::kFile:
+      for (const std::size_t end : file_ends) {
+        if (end == start) continue;  // an empty file places nothing
+        const std::vector<ChunkRecord> file(chunks.begin() + start,
+                                            chunks.begin() + end);
+        MutexLock lock(route_mu_);
+        obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
+        RouteContext ctx;
+        const NodeId target = route_unit(file, ctx);
+        // Published Extreme Binning: the file dedups only against the bin
+        // keyed by its representative fingerprint. Pieces keep every frame
+        // under the body limit; bin dedup runs in order per key, so they
+        // store what one write would.
+        const std::uint64_t bin =
+            ExtremeBinningRouter::representative(file).prefix64();
+        for (const SuperChunk& piece : build_super_chunks(file, unit_bytes)) {
+          submit_write(target, stream, piece, from(start), std::nullopt, bin);
+          std::fill_n(out.chunk_nodes.begin() + start, piece.chunks.size(),
+                      target);
+          start += piece.chunks.size();
+          ++out.writes;
+        }
+      }
+      break;
+    case RoutingGranularity::kChunk: {
+      // Per-chunk DHT placement; chunks headed to the same node are
+      // batched into writes so container locality reflects arrival order.
+      std::vector<SuperChunk> batch(size());
+      std::vector<std::vector<std::size_t>> batch_index(size());
+      std::vector<std::uint64_t> batch_bytes(size(), 0);
+      auto flush_node = [&](NodeId n) {
+        if (batch[n].chunks.empty()) return;
+        DedupNode::PayloadProvider batch_payloads;
+        if (payloads) {
+          batch_payloads = [&payloads, &index = batch_index[n]](
+                               std::size_t i) { return payloads(index[i]); };
+        }
+        MutexLock lock(route_mu_);
+        submit_write(n, stream, batch[n], batch_payloads);
+        batch[n] = SuperChunk{};
+        batch_index[n].clear();
+        batch_bytes[n] = 0;
+        ++out.writes;
+      };
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        NodeId target;
+        {
+          MutexLock lock(route_mu_);
+          // The root covers just the per-chunk routing hop; the batched
+          // writes run outside it.
+          obs::SpanScope trace(obs::SpanScope::Root{}, "chunk.route");
+          RouteContext ctx;
+          target = route_unit({chunks[i]}, ctx);
+        }
+        out.chunk_nodes[i] = target;
+        batch[target].chunks.push_back(chunks[i]);
+        batch_index[target].push_back(i);
+        batch_bytes[target] += chunks[i].size;
+        if (batch_bytes[target] >= unit_bytes) flush_node(target);
+      }
+      for (NodeId n = 0; n < size(); ++n) flush_node(n);
+      break;
     }
   }
-  dispatch(builder.flush());
-}
-
-void Cluster::backup_files_extreme_binning(const TraceBackup& backup) {
-  for (const auto& file : backup.files) {
-    if (file.chunks.empty()) continue;
-    obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
-    RouteContext ctx;
-    const NodeId target = route_unit(file.chunks, ctx);
-    messages_.pre_routing += ctx.pre_routing_messages;
-    messages_.after_routing += file.chunks.size();
-    logical_bytes_ += file.logical_bytes();
-
-    // Published Extreme Binning: the file deduplicates only against the
-    // bin keyed by its representative fingerprint.
-    const std::uint64_t rep =
-        compute_handprint(file.chunks, 1).front().prefix64();
-    auto& bin = eb_state_[target].bins[rep];
-    for (const auto& chunk : file.chunks) {
-      if (bin.insert(chunk.fp).second) {
-        eb_state_[target].stored_bytes += chunk.size;
-      }
-    }
-  }
-}
-
-void Cluster::backup_chunk_dht(const TraceBackup& backup, StreamId stream) {
-  // Per-chunk DHT placement; chunks headed to the same node are batched
-  // into write units so container locality reflects arrival order.
-  std::vector<SuperChunk> pending(size());
-  std::vector<std::uint64_t> pending_bytes(size(), 0);
-
-  auto flush_node = [&](std::size_t i) {
-    if (pending[i].chunks.empty()) return;
-    submit_write(static_cast<NodeId>(i), stream, pending[i]);
-    pending[i] = SuperChunk{};
-    pending_bytes[i] = 0;
-  };
-
-  for (const auto& file : backup.files) {
-    for (const auto& chunk : file.chunks) {
-      RouteContext ctx;
-      NodeId target;
-      {
-        // DHT mode batches writes outside the decision, so the root
-        // covers just the per-chunk routing hop.
-        obs::SpanScope trace(obs::SpanScope::Root{}, "chunk.route");
-        target = route_unit({chunk}, ctx);
-      }
-      messages_.pre_routing += ctx.pre_routing_messages;
-      messages_.after_routing += 1;
-      logical_bytes_ += chunk.size;
-      pending[target].chunks.push_back(chunk);
-      pending_bytes[target] += chunk.size;
-      if (pending_bytes[target] >= config_.super_chunk_bytes) {
-        flush_node(target);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < size(); ++i) flush_node(i);
+  return out;
 }
 
 NodeId Cluster::place_super_chunk(const SuperChunk& super_chunk,
@@ -396,9 +406,6 @@ NodeId Cluster::place_super_chunk(const SuperChunk& super_chunk,
     }
   }
   const NodeId target = route_unit(super_chunk.chunks, ctx);
-  messages_.pre_routing += ctx.pre_routing_messages;
-  messages_.after_routing += super_chunk.chunks.size();
-  logical_bytes_ += super_chunk.logical_size();
   submit_write(target, stream, super_chunk, payloads, ctx.present);
   return target;
 }
@@ -492,12 +499,11 @@ ClusterReport Cluster::report() const {
   report.logical_bytes = logical_bytes_;
   report.messages = messages_;
   report.node_usage.reserve(size());
-  const bool eb_bins = !eb_state_.empty();
-  // Usage comes from the EB bin ledger (client-side), the local nodes,
-  // or — in TCP mode — batched stored-bytes RPCs to the node daemons
-  // (one fleet round-trip, not one per node).
+  // Usage comes from the nodes: the local ones, or — in TCP mode —
+  // batched stored-bytes RPCs to the node daemons (one fleet round-trip,
+  // not one per node).
   std::vector<std::uint64_t> remote_usage;
-  if (!eb_bins && runtime_) {
+  if (runtime_) {
     std::vector<net::PendingCall> calls;
     calls.reserve(runtime_->clients.size());
     for (const auto& c : runtime_->clients) {
@@ -511,9 +517,8 @@ ClusterReport Cluster::report() const {
     }
   }
   for (std::size_t i = 0; i < size(); ++i) {
-    const std::uint64_t usage = eb_bins    ? eb_state_[i].stored_bytes
-                                : runtime_ ? remote_usage[i]
-                                           : nodes_[i]->stored_bytes();
+    const std::uint64_t usage =
+        runtime_ ? remote_usage[i] : nodes_[i]->stored_bytes();
     report.node_usage.push_back(usage);
     report.physical_bytes += usage;
   }

@@ -2,13 +2,16 @@
 // cluster simulator used for the evaluation (Section 4.4).
 //
 // The cluster owns N deduplication nodes and a routing scheme. Backups are
-// processed exactly as the paper describes: the client-side stream is cut
-// into routing units (super-chunks, files, or chunks depending on the
-// scheme), each unit is routed, the unit's chunk fingerprints are tested
-// at the target node as one batched duplicate-test query, and only unique
-// chunks are stored. Over a transport in payload mode, a scheme that
-// probes (Sigma, EMC stateful) sends that query inside the routing probe,
-// so a placement costs one round trip before its write.
+// processed exactly as the paper describes: place_stream() cuts the
+// client-side stream into routing units (super-chunks, files, or chunks
+// depending on the scheme), each unit is routed, the unit's chunk
+// fingerprints are tested at the target node as one batched
+// duplicate-test query, and only unique chunks are stored. Over a
+// transport in payload mode, a scheme that probes (Sigma, EMC stateful)
+// sends that query inside the routing probe, so a placement costs one
+// round trip before its write. Extreme Binning's writes carry the file's
+// bin key, and the node dedups them against that bin. Trace backups and
+// BackupClient take this same path, so all usage comes from the nodes.
 //
 // Message accounting follows Fig. 7's metric: one message = one chunk
 // fingerprint looked up at one node, split into pre-routing (probe) and
@@ -19,8 +22,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -129,6 +130,13 @@ struct ClusterReport {
   double effective_dedup_ratio() const;
 };
 
+/// Where place_stream() put a session's chunks, and how many node writes
+/// it issued.
+struct StreamPlacement {
+  std::vector<NodeId> chunk_nodes;  // in stream order
+  std::uint64_t writes = 0;
+};
+
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
@@ -181,11 +189,22 @@ class Cluster {
   void backup_dataset(const Dataset& dataset, StreamId stream = 0)
       SIGMA_EXCLUDES(route_mu_);
 
-  /// Route one client-built super-chunk and write it (payload-mode entry
-  /// used by BackupClient). Returns the chosen node. Concurrent callers
-  /// (one BackupClient per stream) are serialized per routing decision —
-  /// router state is single-threaded by design; writes still overlap
-  /// through the pipeline.
+  /// The one placement path: cut a session's chunk stream into the
+  /// router's units and place each one. `file_ends[f]` is the stream
+  /// index one past file f. Units are super-chunks of `unit_bytes`, whole
+  /// files (Extreme Binning; written in pieces of `unit_bytes` under one
+  /// bin key) or chunks (chunk DHT; batched per node into writes of
+  /// `unit_bytes`). `payloads` supplies chunk bytes by stream index, on
+  /// the calling thread. Concurrent callers interleave per unit.
+  StreamPlacement place_stream(const std::vector<ChunkRecord>& chunks,
+                               const std::vector<std::size_t>& file_ends,
+                               StreamId stream, std::uint64_t unit_bytes,
+                               const DedupNode::PayloadProvider& payloads = {})
+      SIGMA_EXCLUDES(route_mu_);
+
+  /// place_stream()'s step for one super-chunk: route it and write it.
+  /// Returns the chosen node. Concurrent callers are serialized per
+  /// routing decision; writes still overlap through the pipeline.
   NodeId place_super_chunk(const SuperChunk& super_chunk, StreamId stream,
                            const DedupNode::PayloadProvider& payloads = {})
       SIGMA_EXCLUDES(route_mu_);
@@ -214,26 +233,22 @@ class Cluster {
   ClusterReport report() const SIGMA_EXCLUDES(route_mu_);
 
  private:
-  void backup_super_chunk_stream(const TraceBackup& backup, StreamId stream)
-      SIGMA_REQUIRES(route_mu_);
-  void backup_files_extreme_binning(const TraceBackup& backup)
-      SIGMA_REQUIRES(route_mu_);
-  void backup_chunk_dht(const TraceBackup& backup, StreamId stream)
-      SIGMA_REQUIRES(route_mu_);
-
-  /// Route one unit. In kTcp mode this first waits until the write
-  /// pipeline has a free slot, so at depth 1 every probe observes all
-  /// previous writes applied — bit-identical to direct mode.
+  /// Route one unit and book its Fig. 7 messages and logical bytes. In
+  /// kTcp mode this first waits until the write pipeline has a free slot,
+  /// so at depth 1 every probe observes all previous writes applied —
+  /// bit-identical to direct mode.
   NodeId route_unit(const std::vector<ChunkRecord>& unit, RouteContext& ctx)
       SIGMA_REQUIRES(route_mu_);
 
-  /// Dispatch one super-chunk write to `target` (direct call or pipelined
-  /// transport write). `present` is the target's duplicate bitmap from
-  /// the routing probe, when the probe carried the test.
+  /// Dispatch one write to `target` (direct call, or a pipelined
+  /// transport write once a slot is free). `present` is the target's
+  /// duplicate bitmap, when the routing probe carried the test; `bin` is
+  /// Extreme Binning's bin key.
   void submit_write(
       NodeId target, StreamId stream, const SuperChunk& sc,
       const DedupNode::PayloadProvider& payloads = {},
-      const std::optional<std::vector<bool>>& present = std::nullopt)
+      const std::optional<std::vector<bool>>& present = std::nullopt,
+      std::optional<std::uint64_t> bin = std::nullopt)
       SIGMA_REQUIRES(route_mu_);
 
   ClusterConfig config_;
@@ -241,8 +256,8 @@ class Cluster {
   obs::RegistryRef metrics_;
   /// Direct mode's nodes; empty in kTcp mode.
   std::vector<std::unique_ptr<DedupNode>> nodes_;
-  /// Serializes the client-side routing plane: router_'s internal state,
-  /// the Fig. 7 message ledger and the EB bin store below. Outermost in
+  /// Serializes the client-side routing plane: router_'s internal state
+  /// and the Fig. 7 message ledger below. Outermost in
   /// the lock order — held across probe RPCs, write dispatch and, in
   /// direct mode, node storage access. The pointer itself is fixed at
   /// construction; its pointee state is what route_mu_ guards.
@@ -265,15 +280,6 @@ class Cluster {
   obs::Histogram& route_us_;
   obs::Counter& route_probe_rounds_;
   obs::Counter& route_probe_msgs_;
-
-  // Extreme Binning bin store: per node, representative-fingerprint ->
-  // the bin's chunk fingerprints. Approximate dedup happens against the
-  // bin only; physical usage is tracked per node.
-  struct BinState {
-    std::unordered_map<std::uint64_t, std::unordered_set<Fingerprint>> bins;
-    std::uint64_t stored_bytes = 0;
-  };
-  std::vector<BinState> eb_state_ SIGMA_GUARDED_BY(route_mu_);
 
   std::uint64_t logical_bytes_ SIGMA_GUARDED_BY(route_mu_) = 0;
   MessageStats messages_ SIGMA_GUARDED_BY(route_mu_);

@@ -69,7 +69,9 @@ enum class LockRank : int {
 
   // ---- Storage plane (taken by a node thread holding nothing, or under
   //      route_mu_ in direct mode; never under each other except
-  //      ContainerStore -> backend) -------------------------------------
+  //      bin store -> ContainerStore -> backend and bin store ->
+  //      ChunkIndex) ----------------------------------------------------
+  kBinStore = 38,  // DedupNode::bins_mu_ — Extreme Binning bins
   kContainerStore = 40,
   kChunkIndex = 42,
   kSimilarityShard = 44,

@@ -48,8 +48,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x314D4753;
 /// kRegistryHeartbeat reply is empty, and the kFleetFetch reply carries
 /// the lease TTL. v9: the kRoutingProbe request carries a second
 /// fingerprint list (the duplicate test) and its reply a bitmap, so a
-/// placement's duplicate test rides its routing probe.
-inline constexpr std::uint8_t kProtocolVersion = 9;
+/// placement's duplicate test rides its routing probe. v10: the
+/// kWriteSuperChunk and kDuplicateTest requests end in an optional bin
+/// key, so Extreme Binning dedups a file against its bin on the node.
+inline constexpr std::uint8_t kProtocolVersion = 10;
 
 /// Peer roles exchanged in the HELLO (informational, for diagnostics).
 enum class PeerRole : std::uint8_t { kClient = 0, kServer = 1 };

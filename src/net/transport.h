@@ -2,23 +2,13 @@
 // register an endpoint (a bound address with a delivery handler), send
 // addressed messages, observe traffic counters — so the service and RPC
 // layers run unchanged over net::TcpTransport, the one transport a
-// deployment uses.
-//
-// LoopbackTransport is the in-process fake the service, RPC and
-// concurrency tests run on: delivery invokes the destination's handler on
-// the sender's thread (the handler is expected to enqueue, not to do
-// heavy work). Requests addressed to unknown endpoints bounce back to the
-// sender as error responses, mirroring a connection refusal; responses to
-// unknown endpoints are dropped and counted.
+// deployment uses. The tests run them over an in-process fake,
+// tests/loopback_transport.h.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "net/message.h"
 #include "obs/metrics.h"
 
@@ -81,33 +71,6 @@ class Transport {
 
   /// This transport's `net.*` counters.
   virtual NetStats stats() const = 0;
-};
-
-/// In-process test fake: synchronous handler dispatch, full accounting.
-class LoopbackTransport final : public Transport {
- public:
-  EndpointId register_endpoint(Handler handler) override;
-  void unregister_endpoint(EndpointId id) override;
-  void send(Message&& m) override;
-  NetStats stats() const override;
-
- private:
-  struct Endpoint {
-    Handler handler;           // immutable after registration
-    int active_deliveries = 0;  // guarded by the transport's mu_
-  };
-
-  /// Deliver to a registered endpoint; returns false if unknown. The
-  /// handler itself runs with mu_ released.
-  bool deliver(Message&& m) SIGMA_EXCLUDES(mu_);
-
-  mutable Mutex mu_{LockRank::kTransport};
-  CondVar idle_cv_;
-  std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
-      SIGMA_GUARDED_BY(mu_);
-  EndpointId next_id_ SIGMA_GUARDED_BY(mu_) = 1;
-  obs::Registry metrics_;  // counted privately; read through stats()
-  NetCounters net_{metrics_};
 };
 
 }  // namespace sigma::net

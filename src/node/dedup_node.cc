@@ -74,8 +74,17 @@ std::uint64_t DedupNode::stored_bytes() const {
 }
 
 std::vector<bool> DedupNode::test_duplicates(
-    const std::vector<Fingerprint>& fps) const {
+    const std::vector<Fingerprint>& fps,
+    std::optional<std::uint64_t> bin) const {
   std::vector<bool> present(fps.size(), false);
+  if (bin) {
+    MutexLock lock(bins_mu_);
+    const auto it = bins_.find(*bin);
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+      present[i] = it != bins_.end() && it->second.contains(fps[i]);
+    }
+    return present;
+  }
   for (std::size_t i = 0; i < fps.size(); ++i) {
     present[i] = chunk_index_.lookup(fps[i]).has_value();
   }
@@ -84,8 +93,31 @@ std::vector<bool> DedupNode::test_duplicates(
 
 SuperChunkWriteResult DedupNode::write_super_chunk(
     StreamId stream, const SuperChunk& super_chunk,
-    const PayloadProvider& payloads) {
+    const PayloadProvider& payloads, std::optional<std::uint64_t> bin) {
   SuperChunkWriteResult result;
+  if (bin) {
+    // Published Extreme Binning: a chunk another bin holds is stored once
+    // more. The chunk index (and its Bloom summary, which must cover it)
+    // learns every stored copy, for reads.
+    MutexLock lock(bins_mu_);
+    auto& held = bins_[*bin];
+    for (std::size_t i = 0; i < super_chunk.chunks.size(); ++i) {
+      const ChunkRecord& chunk = super_chunk.chunks[i];
+      const bool fresh = held.insert(chunk.fp).second;
+      if (fresh) {
+        chunk_index_.insert(
+            chunk.fp,
+            payloads ? containers_.append(stream, chunk.fp, payloads(i))
+                     : containers_.append_meta(stream, chunk.fp, chunk.size));
+        MutexLock bloom_lock(bloom_mu_);
+        bloom_.insert(chunk.fp);
+      }
+      ++(fresh ? result.unique_chunks : result.duplicate_chunks);
+      (fresh ? result.unique_bytes : result.duplicate_bytes) += chunk.size;
+    }
+    count_write(result);
+    return result;
+  }
 
   // Step 1+2: similarity-index lookup and container prefetch.
   const Handprint handprint =
@@ -170,7 +202,11 @@ SuperChunkWriteResult DedupNode::write_super_chunk(
   for (const auto& rfp : handprint) {
     similarity_index_.put(rfp, rfp_location.at(rfp));
   }
+  count_write(result);
+  return result;
+}
 
+void DedupNode::count_write(const SuperChunkWriteResult& result) {
   logical_bytes_.inc(result.duplicate_bytes + result.unique_bytes);
   physical_bytes_.inc(result.unique_bytes);
   super_chunks_.inc();
@@ -179,7 +215,6 @@ SuperChunkWriteResult DedupNode::write_super_chunk(
   disk_index_lookups_.inc(result.disk_index_lookups);
   disk_lookups_avoided_by_bloom_.inc(result.disk_lookups_avoided_by_bloom);
   container_prefetches_.inc(result.container_prefetches);
-  return result;
 }
 
 void DedupNode::flush() { containers_.flush(); }

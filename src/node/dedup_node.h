@@ -24,6 +24,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chunking/super_chunk.h"
@@ -147,19 +149,25 @@ class DedupNode : public NodeProbe {
   std::uint64_t stored_bytes() const override;
 
   /// Batched duplicate test: for each fingerprint, is the chunk already
-  /// stored (exact chunk index)? Advisory for the wire protocol — the
-  /// client sends payloads only for chunks reported absent; the store path
-  /// re-checks, so a chunk stored concurrently is still deduplicated.
-  std::vector<bool> test_duplicates(const std::vector<Fingerprint>& fps) const;
+  /// stored (exact chunk index; with a `bin` key, in that bin)? Advisory
+  /// for the wire protocol — the client sends payloads only for chunks
+  /// reported absent; the store path re-checks, so a chunk stored
+  /// concurrently is still deduplicated.
+  std::vector<bool> test_duplicates(
+      const std::vector<Fingerprint>& fps,
+      std::optional<std::uint64_t> bin = std::nullopt) const;
 
   // ---- Backup path ------------------------------------------------------
 
   /// Deduplicate and store one routed super-chunk. `payloads`, when
   /// provided, supplies the bytes of each chunk (only unique chunks are
-  /// materialized).
-  SuperChunkWriteResult write_super_chunk(StreamId stream,
-                                          const SuperChunk& super_chunk,
-                                          const PayloadProvider& payloads = {});
+  /// materialized). With a `bin` key (Extreme Binning's representative
+  /// fingerprint) it skips steps 1-5: the unit dedups against that bin
+  /// alone, a soft state that rebuild_indexes() does not rebuild.
+  SuperChunkWriteResult write_super_chunk(
+      StreamId stream, const SuperChunk& super_chunk,
+      const PayloadProvider& payloads = {},
+      std::optional<std::uint64_t> bin = std::nullopt);
 
   /// Seal open containers (end of backup session).
   void flush();
@@ -202,6 +210,9 @@ class DedupNode : public NodeProbe {
   const DedupNodeConfig& config() const { return config_; }
 
  private:
+  /// Bumps the node.node<id>.* counters by one write's outcome.
+  void count_write(const SuperChunkWriteResult& result);
+
   NodeId id_;
   DedupNodeConfig config_;
   obs::RegistryRef metrics_;
@@ -212,6 +223,10 @@ class DedupNode : public NodeProbe {
   ChunkIndex chunk_index_;
   BloomFilter bloom_ SIGMA_GUARDED_BY(bloom_mu_);
   mutable Mutex bloom_mu_{LockRank::kBloomFilter};
+  /// Extreme Binning: bin key -> the fingerprints the bin holds.
+  std::unordered_map<std::uint64_t, std::unordered_set<Fingerprint>> bins_
+      SIGMA_GUARDED_BY(bins_mu_);
+  mutable Mutex bins_mu_{LockRank::kBinStore};
   // Written only by rebuild_indexes(), which runs before the node serves
   // traffic (single-threaded startup) — hence unguarded.
   RecoveryReport recovery_;

@@ -11,8 +11,9 @@ NodeId ChunkDhtRouter::route(const std::vector<ChunkRecord>& unit,
     throw std::invalid_argument("ChunkDhtRouter: no nodes");
   }
   if (unit.empty()) return 0;
-  // Units are single chunks; a multi-chunk unit is placed by its first
-  // chunk (the cluster layer splits per-chunk before calling).
+  // Units are single chunks: Cluster::place_stream routes every chunk on
+  // its own, trace and payload backups alike. A multi-chunk unit would be
+  // placed by its first chunk.
   return static_cast<NodeId>(unit.front().fp.prefix64() % probes.size());
 }
 

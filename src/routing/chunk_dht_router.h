@@ -3,7 +3,9 @@
 // then perfect *globally* for identical chunks (the same fingerprint always
 // lands on the same node), but locality is destroyed — consecutive chunks
 // scatter across the cluster — which is why HYDRAstor needs very large
-// chunks (64 KB) to stay efficient (paper Section 2.1, Table 1).
+// chunks (64 KB) to stay efficient (paper Section 2.1, Table 1). The
+// cluster routes every chunk on its own (Cluster::place_stream) and
+// batches the chunks bound for one node into writes.
 #pragma once
 
 #include "routing/router.h"

@@ -5,8 +5,10 @@
 // weaknesses the paper measures are cross-bin redundancy and the data skew
 // induced by skewed file-size distributions (Fig. 8, VM dataset).
 //
-// The bin-level (approximate) intra-node deduplication is implemented by
-// the cluster layer's BinStore; this router only places files.
+// The bin-level (approximate) intra-node deduplication happens on the
+// node: the cluster writes each file with its representative fingerprint
+// as the bin key, and DedupNode dedups the file against that bin only.
+// This router only places files.
 #pragma once
 
 #include "routing/router.h"

@@ -30,20 +30,23 @@ net::PendingCall NodeClient::routing_probe_async(
 }
 
 std::vector<bool> NodeClient::test_duplicates(
-    const std::vector<Fingerprint>& fps) const {
+    const std::vector<Fingerprint>& fps,
+    std::optional<std::uint64_t> bin) const {
   const Buffer response = rpc_.call_sync(
-      service_, MessageType::kDuplicateTest, encode_fingerprints(fps),
-      timeout_);
+      service_, MessageType::kDuplicateTest,
+      encode_duplicate_test({fps, bin}), timeout_);
   return decode_bitmap(ByteView{response.data(), response.size()});
 }
 
 net::PendingCall NodeClient::write_super_chunk_async(
     StreamId stream, const SuperChunk& super_chunk,
     const DedupNode::PayloadProvider& payloads,
-    const std::optional<std::vector<bool>>& present) const {
+    const std::optional<std::vector<bool>>& present,
+    std::optional<std::uint64_t> bin) const {
   WriteRequest req;
   req.stream = stream;
   req.chunks = super_chunk.chunks;
+  req.bin = bin;
   if (payloads) {
     // Ship payloads only for absent chunks: duplicate data never crosses
     // the wire (source dedup, Section 3.1). The bitmap came with the
@@ -53,7 +56,7 @@ net::PendingCall NodeClient::write_super_chunk_async(
       std::vector<Fingerprint> fps;
       fps.reserve(super_chunk.chunks.size());
       for (const auto& c : super_chunk.chunks) fps.push_back(c.fp);
-      tested = test_duplicates(fps);
+      tested = test_duplicates(fps, bin);
     }
     const std::vector<bool>& bits = present ? *present : tested;
     if (bits.size() != super_chunk.chunks.size()) {

@@ -52,19 +52,24 @@ class NodeClient {
 
   // ---- Backup path ------------------------------------------------------
 
-  /// Batched duplicate test: which of these chunks does the node hold?
-  std::vector<bool> test_duplicates(const std::vector<Fingerprint>& fps) const;
+  /// Batched duplicate test: which of these chunks does the node hold
+  /// (in bin `bin`, when set)?
+  std::vector<bool> test_duplicates(
+      const std::vector<Fingerprint>& fps,
+      std::optional<std::uint64_t> bin = std::nullopt) const;
 
   /// Route one super-chunk write to the node. With payloads, ships bytes
   /// only for the chunks `present` (the node's duplicate-test bitmap from
   /// the fused routing probe, one bit per chunk) reports absent; without
-  /// a bitmap it first runs a separate duplicate test. Returns the
-  /// in-flight store call; get()/wait_all() yields the encoded
-  /// SuperChunkWriteResult (see decode_write_result).
+  /// a bitmap it first runs a separate duplicate test (scoped to `bin`,
+  /// Extreme Binning's bin key, when set). Returns the in-flight store
+  /// call; get()/wait_all() yields the encoded SuperChunkWriteResult (see
+  /// decode_write_result).
   net::PendingCall write_super_chunk_async(
       StreamId stream, const SuperChunk& super_chunk,
       const DedupNode::PayloadProvider& payloads = {},
-      const std::optional<std::vector<bool>>& present = std::nullopt) const;
+      const std::optional<std::vector<bool>>& present = std::nullopt,
+      std::optional<std::uint64_t> bin = std::nullopt) const;
 
   /// Synchronous write (duplicate test + store + wait).
   SuperChunkWriteResult write_super_chunk(

@@ -138,9 +138,10 @@ Message NodeService::handle(const Message& request) {
                                     encode_routing_probe_reply(reply));
       }
       case MessageType::kDuplicateTest: {
-        const auto fps = decode_fingerprints(body);
+        const auto req = decode_duplicate_test(body);
         return Message::response_to(
-            request, encode_bitmap(node_.test_duplicates(fps)));
+            request,
+            encode_bitmap(node_.test_duplicates(req.fingerprints, req.bin)));
       }
       case MessageType::kWriteSuperChunk: {
         auto req = decode_write_request(body);
@@ -172,7 +173,7 @@ Message NodeService::handle(const Message& request) {
           };
         }
         const auto result =
-            node_.write_super_chunk(req.stream, sc, provider);
+            node_.write_super_chunk(req.stream, sc, provider, req.bin);
         return Message::response_to(request, encode_write_result(result));
       }
       case MessageType::kReadChunk: {

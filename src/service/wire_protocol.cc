@@ -51,19 +51,36 @@ std::vector<Fingerprint> get_fingerprints(WireReader& r) {
   return fps;
 }
 
+/// An optional bin key: a presence byte (0 or 1), then the u64 key.
+void put_bin(WireWriter& w, const std::optional<std::uint64_t>& bin) {
+  w.u8(bin ? 1 : 0);
+  if (bin) w.u64(*bin);
+}
+
+std::optional<std::uint64_t> get_bin(WireReader& r) {
+  switch (r.u8()) {
+    case 0: return std::nullopt;
+    case 1: return r.u64();
+    default: throw net::WireError("bin key: bad presence byte");
+  }
+}
+
 }  // namespace
 
-Buffer encode_fingerprints(const std::vector<Fingerprint>& fps) {
-  WireWriter w(4 + fps.size() * Fingerprint::kSize);
-  put_fingerprints(w, fps);
+Buffer encode_duplicate_test(const DuplicateTestRequest& req) {
+  WireWriter w(4 + req.fingerprints.size() * Fingerprint::kSize + 9);
+  put_fingerprints(w, req.fingerprints);
+  put_bin(w, req.bin);
   return w.take();
 }
 
-std::vector<Fingerprint> decode_fingerprints(ByteView body) {
+DuplicateTestRequest decode_duplicate_test(ByteView body) {
   WireReader r(body);
-  std::vector<Fingerprint> fps = get_fingerprints(r);
+  DuplicateTestRequest req;
+  req.fingerprints = get_fingerprints(r);
+  req.bin = get_bin(r);
   r.expect_done();
-  return fps;
+  return req;
 }
 
 Buffer encode_u64(std::uint64_t v) {
@@ -144,7 +161,7 @@ RoutingProbeReply decode_routing_probe_reply(ByteView body) {
 Buffer encode_write_request(const WriteRequest& req) {
   std::size_t payload_bytes = 0;
   for (const auto& [idx, buf] : req.payloads) payload_bytes += buf.size() + 8;
-  WireWriter w(12 + req.chunks.size() * (Fingerprint::kSize + 4) +
+  WireWriter w(21 + req.chunks.size() * (Fingerprint::kSize + 4) +
                payload_bytes);
   w.u32(req.stream);
   w.u32(static_cast<std::uint32_t>(req.chunks.size()));
@@ -157,6 +174,7 @@ Buffer encode_write_request(const WriteRequest& req) {
     w.u32(idx);
     w.bytes(ByteView{buf.data(), buf.size()});
   }
+  put_bin(w, req.bin);
   return w.take();
 }
 
@@ -178,6 +196,7 @@ WriteRequest decode_write_request(ByteView body) {
     const std::uint32_t idx = r.u32();
     req.payloads.emplace_back(idx, to_buffer(r.bytes()));
   }
+  req.bin = get_bin(r);
   r.expect_done();
   return req;
 }

@@ -21,10 +21,16 @@
 
 namespace sigma::service {
 
-// ---- Fingerprint-list bodies (probes and duplicate tests) -----------------
+// ---- Duplicate test (kDuplicateTest) -------------------------------------
 
-Buffer encode_fingerprints(const std::vector<Fingerprint>& fps);
-std::vector<Fingerprint> decode_fingerprints(ByteView body);
+/// Which of these chunks does the node hold (in bin `bin`, when set)?
+struct DuplicateTestRequest {
+  std::vector<Fingerprint> fingerprints;
+  std::optional<std::uint64_t> bin;
+};
+
+Buffer encode_duplicate_test(const DuplicateTestRequest& req);
+DuplicateTestRequest decode_duplicate_test(ByteView body);
 
 // ---- Scalar bodies --------------------------------------------------------
 
@@ -75,11 +81,13 @@ RoutingProbeReply decode_routing_probe_reply(ByteView body);
 /// The store half of the batched duplicate-test + store operation: the
 /// super-chunk's chunk records plus payload bytes for exactly the chunks
 /// the duplicate test (fused into the routing probe, or a separate
-/// kDuplicateTest) reported absent (sparse, by chunk index).
+/// kDuplicateTest) reported absent (sparse, by chunk index), and
+/// Extreme Binning's bin key.
 struct WriteRequest {
   StreamId stream = 0;
   std::vector<ChunkRecord> chunks;
   std::vector<std::pair<std::uint32_t, Buffer>> payloads;
+  std::optional<std::uint64_t> bin;
 };
 
 Buffer encode_write_request(const WriteRequest& req);

@@ -27,6 +27,49 @@ TraceBackup make_backup(const std::string& session, std::uint64_t first,
   return b;
 }
 
+/// A small fixed trace with the shapes every unit cutter must get right:
+/// files larger than a super-chunk, empty and one-chunk files, a chunk
+/// repeated within a file, files kept, edited, renamed, copied and mixed
+/// across generations, and chunk sizes that vary.
+std::vector<TraceBackup> golden_trace() {
+  auto file = [](const std::string& path, std::uint64_t first,
+                 std::size_t n) {
+    TraceFile f;
+    f.path = path;
+    for (std::uint64_t id = first; id < first + n; ++id) {
+      f.chunks.push_back(rec(id, 1024 + static_cast<std::uint32_t>(id % 7) * 1024));
+    }
+    return f;
+  };
+  TraceBackup g0;
+  g0.session = "g0";
+  g0.files = {file("big", 0, 60),    file("small", 100, 3),
+              file("empty", 0, 0),   file("one", 200, 1),
+              file("mid", 300, 20),  file("tail", 400, 33)};
+  g0.files[4].chunks.push_back(g0.files[4].chunks[2]);
+
+  TraceBackup g1 = g0;
+  g1.session = "g1";
+  g1.files[0].chunks[10] = rec(1000);
+  g1.files[5].chunks.push_back(rec(1001, 512));
+  g1.files.push_back(g0.files[1]);
+  g1.files.back().path = "copy";
+  std::swap(g1.files[1], g1.files[4]);
+  g1.files.push_back(file("new", 500, 12));
+
+  TraceBackup g2 = g1;
+  g2.session = "g2";
+  TraceFile mix = file("mix", 2000, 2);
+  for (std::size_t c = 0; c < 10; ++c) {
+    mix.chunks.push_back(g0.files[4].chunks[c]);
+    mix.chunks.push_back(g0.files[5].chunks[c]);
+  }
+  g2.files.insert(g2.files.begin() + 2, mix);
+  g2.files.erase(g2.files.begin() + 3);
+  g2.files.push_back(file("big2", 0, 45));
+  return {g0, g1, g2};
+}
+
 ClusterConfig config_for(RoutingScheme scheme, std::size_t nodes) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
@@ -230,6 +273,36 @@ TEST(ClusterTest, FlushSealsAllNodes) {
   cluster.flush();
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     EXPECT_EQ(cluster.node(i).container_store().open_container_count(), 0u);
+  }
+}
+
+struct GoldenReport {
+  RoutingScheme scheme;
+  std::uint64_t physical_bytes;
+  std::vector<std::uint64_t> node_usage;
+  std::uint64_t pre_routing;
+};
+
+TEST(ClusterTest, GoldenDirectReportsPerScheme) {
+  // Pinned before every scheme moved onto one placement path (Extreme
+  // Binning's bins then lived in the client): the direct-mode numbers of
+  // the evaluation must not move with the refactor.
+  const std::vector<GoldenReport> golden = {
+      {RoutingScheme::kSigma, 790016, {231424, 187392, 268800, 102400}, 765},
+      {RoutingScheme::kStateless, 1032704, {264192, 292352, 229376, 246784}, 0},
+      {RoutingScheme::kStateful, 865792, {166912, 300544, 178176, 220160}, 116},
+      {RoutingScheme::kExtremeBinning, 797184, {238080, 57344, 0, 501760}, 0},
+      {RoutingScheme::kChunkDht, 542208, {141824, 122880, 145408, 132096}, 0},
+  };
+  for (const GoldenReport& g : golden) {
+    Cluster cluster(config_for(g.scheme, 4));
+    for (const TraceBackup& gen : golden_trace()) cluster.backup(gen);
+    const auto r = cluster.report();
+    EXPECT_EQ(r.logical_bytes, 1820672u) << to_string(g.scheme);
+    EXPECT_EQ(r.physical_bytes, g.physical_bytes) << to_string(g.scheme);
+    EXPECT_EQ(r.node_usage, g.node_usage) << to_string(g.scheme);
+    EXPECT_EQ(r.messages.pre_routing, g.pre_routing) << to_string(g.scheme);
+    EXPECT_EQ(r.messages.after_routing, 453u) << to_string(g.scheme);
   }
 }
 

@@ -16,12 +16,12 @@
 #include "common/hash_util.h"
 #include "common/thread_pool.h"
 #include "net/rpc.h"
-#include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/metrics_wire.h"
 #include "service/node_client.h"
 #include "service/node_service.h"
 #include "service/wire_protocol.h"
+#include "loopback_transport.h"
 
 namespace sigma {
 namespace {

@@ -235,5 +235,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 8, 32),
                        ::testing::Values<std::uint64_t>(8, 64, 1024)));
 
+TEST(DedupNodeTest, BinWriteDedupsAgainstItsBinOnly) {
+  DedupNode node(0, small_config());
+  SuperChunk file = make_sc(0, 16);
+  file.chunks.push_back(file.chunks[3]);  // repeated within the file
+  const auto first = node.write_super_chunk(0, file, {}, 7);
+  EXPECT_EQ(first.unique_chunks, 16u);
+  EXPECT_EQ(first.duplicate_chunks, 1u);
+  // The same bin: all duplicates. Another bin: every chunk stored again.
+  EXPECT_EQ(node.write_super_chunk(0, file, {}, 7).duplicate_chunks, 17u);
+  EXPECT_EQ(node.write_super_chunk(0, file, {}, 8).unique_chunks, 16u);
+  EXPECT_EQ(node.stored_bytes(), 2u * 16 * 4096);
+  // Bin writes bypass the similarity index and the cache.
+  EXPECT_EQ(node.similarity_index().size(), 0u);
+  EXPECT_EQ(node.stats().container_prefetches, 0u);
+  EXPECT_EQ(node.stats().super_chunks, 3u);
+}
+
+TEST(DedupNodeTest, BinScopedDuplicateTest) {
+  DedupNode node(0, small_config());
+  const SuperChunk file = make_sc(0, 8);
+  node.write_super_chunk(0, file, {}, 1);
+  std::vector<Fingerprint> fps;
+  for (const auto& c : file.chunks) fps.push_back(c.fp);
+  fps.push_back(rec(500).fp);
+  const auto in_bin = node.test_duplicates(fps, 1);
+  const auto other_bin = node.test_duplicates(fps, 2);
+  const auto anywhere = node.test_duplicates(fps);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(in_bin[i]);
+    EXPECT_FALSE(other_bin[i]);
+    EXPECT_TRUE(anywhere[i]);  // indexed for reads
+  }
+  EXPECT_FALSE(in_bin[8]);
+  EXPECT_FALSE(anywhere[8]);
+}
+
 }  // namespace
 }  // namespace sigma

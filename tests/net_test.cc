@@ -13,9 +13,9 @@
 #include "common/hash_util.h"
 #include "net/message.h"
 #include "net/rpc.h"
-#include "net/transport.h"
 #include "net/wire.h"
 #include "service/wire_protocol.h"
+#include "loopback_transport.h"
 
 namespace sigma::net {
 namespace {
@@ -88,7 +88,7 @@ TEST(WireRobustnessTest, TruncationsOfEveryBodyErrorCleanly) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     fps.push_back(Fingerprint::from_uint64(mix64(i + 100)));
   }
-  const Buffer fp_body = service::encode_fingerprints(fps);
+  const Buffer fp_body = service::encode_duplicate_test({fps, 7});
 
   for (std::size_t cut = 0; cut < write_body.size(); ++cut) {
     try {
@@ -99,7 +99,7 @@ TEST(WireRobustnessTest, TruncationsOfEveryBodyErrorCleanly) {
   }
   for (std::size_t cut = 0; cut < fp_body.size(); ++cut) {
     try {
-      service::decode_fingerprints(ByteView{fp_body.data(), cut});
+      service::decode_duplicate_test(ByteView{fp_body.data(), cut});
     } catch (const WireError&) {
     }
   }
@@ -116,7 +116,7 @@ TEST(WireRobustnessTest, GarbageBytesNeverCrashAnyDecoder) {
     }
     const ByteView body{junk.data(), junk.size()};
     try {
-      (void)service::decode_fingerprints(body);
+      (void)service::decode_duplicate_test(body);
     } catch (const WireError&) {
     }
     try {

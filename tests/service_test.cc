@@ -8,12 +8,12 @@
 
 #include "common/hash_util.h"
 #include "net/rpc.h"
-#include "net/transport.h"
 #include "net/wire.h"
 #include "service/node_client.h"
 #include "service/node_service.h"
 #include "service/probe_set.h"
 #include "service/wire_protocol.h"
+#include "loopback_transport.h"
 
 namespace sigma {
 namespace {
@@ -119,6 +119,81 @@ TEST(WireProtocolTest, WriteRequestRoundTrips) {
   EXPECT_EQ(got.payloads[1].first, 4u);
 }
 
+TEST(WireProtocolTest, BinKeyRoundTripsWithAndWithout) {
+  service::WriteRequest req;
+  req.stream = 5;
+  req.chunks = make_super_chunk(20, 3).chunks;
+  req.payloads.emplace_back(2, payload_for(22));
+  service::DuplicateTestRequest test;
+  for (const auto& c : req.chunks) test.fingerprints.push_back(c.fp);
+  for (const std::optional<std::uint64_t> bin :
+       {std::optional<std::uint64_t>{}, std::optional<std::uint64_t>{0},
+        std::optional<std::uint64_t>{0xFEEDFACECAFEBEEFull}}) {
+    req.bin = bin;
+    const Buffer write_body = service::encode_write_request(req);
+    const auto got = service::decode_write_request(
+        ByteView{write_body.data(), write_body.size()});
+    EXPECT_EQ(got.bin, bin);
+    EXPECT_EQ(got.chunks, req.chunks);
+    ASSERT_EQ(got.payloads.size(), 1u);
+    EXPECT_EQ(got.payloads[0].second, req.payloads[0].second);
+
+    test.bin = bin;
+    const Buffer test_body = service::encode_duplicate_test(test);
+    const auto got_test = service::decode_duplicate_test(
+        ByteView{test_body.data(), test_body.size()});
+    EXPECT_EQ(got_test.bin, bin);
+    EXPECT_EQ(got_test.fingerprints, test.fingerprints);
+  }
+}
+
+TEST(WireProtocolTest, EveryTruncationOfABinnedBodyThrows) {
+  // Every field is required, the bin's presence byte included, so no
+  // strict prefix of either body decodes.
+  service::WriteRequest req;
+  req.chunks = make_super_chunk(30, 4).chunks;
+  req.payloads.emplace_back(1, payload_for(31, 64));
+  service::DuplicateTestRequest test;
+  for (const auto& c : req.chunks) test.fingerprints.push_back(c.fp);
+  for (const std::optional<std::uint64_t> bin :
+       {std::optional<std::uint64_t>{}, std::optional<std::uint64_t>{77}}) {
+    req.bin = bin;
+    test.bin = bin;
+    const Buffer write_body = service::encode_write_request(req);
+    const Buffer test_body = service::encode_duplicate_test(test);
+    for (std::size_t cut = 0; cut < write_body.size(); ++cut) {
+      EXPECT_THROW(service::decode_write_request(
+                       ByteView{write_body.data(), cut}),
+                   net::WireError)
+          << "write cut " << cut;
+    }
+    for (std::size_t cut = 0; cut < test_body.size(); ++cut) {
+      EXPECT_THROW(service::decode_duplicate_test(
+                       ByteView{test_body.data(), cut}),
+                   net::WireError)
+          << "test cut " << cut;
+    }
+  }
+}
+
+TEST(WireProtocolTest, BadBinPresenceByteRefused) {
+  service::WriteRequest req;
+  req.chunks = make_super_chunk(40, 2).chunks;
+  Buffer write_body = service::encode_write_request(req);
+  service::DuplicateTestRequest test;
+  test.fingerprints = {rec(40).fp};
+  Buffer test_body = service::encode_duplicate_test(test);
+  // Unkeyed bodies end in the presence byte; 2 would claim a third state.
+  write_body.back() = 2;
+  test_body.back() = 2;
+  EXPECT_THROW(service::decode_write_request(
+                   ByteView{write_body.data(), write_body.size()}),
+               net::WireError);
+  EXPECT_THROW(service::decode_duplicate_test(
+                   ByteView{test_body.data(), test_body.size()}),
+               net::WireError);
+}
+
 TEST(WireProtocolTest, MalformedBodyThrowsWireError) {
   const Buffer junk{1, 2, 3};
   EXPECT_THROW(service::decode_write_result(ByteView{junk.data(), junk.size()}),
@@ -130,7 +205,7 @@ TEST(WireProtocolTest, OversizedCountRejectedBeforeAllocation) {
   // WireError up front, not attempt a multi-GB reserve.
   const Buffer evil{0xFF, 0xFF, 0xFF, 0xFF};
   const ByteView body{evil.data(), evil.size()};
-  EXPECT_THROW(service::decode_fingerprints(body), net::WireError);
+  EXPECT_THROW(service::decode_duplicate_test(body), net::WireError);
   EXPECT_THROW(service::decode_bitmap(body), net::WireError);
   Buffer write_evil{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF};  // stream + count
   EXPECT_THROW(service::decode_write_request(
@@ -309,6 +384,37 @@ TEST_F(ServiceFixture, DuplicateTestBitmapIsExact) {
 }
 
 // --- Write path over the wire -------------------------------------------------
+
+TEST_F(ServiceFixture, BinnedWriteShipsOnlyWhatTheBinLacks) {
+  // Extreme Binning over the wire: the duplicate test is scoped to the
+  // write's bin, so a chunk that only another bin holds ships again and
+  // is stored again, and both copies read back.
+  SuperChunk sc = make_super_chunk(70, 4);
+  std::vector<Buffer> payloads;
+  for (std::size_t i = 0; i < 4; ++i) payloads.push_back(payload_for(70 + i));
+  std::size_t shipped = 0;
+  auto provider = [&](std::size_t i) {
+    ++shipped;
+    return ByteView{payloads[i].data(), payloads[i].size()};
+  };
+  auto write = [&](std::uint64_t bin) {
+    const Buffer body = client_.write_super_chunk_async(0, sc, provider,
+                                                        std::nullopt, bin)
+                            .get(5s);
+    return service::decode_write_result(ByteView{body.data(), body.size()});
+  };
+
+  EXPECT_EQ(write(1).unique_chunks, 4u);
+  EXPECT_EQ(shipped, 4u);
+  EXPECT_EQ(write(1).duplicate_chunks, 4u);  // same bin: nothing ships
+  EXPECT_EQ(shipped, 4u);
+  EXPECT_EQ(write(2).unique_chunks, 4u);  // other bin: a second copy
+  EXPECT_EQ(shipped, 8u);
+  EXPECT_EQ(node_.stored_bytes(), 2u * 4 * 4096);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(client_.read_chunk(sc.chunks[i].fp), payloads[i]);
+  }
+}
 
 TEST_F(ServiceFixture, TraceModeWriteDeduplicates) {
   const SuperChunk sc = make_super_chunk(0, 32);

@@ -269,8 +269,8 @@ TEST_P(PayloadSchemeIdentity, BackupClientMatchesDirectModeOverTcp) {
   // same sessions give the same summaries (elapsed time aside), the same
   // reports after every session, and bit-exact restores. Schemes that
   // probe (Sigma, stateful) fold the duplicate test into the routing
-  // probe and send no kDuplicateTest; the others send one per
-  // super-chunk.
+  // probe and send no kDuplicateTest; the others send one per write
+  // (BackupSummary::super_chunk_count).
   const RoutingScheme scheme = GetParam();
   BackupClientConfig bc;
   bc.super_chunk_bytes = 64 * 1024;
@@ -302,6 +302,14 @@ TEST_P(PayloadSchemeIdentity, BackupClientMatchesDirectModeOverTcp) {
 
     const ClusterReport dr = direct.report();
     const ClusterReport tr = over_tcp.report();
+    if (gen.session == "gen0") {
+      // Usage comes from the nodes for every scheme: the stored data
+      // shows up, and the per-node figures add up to the total.
+      EXPECT_GT(tr.physical_bytes, 0u);
+      std::uint64_t usage = 0;
+      for (const std::uint64_t u : tr.node_usage) usage += u;
+      EXPECT_EQ(usage, tr.physical_bytes);
+    }
     EXPECT_EQ(dr.logical_bytes, tr.logical_bytes) << gen.session;
     EXPECT_EQ(dr.physical_bytes, tr.physical_bytes) << gen.session;
     EXPECT_EQ(dr.node_usage, tr.node_usage) << gen.session;
@@ -332,6 +340,57 @@ TEST_P(PayloadSchemeIdentity, BackupClientMatchesDirectModeOverTcp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, PayloadSchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
+
+class ClientTraceIdentity : public ::testing::TestWithParam<RoutingScheme> {
+};
+
+TEST_P(ClientTraceIdentity, BackupClientReportEqualsTraceReport) {
+  // One placement path: the payload sessions through BackupClient and the
+  // same chunk streams as traces through Cluster::backup give equal
+  // reports, in direct mode and over TCP at depth 1.
+  const RoutingScheme scheme = GetParam();
+  BackupClientConfig bc;
+  bc.super_chunk_bytes = 64 * 1024;
+  const auto chunker = make_chunker(bc.chunking, bc.chunk_bytes);
+
+  TcpFleet client_fleet(1, 4);
+  TcpFleet trace_fleet(1, 4);
+  Cluster direct_client(direct_config(scheme, 4));
+  Cluster direct_trace(direct_config(scheme, 4));
+  Cluster tcp_client(tcp_config(scheme, client_fleet));
+  Cluster tcp_trace(tcp_config(scheme, trace_fleet));
+  Director direct_director;
+  Director tcp_director;
+  BackupClient direct_backup(bc, direct_client, direct_director);
+  BackupClient tcp_backup(bc, tcp_client, tcp_director);
+
+  for (const ContentBackup& gen : payload_generations()) {
+    direct_backup.backup(gen);
+    tcp_backup.backup(gen);
+    const TraceBackup trace = materialize(gen, *chunker, bc.hash);
+    direct_trace.backup(trace);
+    tcp_trace.backup(trace);
+
+    const ClusterReport want = direct_trace.report();
+    for (const Cluster* c : {&direct_client, &tcp_client, &tcp_trace}) {
+      const ClusterReport got = c->report();
+      EXPECT_EQ(want.logical_bytes, got.logical_bytes) << gen.session;
+      EXPECT_EQ(want.physical_bytes, got.physical_bytes) << gen.session;
+      EXPECT_EQ(want.node_usage, got.node_usage) << gen.session;
+      EXPECT_EQ(want.messages.pre_routing, got.messages.pre_routing)
+          << gen.session;
+      EXPECT_EQ(want.messages.after_routing, got.messages.after_routing)
+          << gen.session;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, ClientTraceIdentity,
                          ::testing::Values(RoutingScheme::kSigma,
                                            RoutingScheme::kStateless,
                                            RoutingScheme::kStateful,
